@@ -30,7 +30,6 @@ from .error_control import (
     error_coefficient,
     fracpow_action,
     node_error_bound,
-    residual_threshold,
     residual_thresholds,
     tolerance_floor,
 )
@@ -66,7 +65,6 @@ from .sparse import (
     build_laplacian_1d,
     build_laplacian_2d,
     estimate_spectral_bounds,
-    matvec,
     read_matrix_market,
     write_matrix_market,
 )
@@ -104,12 +102,10 @@ __all__ = [
     "estimate_spectral_bounds",
     "fracpow_action",
     "gauss_jacobi_nodes",
-    "matvec",
     "node_error_bound",
     "probe_error",
     "probe_values_from_bounds",
     "read_matrix_market",
-    "residual_threshold",
     "residual_thresholds",
     "scalar_apply",
     "select_node_count",

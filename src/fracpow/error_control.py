@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ToleranceFloorError
 from .quadrature import (
-    DEParams,
     ProbeSpec,
     ShiftedQuadratureRule,
     build_rule,
@@ -129,15 +128,6 @@ def residual_thresholds(
     return per_node * (1.0 + rule.shifts / lambda_max) / rule.weights
 
 
-def residual_threshold(
-    rule: ShiftedQuadratureRule, k: int, budget: ErrorBudget, lambda_max: float
-) -> float:
-    """Threshold for node ``k`` (0-based)."""
-    if not 0 <= k < rule.m:
-        raise ValueError(f"node index {k} out of range for m = {rule.m}")
-    return float(residual_thresholds(rule, budget, lambda_max)[k])
-
-
 def node_error_bound(residual_norm, sigma, lambda_max: float, omega):
     """Certified error of one weighted node term given its residual norm.
 
@@ -208,12 +198,10 @@ def fracpow_action(
     rule: ShiftedQuadratureRule | None = None,
     solver_thresholds: np.ndarray | float | None = None,
     max_iterations: int | None = None,
-    record_history: bool = False,
-    de_params: DEParams | None = None,
 ) -> ActionResult:
     """Compute ``y ~= A^alpha b`` with a certified total error budget.
 
-    Pipeline: certify spectral bounds, pick the smallest rule whose scalar
+    Pipeline: estimate spectral bounds, pick the smallest rule whose scalar
     probe error fits the quadrature share (probing ``quad_share * epsilon /
     ||b||`` on eleven log-spaced samples of the bound interval), solve all
     shifted systems with multi-shift CG against the per-node thresholds, and
@@ -256,7 +244,7 @@ def fracpow_action(
 
     probe = scalar_probe(budget, bounds, bnorm)
     if rule is None:
-        rule = select_node_count(family, alpha, bounds, probe, de_params=de_params)
+        rule = select_node_count(family, alpha, bounds, probe)
         logger.info("selected %s rule with m = %d nodes", rule.family, rule.m)
     certificate_thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
     if solver_thresholds is None:
@@ -267,7 +255,7 @@ def fracpow_action(
         ).copy()
 
     request = ShiftedSolveRequest(rule.shifts, requested, max_iterations)
-    solutions, report = shifted_cg_solve(A, b, request, record_history=record_history)
+    solutions, report = shifted_cg_solve(A, b, request)
     y = A.matvec(rule.weights @ solutions)
 
     node_bounds = node_error_bound(

@@ -231,14 +231,6 @@ def gauss_jacobi_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return nodes + delta, 1.0 / (k + 2.0 * half_dk * delta)
 
 
-def _build_gj1(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
-    sigma = (1.0 - s) / (1.0 + s)
-    omega = (2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s)
-    # Gauss nodes come back ascending in s, which is descending in sigma.
-    return sigma[::-1].copy(), omega[::-1].copy()
-
-
 def _de_log_integrand(u: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     """log of the scalar DE integrand at spectral point lam (overflow-safe)."""
     pis = math.pi * np.sinh(u)
@@ -314,20 +306,20 @@ def build_rule(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if m < 1:
         raise ValueError("node count must be >= 1")
-    if family == "gj1":
-        sigma, omega = _build_gj1(alpha, m)
-    elif family == "gj2":
-        if bounds is None:
-            raise ValueError("gj2 needs spectral bounds for its scaling")
-        c = math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
-        sigma, omega = _build_gj1(alpha, m)
-        sigma = c * sigma
-        omega = c**alpha * omega
-    else:
+    if family == "de":
         if bounds is None:
             raise ValueError("de needs spectral bounds for its truncation probes")
         sigma, omega = _build_de(alpha, m, bounds, de_params or DEParams())
-    return ShiftedQuadratureRule(alpha, family, sigma, omega)
+        return ShiftedQuadratureRule(alpha, family, sigma, omega)
+    if family == "gj2" and bounds is None:
+        raise ValueError("gj2 needs spectral bounds for its scaling")
+    # gj2 is gj1 applied to A / c; for gj1, c = 1 and the scaling is exact.
+    c = 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
+    sigma = c * ((1.0 - s) / (1.0 + s))
+    omega = c**alpha * ((2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s))
+    # Gauss nodes come back ascending in s, which is descending in sigma.
+    return ShiftedQuadratureRule(alpha, family, sigma[::-1].copy(), omega[::-1].copy())
 
 
 def scalar_apply(rule: ShiftedQuadratureRule, lam):

@@ -1,12 +1,15 @@
 """Sparse Hermitian matrices, model problem generators, and spectral bounds.
 
-Matrices are stored in compressed sparse row form with both triangles present,
+Matrices are validated in compressed sparse row form with both triangles
+present and then held as one ``scipy.sparse.csr_array`` on the same arrays,
 so a matrix-vector product needs no conjugation logic.  The generators build
 the standard Dirichlet Laplacians used throughout the test-suite, and
-:func:`estimate_spectral_bounds` produces a certified interval
-``[lambda_lo, lambda_hi]`` enclosing the spectrum of a Hermitian positive
-definite matrix: Gershgorin discs give an unconditional upper bound, a
-(re-orthogonalized) Lanczos sweep tightens it and supplies the lower end.
+:func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
+lambda_hi]`` for the spectrum of a Hermitian positive definite matrix from
+Gershgorin discs and a (re-orthogonalized) Lanczos sweep.  Only the
+Gershgorin bound is guaranteed: a Ritz value plus or minus its residual
+bounds the distance to *some* eigenvalue, not to the extreme one, so
+``lambda_lo`` and the Lanczos-tightened ``lambda_hi`` are estimates.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import MatrixFormatError, SpectralBoundsError
@@ -23,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 # Relative slack for "equal up to rounding" checks on stored values.
 HERMITIAN_RTOL = 1e-13
+
+# Lanczos steps of the first spectral-bounds sweep; each re-run doubles them.
+LANCZOS_INITIAL_STEPS = 50
 
 
 def _is_complex(values: np.ndarray) -> bool:
@@ -43,14 +50,15 @@ class HermitianSparseMatrix:
     - every stored diagonal entry is real to the same tolerance.
 
     Positive definiteness is not checked here; it is the caller's
-    responsibility where an operation requires it.
+    responsibility where an operation requires it.  Every product goes
+    through :meth:`matvec`.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _row_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = int(self.n)
@@ -76,14 +84,14 @@ class HermitianSparseMatrix:
             raise ValueError("column index out of range")
 
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        object.__setattr__(self, "_row_indices", rows)
-
         # Strictly increasing columns per row: compare neighbours that share a row.
         same_row = rows[1:] == rows[:-1]
         if np.any(same_row & (np.diff(cols) <= 0)):
             raise ValueError("col_indices must be strictly increasing within each row")
 
         self._check_hermitian(rows, cols, vals)
+        csr = scipy.sparse.csr_array((vals, cols, offsets), shape=(n, n))
+        object.__setattr__(self, "_csr", csr)
 
     def _check_hermitian(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         order = np.lexsort((rows, cols))  # CSR order of the transpose
@@ -134,33 +142,18 @@ class HermitianSparseMatrix:
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"vector length {x.shape} does not match n = {self.n}")
-        prod = self.values * x[self.col_indices]
-        if _is_complex(prod):
-            out = np.bincount(self._row_indices, weights=prod.real, minlength=self.n)
-            out = out + 1j * np.bincount(self._row_indices, weights=prod.imag, minlength=self.n)
-            return out
-        return np.bincount(self._row_indices, weights=prod, minlength=self.n)
+        return self._csr @ x
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=self.values.dtype)
-        out[self._row_indices, self.col_indices] = self.values
-        return out
+        return self._csr.toarray()
 
     def diagonal(self) -> np.ndarray:
-        diag = np.zeros(self.n, dtype=self.values.dtype)
-        on_diag = self._row_indices == self.col_indices
-        diag[self._row_indices[on_diag]] = self.values[on_diag]
-        return diag
-
-
-def matvec(A: HermitianSparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``A @ x`` (functional form of the method)."""
-    return A.matvec(x)
+        return self._csr.diagonal()
 
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Certified spectral interval ``0 < lambda_lo <= lambda_hi``."""
+    """Spectral interval ``0 < lambda_lo <= lambda_hi`` (see :func:`estimate_spectral_bounds`)."""
 
     lambda_lo: float
     lambda_hi: float
@@ -324,9 +317,8 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
     Values are formatted with 17 significant digits so that a read-back
     reproduces the stored doubles bit-exactly.
     """
-    rows = A._row_indices
-    keep = rows >= A.col_indices
-    r, c, v = rows[keep], A.col_indices[keep], A.values[keep]
+    lower = scipy.sparse.tril(A._csr)
+    r, c, v = lower.row, lower.col, lower.data
     is_c = _is_complex(v)
     lines = [
         "%%MatrixMarket matrix coordinate "
@@ -352,12 +344,10 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
 
 
 def _gershgorin_upper(A: HermitianSparseMatrix) -> float:
-    centers = np.zeros(A.n)
-    radii = np.zeros(A.n)
-    on_diag = A._row_indices == A.col_indices
-    centers[A._row_indices[on_diag]] = A.values[on_diag].real
-    np.add.at(radii, A._row_indices[~on_diag], np.abs(A.values[~on_diag]))
-    return float(np.max(centers + radii))
+    """Right end of the rightmost Gershgorin disc, ``max_i a_ii + sum_{j != i} |a_ij|``."""
+    diag = A.diagonal().real
+    row_sums = abs(A._csr) @ np.ones(A.n)
+    return float(np.max(diag + (row_sums - np.abs(diag))))
 
 
 def _lanczos_extremes(A: HermitianSparseMatrix, steps: int, seed: int):
@@ -403,40 +393,40 @@ def _lanczos_extremes(A: HermitianSparseMatrix, steps: int, seed: int):
     return theta[0], float(res[0]), theta[-1], float(res[-1]), k, invariant
 
 
-def estimate_spectral_bounds(
-    A: HermitianSparseMatrix,
-    refine_steps: int = 50,
-    *,
-    adaptive: bool = True,
-    seed: int = 0,
-) -> SpectralBounds:
-    """Certified enclosure of the spectrum of a Hermitian positive definite A.
+def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> SpectralBounds:
+    """Spectral interval ``[lambda_lo, lambda_hi]`` of a Hermitian positive definite A.
 
     ``lambda_hi`` is ``min(Gershgorin bound, top Ritz value + its residual)``
-    and never drops below the largest diagonal entry; overestimating it only
-    tightens downstream stopping thresholds, so this direction is safe.
-    ``lambda_lo`` is the bottom Ritz value minus its residual, floored at
-    ``1e-12 * lambda_hi``; underestimating the lower end only widens the
-    probing interval.
+    and never drops below the largest diagonal entry.  The Gershgorin bound
+    is a guaranteed upper bound on the spectrum.  The Lanczos term is one
+    only once the sweep has found the top eigenvalue, which it misses when
+    the start vector is (nearly) orthogonal to that eigenvector.
+    Overestimating ``lambda_hi`` only tightens downstream stopping
+    thresholds, so this direction is safe.
 
-    ``refine_steps`` is the initial Lanczos budget.  With ``adaptive=True``
-    (the default) the sweep is re-run with a doubled budget, up to ``n`` steps,
-    until the bottom Ritz pair has a small relative residual: on matrices with
-    a tiny relative gap at the low end (the 1-D Laplacian at n = 1000, say) a
-    fixed 50-step sweep overestimates ``lambda_lo`` by orders of magnitude,
-    and the node-count needed to cover the resulting fictitious interval
-    becomes infeasible.
+    ``lambda_lo`` is the bottom Ritz value minus its residual, floored at
+    ``1e-12 * lambda_hi``.  A Ritz value minus its residual bounds the
+    distance to *some* eigenvalue, not to the smallest one, so ``lambda_lo``
+    is an estimate of the bottom of the spectrum, not a guaranteed lower
+    bound.  Underestimating it only widens the probing interval.
+
+    The Lanczos sweep starts with ``LANCZOS_INITIAL_STEPS`` steps and is re-run
+    with a doubled budget, up to ``n`` steps, until the bottom Ritz pair has
+    a small relative residual: on matrices with a tiny relative gap at the
+    low end (the 1-D Laplacian at n = 1000, say) a fixed 50-step sweep
+    overestimates ``lambda_lo`` by orders of magnitude, and the node-count
+    needed to cover the resulting fictitious interval becomes infeasible.
     """
     gersh = _gershgorin_upper(A)
     if gersh <= 0.0:
         raise SpectralBoundsError(
             "Gershgorin bound is non-positive: cannot certify a positive spectrum"
         )
-    steps = max(1, int(refine_steps))
+    steps = LANCZOS_INITIAL_STEPS
     while True:
         t_lo, r_lo, t_hi, r_hi, used, invariant = _lanczos_extremes(A, steps, seed)
         converged = invariant or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny)
-        if not adaptive or converged or used >= A.n:
+        if converged or used >= A.n:
             break
         steps = min(2 * steps, A.n)
         logger.debug("bottom Ritz residual %.3e, escalating Lanczos to %d steps", r_lo, steps)

@@ -10,7 +10,6 @@ from fracpow.error_control import (
     error_coefficient,
     fracpow_action,
     node_error_bound,
-    residual_threshold,
     residual_thresholds,
     scalar_probe,
     tolerance_floor,
@@ -77,12 +76,12 @@ class TestResidualThresholds:
         shifts = np.linspace(1.0, 2.0, 10)
         rule = self._rule(shifts, np.full(10, 0.05))
         budget = ErrorBudget(1e-6)
-        tau = residual_threshold(rule, 3, budget, lambda_max=shifts[3])
+        tau = residual_thresholds(rule, budget, lambda_max=shifts[3])[3]
         assert tau == pytest.approx(2e-6, rel=1e-12)
 
     def test_all_unity(self):
         rule = self._rule(np.array([0.0]), np.array([1.0]))
-        tau = residual_threshold(rule, 0, ErrorBudget(2.0), lambda_max=1.0)
+        tau = residual_thresholds(rule, ErrorBudget(2.0), lambda_max=1.0)[0]
         assert tau == pytest.approx(1.0, rel=1e-15)
 
     def test_doubling_epsilon_doubles_thresholds_exactly(self):
@@ -103,11 +102,6 @@ class TestResidualThresholds:
         t2 = residual_thresholds(rule, ErrorBudget(1e-6), 20.0)
         assert t1[0] == t2[0]
         assert t2[1] < t1[1]
-
-    def test_index_range_checked(self):
-        rule = build_rule("gj1", 0.5, 3)
-        with pytest.raises(ValueError):
-            residual_threshold(rule, 3, ErrorBudget(1e-6), 1.0)
 
 
 class TestNodeErrorBound:

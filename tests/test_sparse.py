@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import MatrixFormatError, SpectralBoundsError
 from fracpow.sparse import (
     HermitianSparseMatrix,
@@ -11,7 +12,6 @@ from fracpow.sparse import (
     build_laplacian_1d,
     build_laplacian_2d,
     estimate_spectral_bounds,
-    matvec,
     read_matrix_market,
     write_matrix_market,
 )
@@ -38,7 +38,6 @@ class TestHermitianSparseMatrix:
         A = HermitianSparseMatrix.from_dense(dense)
         x = rng.standard_normal(11)
         np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(matvec(A, x), dense @ x, rtol=1e-14, atol=1e-14)
 
     def test_matvec_matches_dense_complex(self, rng):
         dense = random_hermitian(rng, 9, complex_valued=True)
@@ -88,6 +87,28 @@ class TestHermitianSparseMatrix:
         np.testing.assert_array_equal(A.diagonal(), [3.0, 1.0, 2.0])
         L = build_laplacian_1d(4)
         np.testing.assert_array_equal(L.diagonal(), [2.0, 2.0, 2.0, 2.0])
+
+
+class CountingMatrix(HermitianSparseMatrix):
+    """Counts calls of ``matvec``, the one product method."""
+
+    calls = 0
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().matvec(x)
+
+
+class TestProductPath:
+    @pytest.mark.parametrize(("family", "alpha", "eps"), [("de", 0.5, 1e-6), ("gj2", 0.2, 1e-9)])
+    def test_every_product_goes_through_matvec(self, family, alpha, eps):
+        # A subclass that meters matvec must see every product the pipeline makes.
+        L = build_laplacian_2d(32, 32)
+        bounds = estimate_spectral_bounds(L)
+        A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
+        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(eps), family, bounds=bounds)
+        # Joint iterations, explicit residual checks and the one assembly product.
+        assert A.calls == result.report.total_matvecs + result.report.verification_matvecs + 1
 
 
 class TestBuilders:
@@ -149,6 +170,28 @@ class TestMatrixMarket:
         write_matrix_market(A, path)
         B = read_matrix_market(path)
         np.testing.assert_array_equal(A.to_dense(), B.to_dense())
+
+    @pytest.mark.parametrize(
+        ("dense", "expected"),
+        [
+            (
+                [[2.5, -0.1, 0.0], [-0.1, 3.0, 1 / 3], [0.0, 1 / 3, 4.0]],
+                "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n1 1 2.5\n"
+                "2 1 -0.10000000000000001\n2 2 3\n3 2 0.33333333333333331\n3 3 4\n",
+            ),
+            (
+                [[2.0, 0.5 - 1j / 3], [0.5 + 1j / 3, 1.0]],
+                "%%MatrixMarket matrix coordinate complex hermitian\n2 2 3\n1 1 2 0\n"
+                "2 1 0.5 0.33333333333333331\n2 2 1 0\n",
+            ),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_writes_golden_text(self, dense, expected):
+        # Header, lower triangle in row-major order, 17 significant digits.
+        out = io.StringIO()
+        write_matrix_market(HermitianSparseMatrix.from_dense(np.array(dense)), out)
+        assert out.getvalue() == expected
 
     def test_reads_stream(self):
         text = (
