@@ -391,6 +391,13 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
@@ -433,7 +440,7 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family", type=_str_list, default=list(FAMILIES), help="comma-separated families")
     verify.add_argument("--quad-share", type=float, default=0.5)
     verify.add_argument("--solve-share", type=float, default=0.5)
-    verify.add_argument("--jobs", type=int, default=1, help="number of grid cells to run concurrently")
+    verify.add_argument("--jobs", type=_positive_int, default=1, help="number of grid cells to run concurrently")
     verify.add_argument("--out", default=None, help="write the report table to this path")
     verify.add_argument("--format", choices=("json", "csv"), default=None)
     verify.add_argument("--seed", type=int, default=0)

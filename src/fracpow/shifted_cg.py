@@ -18,6 +18,12 @@ while the explicit residual still fails has hit the rounding floor of double
 precision; it is then frozen unconverged rather than spinning until the
 iteration cap.  Converged flags are consequently always backed by an explicit
 residual, never by the collinearity estimate alone.
+
+The solver keeps the active shifts as a leading contiguous block of its
+per-shift arrays: a shift that stops swaps rows with the last active one, so
+each iteration updates iterates and search directions in place on a
+contiguous ``[:na]`` view, with the same elementwise arithmetic as a
+per-shift loop.  Results, reports and callbacks use request order.
 """
 
 from __future__ import annotations
@@ -99,6 +105,13 @@ def _explicit_residual_norm(A, b, sigma: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(b - sigma * x - A.matvec(x)))
 
 
+def _in_request_order(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Copy of working-order ``a`` with row ``j`` moved to row ``order[j]``."""
+    out = np.empty_like(a)
+    out[order] = a
+    return out
+
+
 def shifted_cg_solve(
     A: HermitianSparseMatrix,
     b: np.ndarray,
@@ -110,9 +123,14 @@ def shifted_cg_solve(
     """Solve ``(sigma_k I + A) x_k = b`` for every shift in the request.
 
     Returns ``(solutions, report)`` where ``solutions[k]`` is the iterate for
-    shift ``k``.  ``callback(iteration, seed_residual, zetas, solutions)`` is
-    invoked after each joint iteration with live views (copy to retain;
-    entries for frozen shifts hold their last active values).
+    shift ``k``.  The iteration keeps the active shifts as a leading
+    contiguous block of its working rows (a shift that stops is swapped to
+    the tail), so each per-iteration update is an in-place operation on that
+    block; ``solutions``, the report and ``residual_history`` are in request
+    order.  ``callback(iteration, seed_residual, zetas, solutions)`` is
+    invoked after each joint iteration with request-order copies of the
+    collinearity factors and iterates (entries for frozen shifts hold their
+    last active values); making them costs O(m n) per call.
     """
     b = np.asarray(b)
     if b.shape != (A.n,):
@@ -129,33 +147,39 @@ def shifted_cg_solve(
     b = b.astype(dtype, copy=False)
 
     sigma_seed = float(shifts.min())
-    delta = shifts - sigma_seed
-
-    X = np.zeros((m, A.n), dtype=dtype)
     bnorm = float(np.linalg.norm(b))
     final_res = np.full(m, bnorm)
     iterations_used = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
-    check_scale = np.ones(m)
     verification_matvecs = 0
     history: list[tuple[int, int, float]] = []
     # Zero iterate already qualifies: residual is exactly b, no product needed.
     trivially_done = bnorm <= thresholds
     converged[trivially_done] = True
-    active[trivially_done] = False
+
+    # Working order: rows [:na] of every per-shift array below are the active
+    # shifts, and order[j] is the request index of working row j.
+    order = np.concatenate([np.flatnonzero(~trivially_done), np.flatnonzero(trivially_done)])
+    na = m - int(np.count_nonzero(trivially_done))
+    work_shifts = shifts[order]
+    delta = work_shifts - sigma_seed
+    work_thresholds = thresholds[order]
+    check_scale = np.ones(m)
+    zeta_prev = np.ones(m)
+    zeta = np.ones(m)
+    X = np.zeros((m, A.n), dtype=dtype)
+    P = np.tile(b, (m, 1))
+    products = np.empty_like(P)  # workspace for the scaled rows of an update
+    rows = (X, P, zeta, zeta_prev, work_shifts, delta, work_thresholds, check_scale, order)
 
     r = b.copy()
     p = b.copy()
-    P = np.tile(b, (m, 1))
     rr = float(np.vdot(r, r).real)
-    zeta_prev = np.ones(m)
-    zeta = np.ones(m)
     alpha_prev = 1.0
     beta_prev = 0.0
     iterations = 0
 
-    while active.any() and iterations < max_iterations:
+    while na > 0 and iterations < max_iterations:
         i = iterations
         q = A.matvec(p) + sigma_seed * p
         pq = float(np.vdot(p, q).real)
@@ -166,19 +190,19 @@ def shifted_cg_solve(
             )
         alpha = rr / pq
 
-        act = np.flatnonzero(active)
-        za = zeta[act]
-        zpa = zeta_prev[act]
-        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[act] * alpha)
+        za = zeta[:na]
+        zpa = zeta_prev[:na]
+        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[:na] * alpha)
         if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
             raise SolverBreakdownError(
                 f"collinearity recurrence produced a non-positive denominator at iteration {i}"
             )
         znext = za * zpa * alpha_prev / denom
         ratio = znext / za
-        X[act] += (alpha * ratio)[:, None] * P[act]
-        zeta_prev[act] = za
-        zeta[act] = znext
+        np.multiply((alpha * ratio)[:, None], P[:na], out=products[:na])
+        X[:na] += products[:na]
+        zeta_prev[:na] = za
+        zeta[:na] = znext
 
         r -= alpha * q
         rr_next = float(np.vdot(r, r).real)
@@ -187,32 +211,39 @@ def shifted_cg_solve(
 
         tracked = znext * rnorm
         if record_history:
-            history.extend(zip([i + 1] * act.size, act.tolist(), tracked.tolist()))
-        for pos, k in enumerate(act):
-            if tracked[pos] > thresholds[k] * check_scale[k]:
-                continue
-            explicit = _explicit_residual_norm(A, b, shifts[k], X[k])
+            by_request = np.argsort(order[:na])
+            history.extend(
+                zip([iterations] * na, order[:na][by_request].tolist(), tracked[by_request].tolist())
+            )
+        # Verify from the last candidate down: a stopped row swaps with row
+        # na - 1, which is then either already checked or not a candidate.
+        # ~(>) keeps a NaN estimate a candidate.
+        candidates = np.flatnonzero(~(tracked > work_thresholds[:na] * check_scale[:na]))
+        for pos in candidates[::-1]:
+            k = order[pos]
+            threshold = work_thresholds[pos]
+            explicit = _explicit_residual_norm(A, b, work_shifts[pos], X[pos])
             verification_matvecs += 1
-            if explicit <= thresholds[k]:
-                active[k] = False
+            if explicit <= threshold:
                 converged[k] = True
-                final_res[k] = explicit
-                iterations_used[k] = i + 1
-            elif tracked[pos] <= thresholds[k] * _STAGNATION_FACTOR:
+            elif tracked[pos] <= threshold * _STAGNATION_FACTOR:
                 # Explicit residual is pinned at the rounding floor while the
                 # recurrence keeps shrinking; further iterations cannot help.
-                active[k] = False
-                final_res[k] = explicit
-                iterations_used[k] = i + 1
                 logger.debug(
-                    "shift %d stagnated: explicit %.3e vs threshold %.3e", k, explicit, thresholds[k]
+                    "shift %d stagnated: explicit %.3e vs threshold %.3e", k, explicit, threshold
                 )
             else:
-                check_scale[k] *= 0.5
+                check_scale[pos] *= 0.5
+                continue
+            final_res[k] = explicit
+            iterations_used[k] = iterations
+            na -= 1
+            for a in rows:
+                a[[pos, na]] = a[[na, pos]]
 
-        if not active.any():
-            if callback is not None:
-                callback(i + 1, r, zeta, X)
+        if callback is not None:
+            callback(iterations, r, _in_request_order(zeta, order), _in_request_order(X, order))
+        if na == 0:
             break
         if rr_next < BREAKDOWN_FLOOR**2:
             raise SolverBreakdownError(
@@ -220,21 +251,25 @@ def shifted_cg_solve(
                 "unconverged shifts remaining"
             )
         beta = rr_next / rr
-        still = active[act]
-        act2 = act[still]
-        P[act2] = znext[still][:, None] * r + (beta * ratio[still] ** 2)[:, None] * P[act2]
+        # zeta / zeta_prev of a row is that row's ratio above, bit for bit.
+        ratio = zeta[:na] / zeta_prev[:na]
+        np.multiply((beta * ratio**2)[:, None], P[:na], out=P[:na])
+        np.multiply(zeta[:na, None], r, out=products[:na])
+        P[:na] += products[:na]
         p = r + beta * p
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
-        if callback is not None:
-            callback(i + 1, r, zeta, X)
 
-    leftover = np.flatnonzero(active)
-    for k in leftover:
-        explicit = _explicit_residual_norm(A, b, shifts[k], X[k])
+    for pos in range(na):
+        k = order[pos]
+        explicit = _explicit_residual_norm(A, b, work_shifts[pos], X[pos])
         verification_matvecs += 1
         final_res[k] = explicit
-        converged[k] = explicit <= thresholds[k]
+        converged[k] = explicit <= work_thresholds[pos]
         iterations_used[k] = iterations
+    # The workspace is free now: it takes the rows in request order, so the
+    # solutions need no further m x n array.
+    solutions = products
+    solutions[order] = X
 
     report = ShiftedSolveReport(
         shifts=shifts.copy(),
@@ -246,7 +281,7 @@ def shifted_cg_solve(
         verification_matvecs=verification_matvecs,
         residual_history=np.array(history) if record_history else None,
     )
-    return X, report
+    return solutions, report
 
 
 def single_shift_cg(

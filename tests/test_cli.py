@@ -286,6 +286,17 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_nonpositive_jobs_exits_1(self, jobs, capsys):
+        code = run_cli(
+            ["verify", "--matrix", "diag:1,2", "--alpha", "0.5", "--eps", "1e-5",
+             "--family", "gj1", "--jobs", jobs]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err
+        assert "cells passed" not in captured.out
+
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(

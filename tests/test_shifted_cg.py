@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import SolverBreakdownError
 from fracpow.shifted_cg import (
     ShiftedSolveReport,
@@ -12,6 +13,7 @@ from fracpow.sparse import (
     HermitianSparseMatrix,
     build_diagonal,
     build_laplacian_1d,
+    build_laplacian_2d,
 )
 
 from conftest import random_hermitian
@@ -210,6 +212,115 @@ class TestConvergenceCertificates:
         X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest([0.1, 1.0], 1e-9))
         assert rep.total_matvecs == rep.iterations_used.max()
         assert rep.verification_matvecs >= 2  # one explicit check per freeze
+
+
+class TestOutOfOrderFreezes:
+    # Request index 2 stops first, then 4, then 3, and the smallest shift
+    # (index 0) stops last; index 1 (threshold inf) never iterates.
+    SHIFTS = np.array([0.01, 0.5, 2.0, 8.0, 30.0])
+    THRESHOLDS = np.array([1e-8, np.inf, 1e-2, 1e-11, 1e-9])
+    ITERATED = (0, 2, 3, 4)
+
+    @pytest.fixture
+    def solved(self, rng):
+        A = build_laplacian_1d(80)
+        b = rng.standard_normal(80)
+        seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+        def grab(i, r, zeta, X):
+            seen[i] = (zeta.copy(), X.copy())
+
+        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS)
+        X, rep = shifted_cg_solve(A, b, req, record_history=True, callback=grab)
+        return A, b, X, rep, seen
+
+    def test_freeze_order(self, solved):
+        _, _, _, rep, seen = solved
+        used = rep.iterations_used
+        assert rep.all_converged
+        assert used[1] == 0
+        assert 0 < used[2] < used[4] < used[3] < used[0]
+        assert sorted(seen) == list(range(1, used[0] + 1))
+
+    def test_frozen_rows_stay_fixed_in_callback(self, solved):
+        _, _, X, rep, seen = solved
+        for k in self.ITERATED:
+            stop = rep.iterations_used[k]
+            zeta_stop, X_stop = seen[stop]
+            for i in range(stop, rep.iterations_used.max() + 1):
+                assert seen[i][0][k] == zeta_stop[k]
+                np.testing.assert_array_equal(seen[i][1][k], X_stop[k])
+            np.testing.assert_array_equal(X[k], X_stop[k])
+        for zeta, X_seen in seen.values():
+            assert zeta[1] == 1.0
+            np.testing.assert_array_equal(X_seen[1], 0.0)
+
+    def test_returned_rows_match_plain_cg(self, solved):
+        A, b, X, rep, _ = solved
+        for k in self.ITERATED:
+            x, iterations, _ = single_shift_cg(
+                A, b, self.SHIFTS[k], tol=1e-300, max_iterations=rep.iterations_used[k]
+            )
+            assert iterations == rep.iterations_used[k]
+            assert np.linalg.norm(X[k] - x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_trivially_done_row(self, solved):
+        _, b, X, rep, _ = solved
+        np.testing.assert_array_equal(X[1], 0.0)
+        assert rep.iterations_used[1] == 0
+        assert rep.converged[1]
+        assert rep.final_residual_norms[1] == np.linalg.norm(b)
+
+    def test_history_holds_request_indices(self, solved):
+        A, b, _, rep, _ = solved
+        hist = rep.residual_history
+        expected = {
+            (i, k) for k in self.ITERATED for i in range(1, rep.iterations_used[k] + 1)
+        }
+        got = [(int(i), int(k)) for i, k in hist[:, :2]]
+        assert len(got) == len(expected) and set(got) == expected
+        for k in self.ITERATED:
+            # The tracked norm of row k is shift k's CG residual norm.
+            plain: dict[int, float] = {}
+
+            def keep(i, x, r):
+                plain[i] = float(np.linalg.norm(r))
+
+            single_shift_cg(
+                A, b, self.SHIFTS[k], tol=1e-300,
+                max_iterations=rep.iterations_used[k], callback=keep,
+            )
+            for i, _, tracked in hist[hist[:, 1] == k]:
+                assert tracked == pytest.approx(plain[int(i)], rel=1e-8)
+
+
+class TestFreezeDecisions:
+    # Per-node stopping iterations, flags and verification counts of the
+    # solves that fracpow_action makes on lap2d:32x32 with b = ones; a
+    # change to the solver's arithmetic or freeze logic moves them.
+    CASES = {
+        ("de", 0.5, 1e-6): (
+            [0, 0, 0, 23, 33, 39, 43, 45, 48, 50, 53, 55, 56, 57, 58, 58, 57, 54,
+             48, 39, 27, 18, 12, 8, 6, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0],
+            36,
+        ),
+        ("gj2", 0.2, 1e-9): (
+            [70, 69, 68, 67, 66, 65, 63, 62, 60, 58, 57, 54, 51, 49, 46, 43, 41, 38,
+             35, 31, 28, 25, 22, 19, 16, 13, 10, 8, 5],
+            29,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: c[0])
+    def test_pinned(self, case):
+        family, alpha, epsilon = case
+        iterations_used, verification_matvecs = self.CASES[case]
+        A = build_laplacian_2d(32, 32)
+        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), family)
+        rep = result.report
+        assert rep.iterations_used.tolist() == iterations_used
+        assert rep.converged.all()
+        assert rep.verification_matvecs == verification_matvecs
 
 
 class TestBreakdown:
