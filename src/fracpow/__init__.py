@@ -41,7 +41,6 @@ from .oracle import (
     dense_shifted_solve,
 )
 from .quadrature import (
-    DEParams,
     FAMILIES,
     ProbeSpec,
     ShiftedQuadratureRule,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionResult",
     "BudgetUnreachableError",
-    "DEParams",
     "DenseSymmetricMatrix",
     "ErrorBudget",
     "FAMILIES",

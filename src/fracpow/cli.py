@@ -31,7 +31,7 @@ from .error_control import (
     residual_thresholds,
     scalar_probe,
 )
-from .oracle import DenseSymmetricMatrix, absolute_error, dense_eigh
+from .oracle import absolute_error, hpd_eigendecomposition
 from .quadrature import FAMILIES, select_node_count
 from .shifted_cg import single_shift_cg
 from .sparse import (
@@ -222,9 +222,7 @@ def cmd_bound_trace(config: RunConfig, shifts: list[float]) -> int:
     """
     A = build_matrix(config.matrix)
     b = np.ones(A.n) if config.rhs_path is None else _load_rhs(config.rhs_path, A.n)
-    w, Q = dense_eigh(DenseSymmetricMatrix.from_sparse(A))
-    if w[0] <= 0.0:
-        raise ValueError(f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e}")
+    w, Q = hpd_eigendecomposition(A)
     bounds = estimate_spectral_bounds(A, seed=config.seed)
     rows: list[list[str]] = []
     payload: list[dict] = []
@@ -306,11 +304,7 @@ def cmd_verify(
         A = build_matrix(spec)
         b = np.ones(A.n)
         bounds = estimate_spectral_bounds(A, seed=seed)
-        w, Q = dense_eigh(DenseSymmetricMatrix.from_sparse(A))
-        if w[0] <= 0.0:
-            raise ValueError(
-                f"matrix {spec!r} is not positive definite: smallest eigenvalue {w[0]:.6e}"
-            )
+        w, Q = hpd_eigendecomposition(A)
         qtb = Q.T @ b
         refs = {alpha: Q @ (w**alpha * qtb) for alpha in alphas}
         prepared[spec] = (A, b, bounds, refs)

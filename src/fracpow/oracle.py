@@ -71,7 +71,8 @@ def dense_eigh(M: DenseSymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
     return w, Q
 
 
-def _hpd_eigendecomposition(A: HermitianSparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+def hpd_eigendecomposition(A: HermitianSparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dense_eigh` of ``A``, raising if ``A`` is not positive definite."""
     w, Q = dense_eigh(DenseSymmetricMatrix.from_sparse(A))
     if w[0] <= 0.0:
         raise SpectralBoundsError(
@@ -91,7 +92,7 @@ def dense_fracpow_action(A: HermitianSparseMatrix, b: np.ndarray, alpha: float) 
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
-    w, Q = _hpd_eigendecomposition(A)
+    w, Q = hpd_eigendecomposition(A)
     return Q @ (w**alpha * (Q.T @ b))
 
 
@@ -102,7 +103,7 @@ def dense_shifted_solve(A: HermitianSparseMatrix, b: np.ndarray, sigma: float) -
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
-    w, Q = _hpd_eigendecomposition(A)
+    w, Q = hpd_eigendecomposition(A)
     return Q @ ((Q.T @ b) / (w + sigma))
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -61,6 +61,11 @@ NODE_COUNT_CAP = 2**14
 # exp arguments are kept inside +-690 so shifts and weights stay finite
 # doubles with headroom for downstream products.
 _EXP_CAP = 690.0
+
+# The de trapezoid window starts at [-_DE_HALFWIDTH, _DE_HALFWIDTH] and each
+# end moves outward in _DE_STEP increments until the integrand is small.
+_DE_HALFWIDTH = 3.0
+_DE_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -136,20 +141,6 @@ class ProbeSpec:
             raise ValueError("probe values must be positive and finite")
         if not self.budget > 0.0:
             raise ValueError("budget must be positive")
-
-
-@dataclass(frozen=True)
-class DEParams:
-    """Tuning knobs for the double-exponential construction.
-
-    The trapezoid window starts at ``[-initial_halfwidth, initial_halfwidth]``
-    and expands outward in ``step`` increments until the scalar integrand at
-    both probe extremes drops below ``truncation_budget / (100 m)``.
-    """
-
-    truncation_budget: float = 1e-14
-    step: float = 0.5
-    initial_halfwidth: float = 3.0
 
 
 def _jacobi_recurrence(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +236,10 @@ def _de_log_integrand(u: np.ndarray, alpha: float, lam: float) -> np.ndarray:
 
 
 def _build_de(
-    alpha: float, m: int, bounds: SpectralBounds, params: DEParams
+    alpha: float, m: int, bounds: SpectralBounds, truncation_budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    tol = params.truncation_budget / (100.0 * m)
+    """DE nodes on a window widened until the integrand at both probes is below tol."""
+    tol = truncation_budget / (100.0 * m)
     if tol <= 0.0 or not np.isfinite(tol):
         raise QuadratureConstructionError("truncation budget must be positive and finite")
     log_tol = math.log(tol)
@@ -256,19 +248,19 @@ def _build_de(
     def small_enough(u: float) -> bool:
         return all(_de_log_integrand(np.array([u]), alpha, lam)[0] <= log_tol for lam in probes)
 
-    left = -params.initial_halfwidth
+    left = -_DE_HALFWIDTH
     # sigma(u) = exp(pi sinh(u) / alpha) must stay a positive normal double,
     # and exp(pi sinh u) in the weight must stay finite.
     while not small_enough(left):
-        left -= params.step
+        left -= _DE_STEP
         if math.pi * math.sinh(left) / alpha < -_EXP_CAP:
             raise QuadratureConstructionError(
                 "truncation search failed on the left: integrand does not reach "
                 f"{tol:.3e} before the shifts underflow"
             )
-    right = params.initial_halfwidth
+    right = _DE_HALFWIDTH
     while not small_enough(right):
-        right += params.step
+        right += _DE_STEP
         if math.pi * math.sinh(right) / alpha > _EXP_CAP or math.pi * math.sinh(right) > _EXP_CAP:
             raise QuadratureConstructionError(
                 "truncation search failed on the right: integrand does not reach "
@@ -292,12 +284,15 @@ def build_rule(
     alpha: float,
     m: int,
     bounds: SpectralBounds | None = None,
-    de_params: DEParams | None = None,
+    *,
+    truncation_budget: float = 1e-14,
 ) -> ShiftedQuadratureRule:
     """Construct an m-node rule of the requested family.
 
     ``bounds`` is ignored by ``gj1`` and required by ``gj2`` (for the
     geometric-mean scaling) and ``de`` (for the truncation probes).
+    ``truncation_budget`` is the scalar error that the ``de`` window's
+    truncation may add; the other families ignore it.
     """
     family = str(family).lower()
     if family not in FAMILIES:
@@ -309,7 +304,7 @@ def build_rule(
     if family == "de":
         if bounds is None:
             raise ValueError("de needs spectral bounds for its truncation probes")
-        sigma, omega = _build_de(alpha, m, bounds, de_params or DEParams())
+        sigma, omega = _build_de(alpha, m, bounds, truncation_budget)
         return ShiftedQuadratureRule(alpha, family, sigma, omega)
     if family == "gj2" and bounds is None:
         raise ValueError("gj2 needs spectral bounds for its scaling")
@@ -352,7 +347,6 @@ def select_node_count(
     probe: ProbeSpec,
     *,
     m_cap: int = NODE_COUNT_CAP,
-    de_params: DEParams | None = None,
 ) -> ShiftedQuadratureRule:
     """Smallest rule whose scalar error on the probe set meets the budget.
 
@@ -365,11 +359,8 @@ def select_node_count(
     the error rose with ``m``, which points at a rounding defect in the rule.
     The message therefore reports the smallest error seen and its ``m``.
     """
-    if family.lower() == "de":
-        de_params = replace(de_params or DEParams(), truncation_budget=probe.budget)
-
     def attempt(m: int) -> tuple[ShiftedQuadratureRule, float]:
-        rule = build_rule(family, alpha, m, bounds, de_params)
+        rule = build_rule(family, alpha, m, bounds, truncation_budget=probe.budget)
         return rule, probe_error(rule, probe.probe_values)
 
     lo = 0

@@ -28,7 +28,8 @@ logger = logging.getLogger(__name__)
 # Relative slack for "equal up to rounding" checks on stored values.
 HERMITIAN_RTOL = 1e-13
 
-# Lanczos steps of the first spectral-bounds sweep; each re-run doubles them.
+# Lanczos steps at the first convergence check of the spectral-bounds sweep;
+# each later check comes after twice as many steps.
 LANCZOS_INITIAL_STEPS = 50
 
 
@@ -350,27 +351,40 @@ def _gershgorin_upper(A: HermitianSparseMatrix) -> float:
     return float(np.max(diag + (row_sums - np.abs(diag))))
 
 
-def _lanczos_extremes(A: HermitianSparseMatrix, steps: int, seed: int):
-    """Run ``steps`` fully re-orthogonalized Lanczos iterations.
+def _extreme_ritz_pairs(alphas: list, betas: list) -> tuple[float, float, float, float]:
+    """Bottom and top Ritz values of the Lanczos tridiagonal and their residuals.
 
-    Returns the extreme Ritz values with their residual norms and whether the
-    Krylov space became invariant (exact answers on that subspace).
+    ``betas[-1]`` couples the last basis vector to the next one (0 once the
+    Krylov space is invariant).  The k-by-k eigenvectors are freed on return.
+    """
+    theta, Y = eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]))
+    res = betas[-1] * np.abs(Y[-1, :])
+    return theta[0], float(res[0]), theta[-1], float(res[-1])
+
+
+def _lanczos_extremes(A: HermitianSparseMatrix, seed: int, scale: float):
+    """One fully re-orthogonalized Lanczos sweep for the extreme Ritz pairs.
+
+    The bottom Ritz pair is checked after ``LANCZOS_INITIAL_STEPS * 2^i``
+    steps, capped at ``n``.  The sweep stops at the first check where its
+    relative residual is at most 0.05, at ``n`` steps, or once the Krylov
+    space is invariant (a new direction below ``1e-12 * scale``); otherwise
+    it is extended to the next check, not re-run.
     """
     n = A.n
-    steps = max(1, min(steps, n))
     rng = np.random.default_rng(seed)
     dtype = np.complex128 if _is_complex(A.values) else np.float64
     v = rng.standard_normal(n).astype(dtype)
     v /= np.linalg.norm(v)
-    V = np.empty((steps, n), dtype=dtype)
-    alphas = np.empty(steps)
-    betas = np.empty(steps)
-    scale = max(_gershgorin_upper(A), np.finfo(float).tiny)
-    invariant = False
-    k = 0
+    V = np.empty((min(LANCZOS_INITIAL_STEPS, n), n), dtype=dtype)
+    alphas, betas = [], []
     v_prev = np.zeros(n, dtype=dtype)
     beta_prev = 0.0
-    for j in range(steps):
+    for j in range(n):
+        if j == V.shape[0]:
+            # No view of V outlives a step, so the basis can grow in place;
+            # growing it by a copy would hold two bases at once.
+            V.resize((min(2 * j, n), n), refcheck=False)
         V[j] = v
         w = A.matvec(v) - beta_prev * v_prev
         a = np.vdot(v, w).real
@@ -378,19 +392,19 @@ def _lanczos_extremes(A: HermitianSparseMatrix, steps: int, seed: int):
         # Two Gram-Schmidt passes keep the basis orthogonal to working precision.
         for _ in range(2):
             w = w - V[: j + 1].T @ (V[: j + 1].conj() @ w)
-        alphas[j] = a
         b = float(np.linalg.norm(w))
-        k = j + 1
-        if b <= 1e-12 * scale:
-            invariant = True
-            betas[j] = 0.0
-            break
-        betas[j] = b
+        invariant = b <= 1e-12 * scale
+        alphas.append(a)
+        betas.append(0.0 if invariant else b)
+        if invariant or j + 1 == V.shape[0]:
+            t_lo, r_lo, t_hi, r_hi = _extreme_ritz_pairs(alphas, betas)
+            if invariant or j + 1 == n or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
+                msg = "Lanczos stopped after %d steps (one product each), bottom Ritz residual %.3e"
+                logger.debug(msg, j + 1, r_lo)
+                return t_lo, r_lo, t_hi, r_hi
+            msg = "bottom Ritz residual %.3e, extending Lanczos to %d steps"
+            logger.debug(msg, r_lo, min(2 * j + 2, n))
         v_prev, v, beta_prev = v, w / b, b
-    theta, Y = eigh_tridiagonal(alphas[:k], betas[: k - 1])
-    beta_last = 0.0 if invariant else betas[k - 1]
-    res = beta_last * np.abs(Y[-1, :])
-    return theta[0], float(res[0]), theta[-1], float(res[-1]), k, invariant
 
 
 def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> SpectralBounds:
@@ -410,27 +424,20 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> Spec
     is an estimate of the bottom of the spectrum, not a guaranteed lower
     bound.  Underestimating it only widens the probing interval.
 
-    The Lanczos sweep starts with ``LANCZOS_INITIAL_STEPS`` steps and is re-run
-    with a doubled budget, up to ``n`` steps, until the bottom Ritz pair has
-    a small relative residual: on matrices with a tiny relative gap at the
-    low end (the 1-D Laplacian at n = 1000, say) a fixed 50-step sweep
-    overestimates ``lambda_lo`` by orders of magnitude, and the node-count
-    needed to cover the resulting fictitious interval becomes infeasible.
+    The Lanczos sweep checks the bottom Ritz pair after
+    ``LANCZOS_INITIAL_STEPS`` steps and, while its relative residual is
+    large, is extended (not re-run) to twice as many steps, up to ``n``: on
+    matrices with a tiny relative gap at the low end (the 1-D Laplacian at
+    n = 1000, say) a fixed 50-step sweep overestimates ``lambda_lo`` by
+    orders of magnitude, and the node-count needed to cover the resulting
+    fictitious interval becomes infeasible.
     """
     gersh = _gershgorin_upper(A)
     if gersh <= 0.0:
         raise SpectralBoundsError(
             "Gershgorin bound is non-positive: cannot certify a positive spectrum"
         )
-    steps = LANCZOS_INITIAL_STEPS
-    while True:
-        t_lo, r_lo, t_hi, r_hi, used, invariant = _lanczos_extremes(A, steps, seed)
-        converged = invariant or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny)
-        if converged or used >= A.n:
-            break
-        steps = min(2 * steps, A.n)
-        logger.debug("bottom Ritz residual %.3e, escalating Lanczos to %d steps", r_lo, steps)
-
+    t_lo, r_lo, t_hi, r_hi = _lanczos_extremes(A, seed, gersh)
     if t_lo <= 0.0:
         raise SpectralBoundsError(
             f"Lanczos found a non-positive Rayleigh quotient ({t_lo:.3e}): "

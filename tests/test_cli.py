@@ -243,6 +243,11 @@ class TestBoundTrace:
         code = run_cli(["bound-trace", "--matrix", "lap1d:8", "--shifts", "-1"])
         assert code == 1
 
+    def test_indefinite_matrix_exits_1(self, capsys):
+        code = run_cli(["bound-trace", "--matrix", "diag:-1,2", "--shifts", "1"])
+        assert code == 1
+        assert "not positive definite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_cell_grid(self, tmp_path, capsys):

@@ -10,7 +10,6 @@ from scipy.special import roots_jacobi
 import fracpow.quadrature as quadrature
 from fracpow.errors import BudgetUnreachableError, QuadratureConstructionError
 from fracpow.quadrature import (
-    DEParams,
     FAMILIES,
     NODE_COUNT_CAP,
     ProbeSpec,
@@ -191,13 +190,7 @@ class TestDE:
         # Pushing the window far enough to meet this budget would overflow
         # the exponential map.
         with pytest.raises(QuadratureConstructionError):
-            build_rule(
-                "de",
-                0.5,
-                9,
-                SpectralBounds(0.5, 2.0),
-                de_params=DEParams(truncation_budget=1e-300),
-            )
+            build_rule("de", 0.5, 9, SpectralBounds(0.5, 2.0), truncation_budget=1e-300)
 
 
 class TestProbe:

@@ -1,4 +1,6 @@
 import io
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,7 +273,7 @@ class TestSpectralBounds:
             assert bounds.lambda_lo >= ev.min() * 0.5
 
     def test_large_laplacian_bottom_eigenvalue(self):
-        # Needs the adaptive escalation: a short Krylov sweep cannot resolve
+        # Needs the sweep extended past 50 steps: a short Krylov sweep cannot resolve
         # the bottom of this spectrum.
         A = build_laplacian_1d(1000)
         ev_min = lap1d_eigenvalues(1000).min()
@@ -299,3 +301,42 @@ class TestSpectralBounds:
             bounds = estimate_spectral_bounds(A, seed=seed)
             assert bounds.lambda_lo <= ev.min() * (1 + 1e-10)
             assert bounds.lambda_hi >= ev.max() * (1 - 1e-10)
+
+    @pytest.mark.parametrize(
+        ("make", "products", "lambda_lo", "lambda_hi"),
+        [
+            (lambda: build_laplacian_1d(1000), 1000, 9.849886619935064e-06, 3.9999901501133808),
+            (lambda: build_laplacian_2d(32, 32), 100, 0.01811207274561117, 7.981887715479397),
+            (lambda: build_laplacian_1d(50), 50, 0.0037933425258559663, 3.9962066574741453),
+        ],
+        ids=["lap1d:1000", "lap2d:32x32", "lap1d:50"],
+    )
+    def test_one_sweep(self, make, products, lambda_lo, lambda_hi):
+        # The sweep is extended at 50, 100, 200, ... steps, not re-run from
+        # scratch at each (2550 and 150 products on the first two), and the
+        # checkpoints give the same interval.
+        L = make()
+        A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
+        bounds = estimate_spectral_bounds(A)
+        assert A.calls == products
+        assert bounds.lambda_lo == pytest.approx(lambda_lo, rel=1e-9)
+        assert bounds.lambda_hi == pytest.approx(lambda_hi, rel=1e-9)
+
+    def test_basis_held_once(self):
+        A = build_laplacian_2d(32, 32)
+        tracemalloc.start()
+        try:
+            estimate_spectral_bounds(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 100-step basis; growing it by a copy would peak near twice that.
+        assert peak <= 1.5 * (100 * A.n * 8)
+
+    def test_debug_log_shows_sweep_length(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fracpow.sparse")
+        estimate_spectral_bounds(build_laplacian_1d(200))
+        messages = [r.getMessage() for r in caplog.records if r.name == "fracpow.sparse"]
+        extending = [m for m in messages if "extending" in m]
+        assert [m.split()[-2] for m in extending] == ["100", "200"]
+        assert sum("stopped after 200 steps" in m for m in messages) == 1
