@@ -5,11 +5,11 @@ present and then held as one ``scipy.sparse.csr_array`` on the same arrays,
 so a matrix-vector product needs no conjugation logic.  The generators build
 the standard Dirichlet Laplacians used throughout the test-suite, and
 :func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
-lambda_hi]`` for the spectrum of a Hermitian positive definite matrix from
-Gershgorin discs and a (re-orthogonalized) Lanczos sweep.  Only the
-Gershgorin bound is guaranteed: a Ritz value plus or minus its residual
-bounds the distance to *some* eigenvalue, not to the extreme one, so
-``lambda_lo`` and the Lanczos-tightened ``lambda_hi`` are estimates.
+lambda_hi]`` for the spectrum of a Hermitian positive definite matrix.  The
+upper end is the Gershgorin bound, which is guaranteed; the lower end is the
+bottom Ritz value of a basis-free Lanczos recurrence minus its residual, an
+estimate, since that bounds the distance to *some* eigenvalue, not to the
+smallest one.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ logger = logging.getLogger(__name__)
 # Relative slack for "equal up to rounding" checks on stored values.
 HERMITIAN_RTOL = 1e-13
 
-# Lanczos steps at the first convergence check of the spectral-bounds sweep;
-# each later check comes after twice as many steps.
+# Lanczos steps at the first convergence check of the bottom Ritz pair in
+# the spectral-bounds recurrence; each later check comes after twice as many
+# steps.
 LANCZOS_INITIAL_STEPS = 50
 
 
@@ -154,7 +155,11 @@ class HermitianSparseMatrix:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Spectral interval ``0 < lambda_lo <= lambda_hi`` (see :func:`estimate_spectral_bounds`)."""
+    """Spectral interval ``0 < lambda_lo <= lambda_hi``.
+
+    From :func:`estimate_spectral_bounds`, ``lambda_hi`` is the guaranteed
+    Gershgorin bound and ``lambda_lo`` a Lanczos estimate of the bottom.
+    """
 
     lambda_lo: float
     lambda_hi: float
@@ -344,107 +349,89 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gershgorin_upper(A: HermitianSparseMatrix) -> float:
-    """Right end of the rightmost Gershgorin disc, ``max_i a_ii + sum_{j != i} |a_ij|``."""
-    diag = A.diagonal().real
-    row_sums = abs(A._csr) @ np.ones(A.n)
-    return float(np.max(diag + (row_sums - np.abs(diag))))
+def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[float, float]:
+    """Bottom Ritz value and its residual from a plain three-term Lanczos recurrence.
 
-
-def _extreme_ritz_pairs(alphas: list, betas: list) -> tuple[float, float, float, float]:
-    """Bottom and top Ritz values of the Lanczos tridiagonal and their residuals.
-
-    ``betas[-1]`` couples the last basis vector to the next one (0 once the
-    Krylov space is invariant).  The k-by-k eigenvectors are freed on return.
-    """
-    theta, Y = eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]))
-    res = betas[-1] * np.abs(Y[-1, :])
-    return theta[0], float(res[0]), theta[-1], float(res[-1])
-
-
-def _lanczos_extremes(A: HermitianSparseMatrix, seed: int, scale: float):
-    """One fully re-orthogonalized Lanczos sweep for the extreme Ritz pairs.
+    No basis is stored and nothing is re-orthogonalized, so memory is O(n)
+    whatever the step count.  Lost orthogonality only adds ghost copies of
+    converged Ritz values; the extreme ones still converge (Paige, 1980;
+    Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
 
     The bottom Ritz pair is checked after ``LANCZOS_INITIAL_STEPS * 2^i``
-    steps, capped at ``n``.  The sweep stops at the first check where its
-    relative residual is at most 0.05, at ``n`` steps, or once the Krylov
-    space is invariant (a new direction below ``1e-12 * scale``); otherwise
-    it is extended to the next check, not re-run.
+    steps, capped at ``n``.  The recurrence stops at the first check where
+    its relative residual is at most 0.05, at ``n`` steps, or once the
+    Krylov space is invariant (a new direction below ``1e-12 * scale``).
     """
     n = A.n
     rng = np.random.default_rng(seed)
     dtype = np.complex128 if _is_complex(A.values) else np.float64
     v = rng.standard_normal(n).astype(dtype)
     v /= np.linalg.norm(v)
-    V = np.empty((min(LANCZOS_INITIAL_STEPS, n), n), dtype=dtype)
-    alphas, betas = [], []
     v_prev = np.zeros(n, dtype=dtype)
+    alphas, betas = [], []
     beta_prev = 0.0
+    check = min(LANCZOS_INITIAL_STEPS, n)
     for j in range(n):
-        if j == V.shape[0]:
-            # No view of V outlives a step, so the basis can grow in place;
-            # growing it by a copy would hold two bases at once.
-            V.resize((min(2 * j, n), n), refcheck=False)
-        V[j] = v
         w = A.matvec(v) - beta_prev * v_prev
         a = np.vdot(v, w).real
-        w = w - a * v
-        # Two Gram-Schmidt passes keep the basis orthogonal to working precision.
-        for _ in range(2):
-            w = w - V[: j + 1].T @ (V[: j + 1].conj() @ w)
+        w -= a * v
         b = float(np.linalg.norm(w))
         invariant = b <= 1e-12 * scale
         alphas.append(a)
         betas.append(0.0 if invariant else b)
-        if invariant or j + 1 == V.shape[0]:
-            t_lo, r_lo, t_hi, r_hi = _extreme_ritz_pairs(alphas, betas)
+        if invariant or j + 1 == check:
+            theta, Y = eigh_tridiagonal(
+                np.array(alphas), np.array(betas[:-1]), select="i", select_range=(0, 0)
+            )
+            t_lo, r_lo = theta[0], betas[-1] * abs(Y[-1, 0])
             if invariant or j + 1 == n or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
                 msg = "Lanczos stopped after %d steps (one product each), bottom Ritz residual %.3e"
                 logger.debug(msg, j + 1, r_lo)
-                return t_lo, r_lo, t_hi, r_hi
+                return t_lo, r_lo
+            check = min(2 * check, n)
             msg = "bottom Ritz residual %.3e, extending Lanczos to %d steps"
-            logger.debug(msg, r_lo, min(2 * j + 2, n))
+            logger.debug(msg, r_lo, check)
         v_prev, v, beta_prev = v, w / b, b
 
 
 def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> SpectralBounds:
     """Spectral interval ``[lambda_lo, lambda_hi]`` of a Hermitian positive definite A.
 
-    ``lambda_hi`` is ``min(Gershgorin bound, top Ritz value + its residual)``
-    and never drops below the largest diagonal entry.  The Gershgorin bound
-    is a guaranteed upper bound on the spectrum.  The Lanczos term is one
-    only once the sweep has found the top eigenvalue, which it misses when
-    the start vector is (nearly) orthogonal to that eigenvector.
-    Overestimating ``lambda_hi`` only tightens downstream stopping
+    ``lambda_hi`` is the Gershgorin bound ``max_i a_ii + sum_{j != i}
+    |a_ij|``, a guaranteed upper bound on the spectrum that costs no
+    product.  Overestimating ``lambda_hi`` only tightens downstream stopping
     thresholds, so this direction is safe.
 
-    ``lambda_lo`` is the bottom Ritz value minus its residual, floored at
-    ``1e-12 * lambda_hi``.  A Ritz value minus its residual bounds the
-    distance to *some* eigenvalue, not to the smallest one, so ``lambda_lo``
-    is an estimate of the bottom of the spectrum, not a guaranteed lower
-    bound.  Underestimating it only widens the probing interval.
+    ``lambda_lo`` is the bottom Ritz value of :func:`_lanczos_bottom` minus
+    its residual, floored at ``1e-12 * lambda_hi``.  A Ritz value minus its
+    residual bounds the distance to *some* eigenvalue, not to the smallest
+    one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
+    a guaranteed lower bound.  Underestimating it only widens the probing
+    interval.  The recurrence is extended from ``LANCZOS_INITIAL_STEPS``
+    steps while the relative residual is large: on matrices with a tiny
+    relative gap at the low end (the 1-D Laplacian at n = 1000, say) a fixed
+    50-step run overestimates ``lambda_lo`` by orders of magnitude, and the
+    node-count needed to cover the resulting fictitious interval becomes
+    infeasible.
 
-    The Lanczos sweep checks the bottom Ritz pair after
-    ``LANCZOS_INITIAL_STEPS`` steps and, while its relative residual is
-    large, is extended (not re-run) to twice as many steps, up to ``n``: on
-    matrices with a tiny relative gap at the low end (the 1-D Laplacian at
-    n = 1000, say) a fixed 50-step sweep overestimates ``lambda_lo`` by
-    orders of magnitude, and the node-count needed to cover the resulting
-    fictitious interval becomes infeasible.
+    A diagonal entry ``a_ii = e_i^* A e_i <= 0`` rules out positive
+    definiteness before any product is spent.
     """
-    gersh = _gershgorin_upper(A)
-    if gersh <= 0.0:
+    diag = A.diagonal().real
+    bad = np.flatnonzero(diag <= 0.0)
+    if bad.size:
+        k = int(bad[0])
         raise SpectralBoundsError(
-            "Gershgorin bound is non-positive: cannot certify a positive spectrum"
+            f"matrix is not positive definite: diagonal entry {k} is {diag[k]:.6e}"
         )
-    t_lo, r_lo, t_hi, r_hi = _lanczos_extremes(A, seed, gersh)
+    # With every a_ii > 0 the Gershgorin bound is the largest absolute row sum.
+    gersh = float(np.max(abs(A._csr) @ np.ones(A.n)))
+    t_lo, r_lo = _lanczos_bottom(A, seed, gersh)
     if t_lo <= 0.0:
         raise SpectralBoundsError(
             f"Lanczos found a non-positive Rayleigh quotient ({t_lo:.3e}): "
             "matrix is not positive definite"
         )
-    pad = 64.0 * np.finfo(float).eps * max(abs(t_hi), abs(t_lo), 1.0)
-    max_diag = float(np.max(A.diagonal().real))
-    lambda_hi = max(min(gersh, t_hi + r_hi + pad), max_diag)
-    lambda_lo = max(t_lo - r_lo - pad, 1e-12 * lambda_hi)
-    return SpectralBounds(lambda_lo, lambda_hi)
+    pad = 64.0 * np.finfo(float).eps * max(gersh, 1.0)
+    lambda_lo = max(t_lo - r_lo - pad, 1e-12 * gersh)
+    return SpectralBounds(lambda_lo, gersh)

@@ -118,6 +118,18 @@ class TestCompute:
         )
         assert code == 1
 
+    def test_zero_diagonal_exits_1(self, tmp_path, capsys):
+        # Only a_00 is stored; without the diagonal check the bounds stage
+        # passes and the solve runs to an uncertified exit 2.
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n10 10 1\n1 1 2.0\n")
+        code = run_cli(
+            ["compute", "--matrix", f"mm:{path}", "--alpha", "0.5", "--eps", "1e-6",
+             "--out", "-"]
+        )
+        assert code == 1
+        assert "not positive definite" in capsys.readouterr().err
+
     def test_rhs_override(self, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n0.0\n")

@@ -11,6 +11,7 @@ from fracpow.shifted_cg import (
 )
 from fracpow.sparse import (
     HermitianSparseMatrix,
+    SpectralBounds,
     build_diagonal,
     build_laplacian_1d,
     build_laplacian_2d,
@@ -316,7 +317,12 @@ class TestFreezeDecisions:
         family, alpha, epsilon = case
         iterations_used, verification_matvecs = self.CASES[case]
         A = build_laplacian_2d(32, 32)
-        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), family)
+        # A fixed interval, so that a change to the bounds stage does not move
+        # the pinned decisions.
+        bounds = SpectralBounds(0.01811207274561117, 7.981887715479397)
+        result = fracpow_action(
+            A, np.ones(A.n), alpha, ErrorBudget(epsilon), family, bounds=bounds
+        )
         rep = result.report
         assert rep.iterations_used.tolist() == iterations_used
         assert rep.converged.all()

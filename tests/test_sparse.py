@@ -302,36 +302,63 @@ class TestSpectralBounds:
             assert bounds.lambda_lo <= ev.min() * (1 + 1e-10)
             assert bounds.lambda_hi >= ev.max() * (1 - 1e-10)
 
+    def test_non_positive_diagonal_rejected(self):
+        # Entry (1, 1) is not stored, so a_11 = e_1^T A e_1 = 0.
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+        A = HermitianSparseMatrix.from_dense(dense)
+        with pytest.raises(SpectralBoundsError, match="diagonal entry 1 is"):
+            estimate_spectral_bounds(A)
+
+    def test_top_eigenvector_orthogonal_to_start_vector(self):
+        # The Lanczos start vector is seed 0's first draw; a top eigenvector
+        # orthogonal to it is never seen by the recurrence, so only a bound
+        # that does not come from Lanczos reaches lambda_max.
+        n = 200
+        start = np.random.default_rng(0).standard_normal(n)
+        u = np.random.default_rng(1).standard_normal(n)
+        u -= (u @ start) / (start @ start) * start
+        u /= np.linalg.norm(u)
+        w = np.eye(n)[0] - u
+        H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)  # reflector, H e_1 = u
+        dense = H @ np.diag(np.r_[10.5, np.linspace(1.0, 10.0, n - 1)]) @ H
+        bounds = estimate_spectral_bounds(HermitianSparseMatrix.from_dense((dense + dense.T) / 2))
+        assert bounds.lambda_hi >= 10.5
+
     @pytest.mark.parametrize(
-        ("make", "products", "lambda_lo", "lambda_hi"),
+        ("make", "products", "lambda_lo", "gershgorin", "lambda_max"),
         [
-            (lambda: build_laplacian_1d(1000), 1000, 9.849886619935064e-06, 3.9999901501133808),
-            (lambda: build_laplacian_2d(32, 32), 100, 0.01811207274561117, 7.981887715479397),
-            (lambda: build_laplacian_1d(50), 50, 0.0037933425258559663, 3.9962066574741453),
+            (lambda: build_laplacian_1d(1000), 1000, 9.849886619935064e-06, 4.0,
+             4.0 * np.sin(1000 * np.pi / 2002) ** 2),
+            (lambda: build_laplacian_2d(32, 32), 100, 0.01811207274561117, 8.0,
+             8.0 * np.sin(32 * np.pi / 66) ** 2),
+            (lambda: build_laplacian_1d(50), 50, 0.0037933425258559663, 4.0,
+             4.0 * np.sin(50 * np.pi / 102) ** 2),
         ],
         ids=["lap1d:1000", "lap2d:32x32", "lap1d:50"],
     )
-    def test_one_sweep(self, make, products, lambda_lo, lambda_hi):
-        # The sweep is extended at 50, 100, 200, ... steps, not re-run from
-        # scratch at each (2550 and 150 products on the first two), and the
-        # checkpoints give the same interval.
+    def test_one_sweep(self, make, products, lambda_lo, gershgorin, lambda_max):
+        # One recurrence checked at 50, 100, 200, ... steps, not re-run from
+        # scratch at each; lambda_hi is the Gershgorin bound and costs no
+        # product.
         L = make()
         A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
         bounds = estimate_spectral_bounds(A)
         assert A.calls == products
         assert bounds.lambda_lo == pytest.approx(lambda_lo, rel=1e-9)
-        assert bounds.lambda_hi == pytest.approx(lambda_hi, rel=1e-9)
+        assert bounds.lambda_hi == gershgorin
+        assert bounds.lambda_hi >= lambda_max
 
-    def test_basis_held_once(self):
-        A = build_laplacian_2d(32, 32)
+    def test_memory_is_order_n(self):
+        # The recurrence runs all n steps here, so a peak that grows with the
+        # step count would show.
+        A = build_laplacian_1d(1000)
         tracemalloc.start()
         try:
             estimate_spectral_bounds(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The 100-step basis; growing it by a copy would peak near twice that.
-        assert peak <= 1.5 * (100 * A.n * 8)
+        assert peak <= 32 * 8 * A.n
 
     def test_debug_log_shows_sweep_length(self, caplog):
         caplog.set_level(logging.DEBUG, logger="fracpow.sparse")
