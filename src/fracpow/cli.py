@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (and certified, for ``compute``), 1 input or
 configuration error, 2 result computed but not certified, 3 verification
-grid failure.  Output artifacts are byte-stable for a fixed configuration:
-no timestamps, floats serialized with 17 significant digits in CSV and
-shortest round-trip form in JSON.
+grid failure.  Argument values are checked as they are parsed, so a bad
+value exits 1 before any matrix is built.  Output artifacts are byte-stable
+for a fixed configuration: no timestamps, floats serialized with 17
+significant digits in CSV and shortest round-trip form in JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,40 +43,9 @@ from .sparse import (
     read_matrix_market,
 )
 
-logger = logging.getLogger(__name__)
-
 VERIFY_MATRICES = ("lap1d:1000", "lap2d:32x32")
 VERIFY_ALPHAS = (0.2, 0.5)
 VERIFY_EPSILONS = (1e-3, 1e-6, 1e-9)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved command configuration."""
-
-    matrix: str
-    alpha: float
-    epsilon: float
-    family: str = "de"
-    quad_share: float = 0.5
-    solve_share: float = 0.5
-    rhs_path: str | None = None
-    out_path: str | None = None
-    out_format: str = "json"
-    max_iterations: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.matrix:
-            raise ValueError("a matrix source is required")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
 
 
 def build_matrix(spec: str) -> HermitianSparseMatrix:
@@ -112,16 +81,18 @@ def _load_rhs(path: str, n: int) -> np.ndarray:
     return b
 
 
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -131,44 +102,50 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def _vector_payload(y: np.ndarray) -> list:
-    if np.iscomplexobj(y):
-        return [[float(v.real), float(v.imag)] for v in y]
-    return [float(v) for v in y]
+def _emit_table(header: list[str], records: list[tuple], fmt: str, out_path: str | None) -> None:
+    """Write ``records`` as CSV rows under ``header``, or as a JSON list of objects."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(header, rec)) for rec in records], indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in rec] for rec in records)
+        text = buf.getvalue()
+    _emit(text, out_path)
 
 
-def _setup(config: RunConfig):
-    A = build_matrix(config.matrix)
-    b = np.ones(A.n) if config.rhs_path is None else _load_rhs(config.rhs_path, A.n)
-    budget = ErrorBudget(config.epsilon, config.quad_share, config.solve_share)
-    bounds = estimate_spectral_bounds(A, seed=config.seed)
+def _load_problem(args: argparse.Namespace):
+    A = build_matrix(args.matrix)
+    b = np.ones(A.n) if args.rhs is None else _load_rhs(args.rhs, A.n)
+    return A, b
+
+
+def _setup(args: argparse.Namespace):
+    budget = ErrorBudget(args.eps, args.quad_share, args.solve_share)
+    A, b = _load_problem(args)
+    bounds = estimate_spectral_bounds(A, seed=args.seed)
     return A, b, budget, bounds
 
 
-def cmd_compute(config: RunConfig) -> int:
+def cmd_compute(args: argparse.Namespace) -> int:
     """Run the full pipeline; write the result artifact; 0 iff certified."""
-    A, b, budget, bounds = _setup(config)
+    A, b, budget, bounds = _setup(args)
     result = fracpow_action(
-        A,
-        b,
-        config.alpha,
-        budget,
-        config.family,
-        bounds=bounds,
-        max_iterations=config.max_iterations,
+        A, b, args.alpha, budget, args.family, bounds=bounds, max_iterations=args.max_iter
     )
-    if config.out_format == "json":
+    if args.format == "json":
         payload = result.to_json_dict()
-        payload["y"] = _vector_payload(result.y)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        if np.iscomplexobj(result.y):
-            text = _csv_text(
-                ["re", "im"], [[_fmt(v.real), _fmt(v.imag)] for v in result.y]
-            )
+        y = result.y
+        if np.iscomplexobj(y):
+            payload["y"] = [[float(v.real), float(v.imag)] for v in y]
         else:
-            text = _csv_text(["y"], [[_fmt(v)] for v in result.y])
-    _emit(text, config.out_path)
+            payload["y"] = [float(v) for v in y]
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif np.iscomplexobj(result.y):
+        _emit_table(["re", "im"], [(v.real, v.imag) for v in result.y], "csv", args.out)
+    else:
+        _emit_table(["y"], [(v,) for v in result.y], "csv", args.out)
     report = result.report
     print(
         f"m={result.rule.m} matvecs={report.total_matvecs} "
@@ -180,39 +157,26 @@ def cmd_compute(config: RunConfig) -> int:
     return 0 if result.certified else 2
 
 
-def cmd_thresholds(config: RunConfig) -> int:
+def cmd_thresholds(args: argparse.Namespace) -> int:
     """Emit the per-node stopping thresholds for the selected rule."""
-    A, b, budget, bounds = _setup(config)
+    A, b, budget, bounds = _setup(args)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         raise ValueError("right-hand side is zero; thresholds are undefined")
-    check_tolerance(budget, bnorm, bounds.lambda_hi, config.alpha)
+    check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
     rule = select_node_count(
-        config.family, config.alpha, bounds, scalar_probe(budget, bounds, bnorm)
+        args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm)
     )
     taus = residual_thresholds(rule, budget, bounds.lambda_hi)
-    if config.out_format == "json":
-        payload = [
-            {
-                "k": k + 1,
-                "sigma": float(rule.shifts[k]),
-                "omega": float(rule.weights[k]),
-                "tau": float(taus[k]),
-            }
-            for k in range(rule.m)
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = [
-            [str(k + 1), _fmt(rule.shifts[k]), _fmt(rule.weights[k]), _fmt(taus[k])]
-            for k in range(rule.m)
-        ]
-        text = _csv_text(["k", "sigma", "omega", "tau"], rows)
-    _emit(text, config.out_path)
+    records = [
+        (k + 1, float(rule.shifts[k]), float(rule.weights[k]), float(taus[k]))
+        for k in range(rule.m)
+    ]
+    _emit_table(["k", "sigma", "omega", "tau"], records, args.format, args.out)
     return 0
 
 
-def cmd_bound_trace(config: RunConfig, shifts: list[float]) -> int:
+def cmd_bound_trace(args: argparse.Namespace) -> int:
     """Per-iteration CG error trace against the residual-based bound.
 
     For each shift, every row records the measured error
@@ -220,30 +184,18 @@ def cmd_bound_trace(config: RunConfig, shifts: list[float]) -> int:
     solve) next to the certified bound ``||r_i|| / (1 + sigma/lambda_hi)``.
     Requires an oracle-sized matrix.
     """
-    A = build_matrix(config.matrix)
-    b = np.ones(A.n) if config.rhs_path is None else _load_rhs(config.rhs_path, A.n)
+    A, b = _load_problem(args)
     w, Q = hpd_eigendecomposition(A)
-    bounds = estimate_spectral_bounds(A, seed=config.seed)
-    rows: list[list[str]] = []
-    payload: list[dict] = []
-
-    def add_row(iteration: int, sigma: float, measured: float, bound: float) -> None:
-        rows.append([str(iteration), _fmt(sigma), _fmt(measured), _fmt(bound)])
-        payload.append(
-            {
-                "iteration": iteration,
-                "shift": sigma,
-                "measured_error": measured,
-                "error_bound": bound,
-            }
-        )
-
-    for sigma in shifts:
+    bounds = estimate_spectral_bounds(A, seed=args.seed)
+    records: list[tuple[int, float, float, float]] = []
+    for sigma in args.shifts:
         # A (sigma I + A)^{-1} b via the transfer w/(w+sigma) in (0, 1]; this
         # avoids forming the 1/lambda_min-amplified intermediate solve.
         target = Q @ ((w / (w + sigma)) * (Q.T @ b))
         coefficient = error_coefficient(sigma, bounds.lambda_hi)
-        add_row(0, sigma, float(np.linalg.norm(target)), coefficient * float(np.linalg.norm(b)))
+        records.append(
+            (0, sigma, float(np.linalg.norm(target)), coefficient * float(np.linalg.norm(b)))
+        )
 
         def trace(
             iteration: int,
@@ -255,112 +207,73 @@ def cmd_bound_trace(config: RunConfig, shifts: list[float]) -> int:
             coefficient: float = coefficient,
         ) -> None:
             measured = float(np.linalg.norm(target - A.matvec(x)))
-            add_row(iteration, sigma, measured, coefficient * float(np.linalg.norm(r)))
+            records.append((iteration, sigma, measured, coefficient * float(np.linalg.norm(r))))
 
         single_shift_cg(
-            A,
-            b,
-            sigma,
-            tol=config.epsilon,
-            max_iterations=config.max_iterations,
-            callback=trace,
+            A, b, sigma, tol=args.eps, max_iterations=args.max_iter, callback=trace
         )
-    if config.out_format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = _csv_text(["iteration", "shift", "measured_error", "error_bound"], rows)
-    _emit(text, config.out_path)
+    header = ["iteration", "shift", "measured_error", "error_bound"]
+    _emit_table(header, records, args.format, args.out)
     return 0
 
 
-def _verify_cell(A, b, bounds, y_ref, alpha, epsilon, family, quad_share, solve_share):
-    budget = ErrorBudget(epsilon, quad_share, solve_share)
+def _verify_cell(A, b, bounds, y_ref, alpha, budget, family):
     result = fracpow_action(A, b, alpha, budget, family, bounds=bounds)
     error = absolute_error(result.y, y_ref)
-    return result.rule.m, error, error <= epsilon
+    return result.rule.m, error, error <= budget.epsilon
 
 
-def cmd_verify(
-    matrices: list[str],
-    alphas: list[float],
-    epsilons: list[float],
-    families: list[str],
-    *,
-    quad_share: float = 0.5,
-    solve_share: float = 0.5,
-    jobs: int = 1,
-    out_path: str | None = None,
-    out_format: str = "csv",
-    seed: int = 0,
-) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the verification grid: pipeline vs dense oracle per cell.
 
     Writes one row per cell (matrix, alpha, eps, family, m, error, pass) in
     deterministic grid order; exit 0 iff every cell's error is at most its
     epsilon, else 3 with failing cells listed.
     """
+    matrices = args.matrix if args.matrix is not None else list(VERIFY_MATRICES)
+    budgets = {eps: ErrorBudget(eps, args.quad_share, args.solve_share) for eps in args.eps}
     prepared = {}
     for spec in matrices:
         A = build_matrix(spec)
         b = np.ones(A.n)
-        bounds = estimate_spectral_bounds(A, seed=seed)
+        bounds = estimate_spectral_bounds(A, seed=args.seed)
         w, Q = hpd_eigendecomposition(A)
         qtb = Q.T @ b
-        refs = {alpha: Q @ (w**alpha * qtb) for alpha in alphas}
+        refs = {alpha: Q @ (w**alpha * qtb) for alpha in args.alpha}
         prepared[spec] = (A, b, bounds, refs)
 
     cells = [
         (spec, alpha, epsilon, family)
         for spec in matrices
-        for alpha in alphas
-        for epsilon in epsilons
-        for family in families
+        for alpha in args.alpha
+        for epsilon in args.eps
+        for family in args.family
     ]
 
     def run(cell):
         spec, alpha, epsilon, family = cell
         A, b, bounds, refs = prepared[spec]
-        return _verify_cell(
-            A, b, bounds, refs[alpha], alpha, epsilon, family, quad_share, solve_share
-        )
+        return _verify_cell(A, b, bounds, refs[alpha], alpha, budgets[epsilon], family)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(run, cells))
     else:
         outcomes = [run(cell) for cell in cells]
 
-    rows = []
-    payload = []
+    records = []
     failures = []
     for (spec, alpha, epsilon, family), (m, error, passed) in zip(cells, outcomes):
-        rows.append(
-            [spec, _fmt(alpha), _fmt(epsilon), family, str(m), _fmt(error),
-             "true" if passed else "false"]
-        )
-        payload.append(
-            {
-                "matrix": spec,
-                "alpha": alpha,
-                "eps": epsilon,
-                "family": family,
-                "m": m,
-                "error": error,
-                "pass": passed,
-            }
-        )
+        records.append((spec, alpha, epsilon, family, m, error, passed))
         print(
             f"{spec:<12} alpha={alpha:<4g} eps={epsilon:<6g} {family:<4} "
             f"m={m:<6d} error={error:.3e} {'PASS' if passed else 'FAIL'}"
         )
         if not passed:
             failures.append(f"{spec} alpha={alpha:g} eps={epsilon:g} {family}")
-    if out_path is not None:
+    if args.out is not None:
         header = ["matrix", "alpha", "eps", "family", "m", "error", "pass"]
-        if out_format == "json":
-            _emit(json.dumps(payload, indent=2) + "\n", out_path)
-        else:
-            _emit(_csv_text(header, rows), out_path)
+        _emit_table(header, records, args.format, args.out)
     print(f"{len(cells) - len(failures)}/{len(cells)} cells passed")
     if failures:
         print("failed cells:", file=sys.stderr)
@@ -378,11 +291,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
+def _number(text: str, accept, expected: str) -> float:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and accept(value)):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _alpha(text: str) -> float:
+    return _number(text, lambda a: 0.0 < a < 1.0, "a power in (0, 1)")
+
+
+def _tolerance(text: str) -> float:
+    return _number(text, lambda e: e > 0.0, "a positive finite tolerance")
+
+
+def _shift(text: str) -> float:
+    return _number(text, lambda s: s >= 0.0, "a non-negative finite shift")
+
+
+def _family(text: str) -> str:
+    if text not in FAMILIES:
+        raise argparse.ArgumentTypeError(f"unknown family {text!r}, expected one of {FAMILIES}")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -392,21 +326,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _list_of(item):
+    """Argument type for a non-empty comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> list:
+        values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated list, got {text!r}")
+        return values
+
+    return parse
 
 
-def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool, fmt: str) -> None:
     sub.add_argument("--matrix", required=True, help="matrix source: lap1d:<n>, lap2d:<nx>x<ny>, mm:<path>, diag:<v1,...>")
     if need_alpha:
-        sub.add_argument("--alpha", type=float, required=True, help="fractional power in (0, 1)")
-        sub.add_argument("--eps", type=float, required=True, help="total error tolerance (2-norm, absolute)")
+        sub.add_argument("--alpha", type=_alpha, required=True, help="fractional power in (0, 1)")
+        sub.add_argument("--eps", type=_tolerance, required=True, help="total error tolerance (2-norm, absolute)")
         sub.add_argument("--family", choices=FAMILIES, default="de", help="quadrature family (default de)")
         sub.add_argument("--quad-share", type=float, default=0.5, help="budget share for quadrature error (default 0.5)")
         sub.add_argument("--solve-share", type=float, default=0.5, help="budget share for solve error (default 0.5)")
     sub.add_argument("--rhs", default=None, help="right-hand side file, one value per line (default: all ones)")
     sub.add_argument("--out", default=None, help="output artifact path (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None, help="artifact format")
+    sub.add_argument("--format", choices=("json", "csv"), default=fmt, help=f"artifact format (default {fmt})")
     sub.add_argument("--seed", type=int, default=0, help="seed for the spectral bound estimator")
 
 
@@ -415,96 +357,34 @@ def make_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     compute = commands.add_parser("compute", help="compute y = A^alpha b with a certified error budget")
-    _add_common(compute, need_alpha=True)
-    compute.add_argument("--max-iter", type=int, default=None, help="CG iteration cap (default 10 n)")
+    _add_common(compute, need_alpha=True, fmt="json")
+    compute.add_argument("--max-iter", type=_positive_int, default=None, help="CG iteration cap (default 10 n)")
+    compute.set_defaults(func=cmd_compute)
 
     thresholds = commands.add_parser("thresholds", help="emit per-node residual stopping thresholds")
-    _add_common(thresholds, need_alpha=True)
+    _add_common(thresholds, need_alpha=True, fmt="csv")
+    thresholds.set_defaults(func=cmd_thresholds)
 
     trace = commands.add_parser("bound-trace", help="per-iteration CG error vs certified bound (oracle-sized matrices)")
-    _add_common(trace, need_alpha=False)
-    trace.add_argument("--shifts", type=_float_list, default=[0.1, 1.0, 10.0, 100.0], help="comma-separated shifts (default 0.1,1,10,100)")
-    trace.add_argument("--eps", type=float, default=1e-12, help="absolute residual stopping value per shift (default 1e-12)")
-    trace.add_argument("--max-iter", type=int, default=None, help="CG iteration cap (default 10 n)")
+    _add_common(trace, need_alpha=False, fmt="csv")
+    trace.add_argument("--shifts", type=_list_of(_shift), default=[0.1, 1.0, 10.0, 100.0], help="comma-separated shifts (default 0.1,1,10,100)")
+    trace.add_argument("--eps", type=_tolerance, default=1e-12, help="absolute residual stopping value per shift (default 1e-12)")
+    trace.add_argument("--max-iter", type=_positive_int, default=None, help="CG iteration cap (default 10 n)")
+    trace.set_defaults(func=cmd_bound_trace)
 
     verify = commands.add_parser("verify", help="run the verification grid against the dense oracle")
     verify.add_argument("--matrix", action="append", default=None, help="matrix spec, repeatable (default: the full verification grid)")
-    verify.add_argument("--alpha", type=_float_list, default=list(VERIFY_ALPHAS), help="comma-separated alpha values")
-    verify.add_argument("--eps", type=_float_list, default=list(VERIFY_EPSILONS), help="comma-separated tolerances")
-    verify.add_argument("--family", type=_str_list, default=list(FAMILIES), help="comma-separated families")
+    verify.add_argument("--alpha", type=_list_of(_alpha), default=list(VERIFY_ALPHAS), help="comma-separated alpha values")
+    verify.add_argument("--eps", type=_list_of(_tolerance), default=list(VERIFY_EPSILONS), help="comma-separated tolerances")
+    verify.add_argument("--family", type=_list_of(_family), default=list(FAMILIES), help="comma-separated families")
     verify.add_argument("--quad-share", type=float, default=0.5)
     verify.add_argument("--solve-share", type=float, default=0.5)
     verify.add_argument("--jobs", type=_positive_int, default=1, help="number of grid cells to run concurrently")
     verify.add_argument("--out", default=None, help="write the report table to this path")
-    verify.add_argument("--format", choices=("json", "csv"), default=None)
+    verify.add_argument("--format", choices=("json", "csv"), default="csv", help="report table format (default csv)")
     verify.add_argument("--seed", type=int, default=0)
+    verify.set_defaults(func=cmd_verify)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "compute":
-        config = RunConfig(
-            matrix=args.matrix,
-            alpha=args.alpha,
-            epsilon=args.eps,
-            family=args.family,
-            quad_share=args.quad_share,
-            solve_share=args.solve_share,
-            rhs_path=args.rhs,
-            out_path=args.out,
-            out_format=args.format or "json",
-            max_iterations=args.max_iter,
-            seed=args.seed,
-        )
-        return cmd_compute(config)
-    if args.command == "thresholds":
-        config = RunConfig(
-            matrix=args.matrix,
-            alpha=args.alpha,
-            epsilon=args.eps,
-            family=args.family,
-            quad_share=args.quad_share,
-            solve_share=args.solve_share,
-            rhs_path=args.rhs,
-            out_path=args.out,
-            out_format=args.format or "csv",
-            seed=args.seed,
-        )
-        return cmd_thresholds(config)
-    if args.command == "bound-trace":
-        config = RunConfig(
-            matrix=args.matrix,
-            alpha=0.5,
-            epsilon=args.eps,
-            rhs_path=args.rhs,
-            out_path=args.out,
-            out_format=args.format or "csv",
-            max_iterations=args.max_iter,
-            seed=args.seed,
-        )
-        shifts = args.shifts
-        if not shifts:
-            raise ValueError("at least one shift is required")
-        if any(s < 0.0 for s in shifts):
-            raise ValueError("shifts must be non-negative")
-        return cmd_bound_trace(config, shifts)
-    if args.command == "verify":
-        for family in args.family:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-        return cmd_verify(
-            args.matrix if args.matrix is not None else list(VERIFY_MATRICES),
-            args.alpha,
-            args.eps,
-            args.family,
-            quad_share=args.quad_share,
-            solve_share=args.solve_share,
-            jobs=args.jobs,
-            out_path=args.out,
-            out_format=args.format or "csv",
-            seed=args.seed,
-        )
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -521,14 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except ToleranceFloorError as exc:
         print(f"fracpow: error: tolerance below double-precision floor ({exc})", file=sys.stderr)
         return 1
-    except FracpowError as exc:
-        print(f"fracpow: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (FracpowError, ValueError, OSError) as exc:
         print(f"fracpow: error: {exc}", file=sys.stderr)
         return 1
 

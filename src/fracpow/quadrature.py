@@ -39,7 +39,6 @@ how :func:`select_node_count` picks the smallest adequate ``m``.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -57,6 +56,9 @@ FAMILIES = ("gj1", "gj2", "de")
 
 #: Node-count search cap for :func:`select_node_count`.
 NODE_COUNT_CAP = 2**14
+
+#: Spectral samples per probe: both interval ends and log-spaced interior points.
+PROBE_COUNT = 11
 
 # exp arguments are kept inside +-690 so shifts and weights stay finite
 # doubles with headroom for downstream products.
@@ -104,26 +106,6 @@ class ShiftedQuadratureRule:
     @property
     def m(self) -> int:
         return int(self.shifts.size)
-
-    @property
-    def nodes(self) -> list[tuple[float, float]]:
-        return list(zip(self.shifts.tolist(), self.weights.tolist()))
-
-    def to_json(self) -> str:
-        """Serialize as ``{family, alpha, nodes: [[sigma, omega], ...]}``.
-
-        Python's float repr is shortest-round-trip, so a load returns the
-        identical doubles.
-        """
-        return json.dumps(
-            {"family": self.family, "alpha": self.alpha, "nodes": self.nodes}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShiftedQuadratureRule":
-        obj = json.loads(text)
-        nodes = np.asarray(obj["nodes"], dtype=np.float64).reshape(-1, 2)
-        return cls(obj["alpha"], obj["family"], nodes[:, 0], nodes[:, 1])
 
 
 @dataclass(frozen=True)
@@ -329,9 +311,9 @@ def scalar_apply(rule: ShiftedQuadratureRule, lam):
     return float(q) if np.isscalar(lam) or lam_arr.ndim == 0 else q
 
 
-def probe_values_from_bounds(bounds: SpectralBounds, count: int = 11) -> np.ndarray:
-    """Spectral samples: both endpoints plus ``count - 2`` log-spaced interior points."""
-    return np.unique(np.geomspace(bounds.lambda_lo, bounds.lambda_hi, count))
+def probe_values_from_bounds(bounds: SpectralBounds) -> np.ndarray:
+    """Spectral samples: both endpoints plus ``PROBE_COUNT - 2`` log-spaced interior points."""
+    return np.unique(np.geomspace(bounds.lambda_lo, bounds.lambda_hi, PROBE_COUNT))
 
 
 def probe_error(rule: ShiftedQuadratureRule, probe_values: np.ndarray) -> float:

@@ -84,7 +84,6 @@ class ShiftedSolveReport:
     ``converged[k]`` implies ``final_residual_norms[k] <= thresholds[k]``.
     ``total_matvecs`` counts joint iterations (one product each); explicit
     verification products are tallied separately in ``verification_matvecs``.
-    ``residual_history`` rows are ``(iteration, shift_index, tracked_norm)``.
     """
 
     shifts: np.ndarray
@@ -94,7 +93,6 @@ class ShiftedSolveReport:
     converged: np.ndarray
     total_matvecs: int
     verification_matvecs: int
-    residual_history: np.ndarray | None = None
 
     @property
     def all_converged(self) -> bool:
@@ -117,7 +115,6 @@ def shifted_cg_solve(
     b: np.ndarray,
     request: ShiftedSolveRequest,
     *,
-    record_history: bool = False,
     callback=None,
 ) -> tuple[np.ndarray, ShiftedSolveReport]:
     """Solve ``(sigma_k I + A) x_k = b`` for every shift in the request.
@@ -126,11 +123,12 @@ def shifted_cg_solve(
     shift ``k``.  The iteration keeps the active shifts as a leading
     contiguous block of its working rows (a shift that stops is swapped to
     the tail), so each per-iteration update is an in-place operation on that
-    block; ``solutions``, the report and ``residual_history`` are in request
-    order.  ``callback(iteration, seed_residual, zetas, solutions)`` is
-    invoked after each joint iteration with request-order copies of the
-    collinearity factors and iterates (entries for frozen shifts hold their
-    last active values); making them costs O(m n) per call.
+    block; ``solutions`` and the report are in request order.
+    ``callback(iteration, seed_residual, zetas, solutions)`` is invoked after
+    each joint iteration with request-order copies of the collinearity
+    factors and iterates (entries for frozen shifts hold their last active
+    values); making them costs O(m n) per call.  The tracked residual norm of
+    shift ``k`` at that iteration is ``zetas[k] * ||seed_residual||``.
     """
     b = np.asarray(b)
     if b.shape != (A.n,):
@@ -152,7 +150,6 @@ def shifted_cg_solve(
     iterations_used = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     verification_matvecs = 0
-    history: list[tuple[int, int, float]] = []
     # Zero iterate already qualifies: residual is exactly b, no product needed.
     trivially_done = bnorm <= thresholds
     converged[trivially_done] = True
@@ -210,11 +207,6 @@ def shifted_cg_solve(
         iterations = i + 1
 
         tracked = znext * rnorm
-        if record_history:
-            by_request = np.argsort(order[:na])
-            history.extend(
-                zip([iterations] * na, order[:na][by_request].tolist(), tracked[by_request].tolist())
-            )
         # Verify from the last candidate down: a stopped row swaps with row
         # na - 1, which is then either already checked or not a candidate.
         # ~(>) keeps a NaN estimate a candidate.
@@ -279,7 +271,6 @@ def shifted_cg_solve(
         converged=converged,
         total_matvecs=int(iterations_used.max(initial=0)),
         verification_matvecs=verification_matvecs,
-        residual_history=np.array(history) if record_history else None,
     )
     return solutions, report
 

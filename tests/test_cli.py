@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 import fracpow.cli as cli
-from fracpow.cli import RunConfig, build_matrix, main
+from fracpow.cli import build_matrix, main
 from fracpow.sparse import build_laplacian_1d, write_matrix_market
 
 
 def run_cli(args):
     return main(args)
+
+
+def _no_matrix(spec):
+    raise AssertionError(f"matrix {spec!r} built for an invalid command line")
 
 
 class TestMatrixGrammar:
@@ -40,20 +44,6 @@ class TestMatrixGrammar:
     def test_rejects_malformed(self, spec):
         with pytest.raises(ValueError):
             build_matrix(spec)
-
-
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(matrix="", alpha=0.5, epsilon=1e-6)
-        with pytest.raises(ValueError):
-            RunConfig(matrix="lap1d:4", alpha=1.5, epsilon=1e-6)
-        with pytest.raises(ValueError):
-            RunConfig(matrix="lap1d:4", alpha=0.5, epsilon=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(matrix="lap1d:4", alpha=0.5, epsilon=1e-6, family="x")
-        with pytest.raises(ValueError):
-            RunConfig(matrix="lap1d:4", alpha=0.5, epsilon=1e-6, out_format="yaml")
 
 
 class TestCompute:
@@ -284,8 +274,8 @@ class TestVerify:
         assert "6/6 cells passed" in capsys.readouterr().out
 
     def test_failing_cell_exits_3(self, capsys, monkeypatch):
-        def fake_cell(A, b, bounds, y_ref, alpha, epsilon, family, qs, ss):
-            return 5, epsilon * 10.0, False
+        def fake_cell(A, b, bounds, y_ref, alpha, budget, family):
+            return 5, budget.epsilon * 10.0, False
 
         monkeypatch.setattr(cli, "_verify_cell", fake_cell)
         code = run_cli(
@@ -314,6 +304,19 @@ class TestVerify:
         assert "--jobs" in captured.err
         assert "cells passed" not in captured.out
 
+    @pytest.mark.parametrize("flag", ["alpha", "eps", "family"])
+    def test_empty_list_exits_1(self, flag, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrix", _no_matrix)
+        args = {"alpha": "0.5", "eps": "1e-5", "family": "gj1"}
+        args[flag] = "" if flag == "alpha" else ","
+        argv = ["verify", "--matrix", "diag:1,2"]
+        for name, value in args.items():
+            argv += [f"--{name}", value]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert f"--{flag}" in captured.err
+        assert "cells passed" not in captured.out
+
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(
@@ -333,6 +336,35 @@ class TestParsing:
         assert run_cli(["compute", "--matrix", "lap1d:4", "--alpha", "0.5",
                         "--eps", "1e-6", "--family", "zeta"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--matrix", "", "--alpha", "0.5", "--eps", "1e-6"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "1.5", "--eps", "1e-6"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "0"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "nan"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-6", "--family", "x"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-6", "--format", "yaml"],
+        ],
+        ids=["empty-matrix", "alpha", "eps-zero", "eps-nan", "family", "format"],
+    )
+    def test_invalid_value_exits_1(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["bound-trace", "--matrix", "lap1d:8", "--shifts", "1"],
+        ],
+        ids=["compute", "bound-trace"],
+    )
+    def test_zero_max_iter_exits_1(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrix", _no_matrix)
+        assert run_cli([*argv, "--max-iter", "0"]) == 1
+        assert "--max-iter" in capsys.readouterr().err
+
     def test_log_env(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOW_LOG", "DEBUG")
         code = run_cli(
@@ -340,3 +372,184 @@ class TestParsing:
              "--out", "-"]
         )
         assert code == 0
+
+
+# Artifact, stdout and stderr of small runs, byte for byte.
+GOLDEN = {
+    "thresholds-csv": (
+        ["thresholds", "--matrix", "diag:1,2,3", "--alpha", "0.5", "--eps", "1e-6", "--family", "gj2"],
+        """\
+k,sigma,omega,tau
+1,0.04344958732266023,0.26981771198541432,3.7598836203498025e-07
+2,0.44966842060521417,0.3315496251277828,3.4682273372859084e-07
+3,1.7320508075688408,0.52642960518099147,2.9963175582560667e-07
+4,6.6715825762506009,1.2770761068318253,2.5244077792262245e-07
+5,69.04553494885063,10.755867080398795,2.232751496162328e-07
+""",
+        "",
+        "",
+    ),
+    "thresholds-json": (
+        ["thresholds", "--matrix", "lap1d:40", "--alpha", "0.5", "--eps", "1e-1", "--family", "gj2", "--format", "json"],
+        """\
+[
+  {
+    "k": 1,
+    "sigma": 0.0014862313344541928,
+    "omega": 0.04940233653055377,
+    "tau": 0.12655924143574107
+  },
+  {
+    "k": 2,
+    "sigma": 0.014098349249720732,
+    "omega": 0.05342999979902623,
+    "tau": 0.11738777268004026
+  },
+  {
+    "k": 3,
+    "sigma": 0.0437726941468885,
+    "omega": 0.06290646281350804,
+    "tau": 0.10044110814712269
+  },
+  {
+    "k": 4,
+    "sigma": 0.10318966013611151,
+    "omega": 0.08188119275551045,
+    "tau": 0.07829922389022857
+  },
+  {
+    "k": 5,
+    "sigma": 0.2274800643677659,
+    "omega": 0.12157316987709074,
+    "tau": 0.05433302107078943
+  },
+  {
+    "k": 6,
+    "sigma": 0.5362610409832201,
+    "omega": 0.22018196864289624,
+    "tau": 0.03219113681389532
+  },
+  {
+    "k": 7,
+    "sigma": 1.6649885822849448,
+    "omega": 0.580639624427361,
+    "tau": 0.015244472280977736
+  },
+  {
+    "k": 8,
+    "sigma": 15.794035548625434,
+    "omega": 5.092732190257901,
+    "tau": 0.006073003525276873
+  }
+]
+""",
+        "",
+        "",
+    ),
+    "bound-trace-csv": (
+        ["bound-trace", "--matrix", "lap2d:8x8", "--shifts", "10", "--eps", "1e-3"],
+        """\
+iteration,shift,measured_error,error_bound
+0,10,0.5254175519831239,3.5555555555555554
+1,10,0.093365846151145612,0.20736421102926361
+2,10,0.010192537223866961,0.018956895505340996
+3,10,0.0015320419774958159,0.0022660898449946435
+4,10,0.00018707964925296507,0.00026601144073663298
+""",
+        "",
+        "",
+    ),
+    "bound-trace-json": (
+        ["bound-trace", "--matrix", "diag:1,2,3", "--shifts", "1", "--eps", "1e-10", "--format", "json"],
+        """\
+[
+  {
+    "iteration": 0,
+    "shift": 1.0,
+    "measured_error": 1.1211353372561426,
+    "error_bound": 1.299038105676658
+  },
+  {
+    "iteration": 1,
+    "shift": 1.0,
+    "measured_error": 0.3004626062886658,
+    "error_bound": 0.35355339059327373
+  },
+  {
+    "iteration": 2,
+    "shift": 1.0,
+    "measured_error": 0.06437735971942653,
+    "error_bound": 0.07348469228349531
+  },
+  {
+    "iteration": 3,
+    "shift": 1.0,
+    "measured_error": 0.0,
+    "error_bound": 3.034526741783877e-17
+  }
+]
+""",
+        "",
+        "",
+    ),
+    "verify-csv": (
+        ["verify", "--matrix", "diag:1,2,3", "--matrix", "lap1d:40", "--alpha", "0.5", "--eps", "1e-6", "--family", "gj1"],
+        """\
+matrix,alpha,eps,family,m,error,pass
+"diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341752701186e-08,true
+lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464584215591e-07,true
+""",
+        """\
+diag:1,2,3   alpha=0.5  eps=1e-06  gj1  m=7      error=3.407e-08 PASS
+lap1d:40     alpha=0.5  eps=1e-06  gj1  m=48     error=3.515e-07 PASS
+2/2 cells passed
+""",
+        "",
+    ),
+    "verify-json": (
+        ["verify", "--matrix", "diag:1,2,3", "--alpha", "0.2", "--eps", "1e-4", "--family", "gj2", "--format", "json"],
+        """\
+[
+  {
+    "matrix": "diag:1,2,3",
+    "alpha": 0.2,
+    "eps": 0.0001,
+    "family": "gj2",
+    "m": 3,
+    "error": 1.2445436519986306e-05,
+    "pass": true
+  }
+]
+""",
+        """\
+diag:1,2,3   alpha=0.2  eps=0.0001 gj2  m=3      error=1.245e-05 PASS
+1/1 cells passed
+""",
+        "",
+    ),
+    "compute-csv": (
+        ["compute", "--matrix", "diag:1,2,3", "--alpha", "0.5", "--eps", "1e-8", "--format", "csv"],
+        """\
+y
+0.99999999960742214
+1.4142135631126389
+1.7320508063396534
+""",
+        "",
+        """\
+m=45 matvecs=3 verification_matvecs=38 error_bound_sum=1.552e-10 certified=yes
+""",
+    ),
+}
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_bytes(self, name, tmp_path, capsys):
+        argv, artifact, stdout, stderr = GOLDEN[name]
+        out = tmp_path / "artifact"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == artifact
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == stderr

@@ -20,6 +20,26 @@ from fracpow.sparse import (
 from conftest import random_hermitian
 
 
+def solve_with_history(A, b, request):
+    """Solve, and rebuild from the callback the ``(iteration, shift_index,
+    tracked_norm)`` row of every shift still iterating at each iteration."""
+    seen = []
+
+    def keep(i, r, zeta, X):
+        seen.append((i, zeta * np.sqrt(np.vdot(r, r).real)))
+
+    X, rep = shifted_cg_solve(A, b, request, callback=keep)
+    hist = np.array(
+        [
+            (i, k, tracked[k])
+            for i, tracked in seen
+            for k in range(tracked.size)
+            if i <= rep.iterations_used[k]
+        ]
+    )
+    return X, rep, hist
+
+
 class TestRequestValidation:
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
@@ -198,11 +218,8 @@ class TestConvergenceCertificates:
     def test_history_recorded(self, rng):
         A = build_laplacian_1d(20)
         b = rng.standard_normal(20)
-        X, rep = shifted_cg_solve(
-            A, b, ShiftedSolveRequest([0.5, 2.0], 1e-11), record_history=True
-        )
-        hist = rep.residual_history
-        assert hist is not None and hist.shape[1] == 3
+        X, rep, hist = solve_with_history(A, b, ShiftedSolveRequest([0.5, 2.0], 1e-11))
+        assert hist.shape[1] == 3
         assert np.all(hist[:, 0] >= 1)
         assert set(np.unique(hist[:, 1])) <= {0.0, 1.0}
         assert np.all(hist[:, 2] >= 0.0)
@@ -232,7 +249,7 @@ class TestOutOfOrderFreezes:
             seen[i] = (zeta.copy(), X.copy())
 
         req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS)
-        X, rep = shifted_cg_solve(A, b, req, record_history=True, callback=grab)
+        X, rep = shifted_cg_solve(A, b, req, callback=grab)
         return A, b, X, rep, seen
 
     def test_freeze_order(self, solved):
@@ -273,8 +290,12 @@ class TestOutOfOrderFreezes:
         assert rep.final_residual_norms[1] == np.linalg.norm(b)
 
     def test_history_holds_request_indices(self, solved):
-        A, b, _, rep, _ = solved
-        hist = rep.residual_history
+        A, b, X, rep, _ = solved
+        X_again, rep_again, hist = solve_with_history(
+            A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS)
+        )
+        np.testing.assert_array_equal(X_again, X)
+        np.testing.assert_array_equal(rep_again.iterations_used, rep.iterations_used)
         expected = {
             (i, k) for k in self.ITERATED for i in range(1, rep.iterations_used[k] + 1)
         }
