@@ -313,17 +313,32 @@ def _shift(text: str) -> float:
     return _number(text, lambda s: s >= 0.0, "a non-negative finite shift")
 
 
+def _share(text: str) -> float:
+    return _number(text, lambda s: 0.0 < s < 1.0, "a budget share in (0, 1)")
+
+
 def _family(text: str) -> str:
     if text not in FAMILIES:
         raise argparse.ArgumentTypeError(f"unknown family {text!r}, expected one of {FAMILIES}")
     return text
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+def _integer(text: str, minimum: int, expected: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _integer(text, 1, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    return _integer(text, 0, "a non-negative integer")
 
 
 def _list_of(item):
@@ -344,12 +359,12 @@ def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool, fmt: str) -> 
         sub.add_argument("--alpha", type=_alpha, required=True, help="fractional power in (0, 1)")
         sub.add_argument("--eps", type=_tolerance, required=True, help="total error tolerance (2-norm, absolute)")
         sub.add_argument("--family", choices=FAMILIES, default="de", help="quadrature family (default de)")
-        sub.add_argument("--quad-share", type=float, default=0.5, help="budget share for quadrature error (default 0.5)")
-        sub.add_argument("--solve-share", type=float, default=0.5, help="budget share for solve error (default 0.5)")
+        sub.add_argument("--quad-share", type=_share, default=0.5, help="budget share for quadrature error (default 0.5)")
+        sub.add_argument("--solve-share", type=_share, default=0.5, help="budget share for solve error (default 0.5)")
     sub.add_argument("--rhs", default=None, help="right-hand side file, one value per line (default: all ones)")
     sub.add_argument("--out", default=None, help="output artifact path (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default=fmt, help=f"artifact format (default {fmt})")
-    sub.add_argument("--seed", type=int, default=0, help="seed for the spectral bound estimator")
+    sub.add_argument("--seed", type=_seed, default=0, help="seed for the spectral bound estimator")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -377,12 +392,12 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--alpha", type=_list_of(_alpha), default=list(VERIFY_ALPHAS), help="comma-separated alpha values")
     verify.add_argument("--eps", type=_list_of(_tolerance), default=list(VERIFY_EPSILONS), help="comma-separated tolerances")
     verify.add_argument("--family", type=_list_of(_family), default=list(FAMILIES), help="comma-separated families")
-    verify.add_argument("--quad-share", type=float, default=0.5)
-    verify.add_argument("--solve-share", type=float, default=0.5)
+    verify.add_argument("--quad-share", type=_share, default=0.5)
+    verify.add_argument("--solve-share", type=_share, default=0.5)
     verify.add_argument("--jobs", type=_positive_int, default=1, help="number of grid cells to run concurrently")
     verify.add_argument("--out", default=None, help="write the report table to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="csv", help="report table format (default csv)")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser
 

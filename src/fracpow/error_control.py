@@ -201,9 +201,10 @@ def fracpow_action(
 ) -> ActionResult:
     """Compute ``y ~= A^alpha b`` with a certified total error budget.
 
-    Pipeline: estimate spectral bounds, pick the smallest rule whose scalar
-    probe error fits the quadrature share (probing ``quad_share * epsilon /
-    ||b||`` on eleven log-spaced samples of the bound interval), solve all
+    Pipeline: estimate spectral bounds, pick a rule whose scalar probe error
+    fits the quadrature share while one node fewer does not (probing
+    ``quad_share * epsilon / ||b||`` on eleven log-spaced samples of the
+    bound interval, see :func:`select_node_count`), solve all
     shifted systems with multi-shift CG against the per-node thresholds, and
     assemble ``y = A @ (sum_k omega_k x_k)`` with a single final product.
 

@@ -33,8 +33,9 @@ provided:
     ``omega(u) = sin(alpha pi)/(alpha pi) * pi cosh(u) exp(pi sinh u) * h``.
 
 The scalar transfer function ``Q(lambda) = sum_k omega_k lambda/(sigma_k +
-lambda)`` approximates ``lambda^alpha``; probing it on a spectral interval is
-how :func:`select_node_count` picks the smallest adequate ``m``.
+lambda)`` approximates ``lambda^alpha``.  :func:`select_node_count` probes it
+on a spectral interval and returns a rule of ``m`` nodes that meets the
+budget there while ``m - 1`` nodes do not.
 """
 
 from __future__ import annotations
@@ -330,46 +331,88 @@ def select_node_count(
     *,
     m_cap: int = NODE_COUNT_CAP,
 ) -> ShiftedQuadratureRule:
-    """Smallest rule whose scalar error on the probe set meets the budget.
+    """A rule that meets the probe budget while one node fewer does not.
 
-    The search doubles ``m`` from 4 until a rule passes, then bisects down to
-    the smallest passing count on that bracket.  This relies on the probe
-    error falling with ``m`` down to a rounding floor, so that a failing
-    count means every smaller count fails too.  :class:`BudgetUnreachableError`
-    is raised once the cap is exceeded: the budget then lies below the
-    family's rounding floor or beyond its convergence at ``m_cap``, unless
-    the error rose with ``m``, which points at a rounding defect in the rule.
-    The message therefore reports the smallest error seen and its ``m``.
+    Each attempt builds the ``m``-node rule and accepts it iff its probe
+    error is at most the budget.  The returned rule of ``m`` nodes passes
+    and the ``m - 1``-node rule fails (or ``m = 1``).  Where the probe error
+    falls with ``m`` down to a rounding floor, as for ``gj1`` and ``gj2``,
+    this is the smallest passing count.  The ``de`` error is not monotone in
+    ``m``, so a smaller passing count may lie below a failing one.
+
+    The search models ``log err`` as linear in ``m``.  It starts at
+    ``m = 4``.  While every attempt fails, it steps to the count where the
+    line through the last two failures meets the budget, clamped to
+    ``[ceil(1.25 m), 2 m]``.  It doubles when there is no such line: a
+    single failure, or an error that is zero, NaN or not falling.  Once an
+    attempt passes, it interpolates ``log err`` between the failing ``lo``
+    and the passing ``hi``, clamped to ``[lo + 1, hi - 1]``.  It bisects
+    after an interpolated step that did not halve the bracket, and whenever
+    the logarithms are undefined.
+
+    :class:`BudgetUnreachableError` is raised when ``m_cap`` fails: the
+    budget then lies below the family's rounding floor or beyond its
+    convergence at ``m_cap``, unless the error rose with ``m``, which points
+    at a rounding defect in the rule.  The message therefore reports the
+    smallest error seen and its ``m``.
     """
+    tried: list[tuple[int, float]] = []
+
     def attempt(m: int) -> tuple[ShiftedQuadratureRule, float]:
         rule = build_rule(family, alpha, m, bounds, truncation_budget=probe.budget)
-        return rule, probe_error(rule, probe.probe_values)
+        err = probe_error(rule, probe.probe_values)
+        tried.append((m, err))
+        return rule, err
 
-    lo = 0
+    def crossing(m0: int, e0: float, m1: int, e1: float) -> float | None:
+        """Where the line through ``(m, log e)`` at m0 and m1 meets the budget."""
+        if not (0.0 < e1 < e0 < math.inf and math.log(e1) < math.log(e0)):
+            return None
+        slope = (math.log(e1) - math.log(e0)) / (m1 - m0)
+        return m1 + (math.log(probe.budget) - math.log(e1)) / slope
+
+    def log_attempts() -> None:
+        pairs = " ".join(f"({m}, {err:.3e})" for m, err in tried)
+        logger.debug(
+            "select_node_count %s budget=%.3e builds=%d tried %s",
+            family, probe.budget, len(tried), pairs,
+        )
+
+    # A NaN error leaves no line to fit, so the first step doubles.
+    lo, lo_err = 0, math.nan
     m = min(4, m_cap)
-    best = None
-    smallest = (math.inf, m)
     while True:
         rule, err = attempt(m)
-        logger.debug("select_node_count %s m=%d err=%.3e budget=%.3e", family, m, err, probe.budget)
         if err <= probe.budget:
-            best = rule
+            best, hi, hi_err = rule, m, err
             break
-        lo = m
-        smallest = min(smallest, (err, m))
         if m >= m_cap:
+            log_attempts()
+            finite = [(e, k) for k, e in tried if e < math.inf]
+            smallest = min(finite, default=(math.inf, tried[0][0]))
             raise BudgetUnreachableError(
                 f"no {family} rule with m <= {m_cap} reaches scalar budget "
                 f"{probe.budget:.3e} (last error {err:.3e} at m = {m}, "
                 f"smallest {smallest[0]:.3e} at m = {smallest[1]})"
             )
-        m = min(2 * m, m_cap)
-    hi = best.m
+        target = crossing(lo, lo_err, m, err)
+        lo, lo_err = m, err
+        step = 2 * m if target is None else min(max(target, 1.25 * m), 2 * m)
+        m = min(math.ceil(step), m_cap)
+
+    bisect = False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        rule, err = attempt(mid)
-        if err <= probe.budget:
-            best, hi = rule, mid
+        width = hi - lo
+        target = None if bisect else crossing(lo, lo_err, hi, hi_err)
+        if target is None:
+            m = (lo + hi) // 2
         else:
-            lo = mid
+            m = min(max(math.ceil(target), lo + 1), hi - 1)
+        rule, err = attempt(m)
+        if err <= probe.budget:
+            best, hi, hi_err = rule, m, err
+        else:
+            lo, lo_err = m, err
+        bisect = target is not None and 2 * (hi - lo) > width
+    log_attempts()
     return best

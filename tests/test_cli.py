@@ -365,6 +365,33 @@ class TestParsing:
         assert run_cli([*argv, "--max-iter", "0"]) == 1
         assert "--max-iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
+            (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
+            (["bound-trace", "--matrix", "lap1d:8", "--seed", "-1"], "--seed"),
+            (["verify", "--matrix", "lap1d:8", "--seed", "-1"], "--seed"),
+            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "1.5"], "--seed"),
+            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "0"], "--quad-share"),
+            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--solve-share", "1"], "--solve-share"),
+            (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "1.5"], "--quad-share"),
+            (["verify", "--matrix", "lap1d:8", "--quad-share", "-0.5"], "--quad-share"),
+            (["verify", "--matrix", "lap1d:8", "--solve-share", "nan"], "--solve-share"),
+        ],
+        ids=[
+            "compute-seed", "thresholds-seed", "bound-trace-seed", "verify-seed", "compute-seed-float",
+            "compute-quad-share", "compute-solve-share", "thresholds-quad-share",
+            "verify-quad-share", "verify-solve-share",
+        ],
+    )
+    def test_seed_and_shares_checked_at_parse_time(self, argv, flag, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrix", _no_matrix)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+
     def test_log_env(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOW_LOG", "DEBUG")
         code = run_cli(

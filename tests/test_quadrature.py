@@ -1,5 +1,7 @@
 import functools
+import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -211,6 +213,67 @@ class TestProbe:
             ProbeSpec(np.array([]), 1e-6)
 
 
+# Spectral intervals of the verify-grid matrices (Lanczos lambda_lo at seed 0,
+# Gershgorin lambda_hi) and the grid's (alpha, eps) cells with b = ones.
+GRID_BOUNDS = {
+    "lap1d:1000": (SpectralBounds(9.849886619966925e-06, 4.0), 1000),
+    "lap2d:32x32": (SpectralBounds(0.01811207274561162, 8.0), 1024),
+}
+GRID_CELLS = [(alpha, eps) for alpha in (0.2, 0.5) for eps in (1e-3, 1e-6, 1e-9)]
+# Node counts the doubling-plus-bisection search returned on the grid, in
+# GRID_CELLS order.  The Gauss-Jacobi probe errors fall with m, so any search
+# that keeps the pass/fail invariant must return these.
+GJ_GRID_COUNTS = {
+    ("lap1d:1000", "gj1"): (717, 1265, 1814, 477, 1027, 1578),
+    ("lap1d:1000", "gj2"): (73, 116, 160, 79, 123, 166),
+    ("lap2d:32x32", "gj1"): (20, 33, 45, 19, 31, 44),
+    ("lap2d:32x32", "gj2"): (14, 21, 29, 15, 23, 31),
+}
+# Growth from 4 by at least 1.25x reaches 2**14 within 39 attempts, and the
+# bracket then closes within 2 log2(2**14) = 28 more.
+ATTEMPT_CEILING = 67
+SYNTHETIC_BUDGET = 1e-8
+
+
+def grid_probe(spec: str, alpha: float, eps: float) -> tuple[SpectralBounds, ProbeSpec]:
+    bounds, n = GRID_BOUNDS[spec]
+    return bounds, ProbeSpec(probe_values_from_bounds(bounds), 0.5 * eps / math.sqrt(n))
+
+
+@functools.cache
+def grid_selection(spec: str, family: str, alpha: float, eps: float) -> int:
+    bounds, probe = grid_probe(spec, alpha, eps)
+    return select_node_count(family, alpha, bounds, probe).m
+
+
+def passes(family: str, alpha: float, m: int, bounds: SpectralBounds, probe: ProbeSpec) -> bool:
+    rule = build_rule(family, alpha, m, bounds, truncation_budget=probe.budget)
+    return probe_error(rule, probe.probe_values) <= probe.budget
+
+
+def search_on_errors(monkeypatch, error_of_m) -> tuple[int, list[int]]:
+    """Run the search with ``error_of_m(m)`` in place of the probe error."""
+    attempts = []
+
+    def fake_build(family, alpha, m, bounds=None, **kwargs):
+        return types.SimpleNamespace(m=m)
+
+    def fake_probe_error(rule, values):
+        attempts.append(rule.m)
+        return error_of_m(rule.m)
+
+    monkeypatch.setattr(quadrature, "build_rule", fake_build)
+    monkeypatch.setattr(quadrature, "probe_error", fake_probe_error)
+    probe = ProbeSpec(np.array([1.0]), SYNTHETIC_BUDGET)
+    try:
+        m = select_node_count("gj1", 0.5, SpectralBounds(0.1, 10.0), probe).m
+    finally:
+        assert len(attempts) <= ATTEMPT_CEILING
+    assert error_of_m(m) <= SYNTHETIC_BUDGET
+    assert m == 1 or not error_of_m(m - 1) <= SYNTHETIC_BUDGET
+    return m, attempts
+
+
 class TestSelectNodeCount:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_selected_rule_meets_budget(self, family):
@@ -254,6 +317,71 @@ class TestSelectNodeCount:
         rule = select_node_count("gj1", 0.2, bounds, probe)
         assert probe_error(rule, probe.probe_values) <= probe.budget
 
+
+    @pytest.mark.parametrize("alpha,eps", GRID_CELLS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("spec", sorted(GRID_BOUNDS))
+    def test_grid_count_passes_and_one_fewer_fails(self, spec, family, alpha, eps):
+        bounds, probe = grid_probe(spec, alpha, eps)
+        m = grid_selection(spec, family, alpha, eps)
+        assert passes(family, alpha, m, bounds, probe)
+        assert m == 1 or not passes(family, alpha, m - 1, bounds, probe)
+
+    @pytest.mark.parametrize("spec,family", sorted(GJ_GRID_COUNTS))
+    def test_gauss_jacobi_grid_counts_unchanged(self, spec, family):
+        got = tuple(grid_selection(spec, family, alpha, eps) for alpha, eps in GRID_CELLS)
+        assert got == GJ_GRID_COUNTS[spec, family]
+
+    def test_largest_gj1_grid_cell_takes_at_most_13_builds(self, monkeypatch):
+        # Doubling from 4 and then bisecting took 20 builds here.
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args[2])
+            return build_rule(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "build_rule", counting_build)
+        bounds, probe = grid_probe("lap1d:1000", 0.2, 1e-9)
+        rule = select_node_count("gj1", 0.2, bounds, probe)
+        assert rule.m == 1814
+        assert len(built) <= 13
+
+    def test_search_logs_its_attempts(self, caplog):
+        bounds, probe = grid_probe("lap2d:32x32", 0.5, 1e-3)
+        with caplog.at_level(logging.DEBUG, logger=quadrature.__name__):
+            rule = select_node_count("gj2", 0.5, bounds, probe)
+        (record,) = [r for r in caplog.records if "builds=" in r.getMessage()]
+        assert f"({rule.m}, " in record.getMessage()
+
+    def test_geometric_error_sequence(self, monkeypatch):
+        m, attempts = search_on_errors(monkeypatch, lambda m: 0.9**m)
+        assert m == math.ceil(math.log(SYNTHETIC_BUDGET) / math.log(0.9))
+        assert len(attempts) <= 8
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            # passing windows separated by failing bumps, as in the de error
+            lambda m: (30.0 if 145 <= m < 150 or 300 <= m < 340 else 1.0) * 0.88**m,
+            lambda m: (3.0 if m % 2 else 1.0) * 0.97**m,
+            lambda m: 1e-7 * (1.0 + 50.0 / m) ** -0.5 if m < 9000 else 0.0,
+            lambda m: 0.0,
+            lambda m: 0.0 if m >= 37 else 1.0,
+            lambda m: math.nan if m < 700 else 0.0,
+        ],
+        ids=["bumps", "sawtooth", "slow-then-zero", "zero", "zero-from-37", "nan-below-700"],
+    )
+    def test_synthetic_error_sequence_keeps_invariant(self, monkeypatch, error):
+        search_on_errors(monkeypatch, error)
+
+    @pytest.mark.parametrize(
+        "error",
+        [lambda m: max(0.5**m, 1e-7), lambda m: math.nan, lambda m: 1e-7 * m],
+        ids=["floor", "nan", "rising"],
+    )
+    def test_synthetic_unreachable_raises_at_cap(self, monkeypatch, error):
+        with pytest.raises(BudgetUnreachableError, match=r"with m <= 16384 .* at m = 16384,"):
+            search_on_errors(monkeypatch, error)
 
 class TestScalarApply:
     def test_broadcasts(self):
