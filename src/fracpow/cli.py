@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -250,20 +249,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for family in args.family
     ]
 
-    def run(cell):
-        spec, alpha, epsilon, family = cell
-        A, b, bounds, refs = prepared[spec]
-        return _verify_cell(A, b, bounds, refs[alpha], alpha, budgets[epsilon], family)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
-
     records = []
     failures = []
-    for (spec, alpha, epsilon, family), (m, error, passed) in zip(cells, outcomes):
+    for spec, alpha, epsilon, family in cells:
+        A, b, bounds, refs = prepared[spec]
+        m, error, passed = _verify_cell(
+            A, b, bounds, refs[alpha], alpha, budgets[epsilon], family
+        )
         records.append((spec, alpha, epsilon, family, m, error, passed))
         print(
             f"{spec:<12} alpha={alpha:<4g} eps={epsilon:<6g} {family:<4} "
@@ -394,7 +386,6 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family", type=_list_of(_family), default=list(FAMILIES), help="comma-separated families")
     verify.add_argument("--quad-share", type=_share, default=0.5)
     verify.add_argument("--solve-share", type=_share, default=0.5)
-    verify.add_argument("--jobs", type=_positive_int, default=1, help="number of grid cells to run concurrently")
     verify.add_argument("--out", default=None, help="write the report table to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="csv", help="report table format (default csv)")
     verify.add_argument("--seed", type=_seed, default=0)

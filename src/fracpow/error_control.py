@@ -22,6 +22,7 @@ of the assembled result.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +91,11 @@ def scalar_probe(budget: ErrorBudget, bounds: SpectralBounds, b_norm: float) -> 
 
     The scalar budget is the quadrature share divided by ``||b||``: a scalar
     transfer-function error ``e`` at every eigenvalue implies a vector error
-    of at most ``e * ||b||``.
+    of at most ``e * ||b||``.  For ``b = 0`` the budget is infinite: every
+    rule is exact there.
     """
-    return ProbeSpec(
-        probe_values_from_bounds(bounds), budget.quad_share * budget.epsilon / b_norm
-    )
+    scalar_budget = budget.quad_share * budget.epsilon / b_norm if b_norm else math.inf
+    return ProbeSpec(probe_values_from_bounds(bounds), scalar_budget)
 
 
 def error_coefficient(sigma, lambda_max: float):
@@ -148,8 +149,8 @@ class ActionResult:
     ``certified`` is true when the selected rule met its scalar probe budget
     and every node's explicit final residual met the certificate threshold,
     in which case ``||y - A^alpha b||_2 <= epsilon`` up to rounding in the
-    assembly.  ``thresholds`` always holds the certificate thresholds even
-    when the solver was driven with overridden ones.
+    assembly.  The solver ran against the certificate thresholds, which
+    ``report.thresholds`` holds.
     """
 
     y: np.ndarray
@@ -157,7 +158,6 @@ class ActionResult:
     bounds: SpectralBounds
     budget: ErrorBudget
     report: ShiftedSolveReport
-    thresholds: np.ndarray
     node_error_bounds: np.ndarray
     error_bound_sum: float
     scalar_probe_error: float
@@ -175,7 +175,7 @@ class ActionResult:
                 {
                     "sigma": float(self.rule.shifts[k]),
                     "omega": float(self.rule.weights[k]),
-                    "threshold": float(self.thresholds[k]),
+                    "threshold": float(self.report.thresholds[k]),
                     "residual": float(self.report.final_residual_norms[k]),
                     "iterations": int(self.report.iterations_used[k]),
                     "converged": bool(self.report.converged[k]),
@@ -195,24 +195,23 @@ def fracpow_action(
     family: str = "de",
     *,
     bounds: SpectralBounds | None = None,
-    rule: ShiftedQuadratureRule | None = None,
-    solver_thresholds: np.ndarray | float | None = None,
     max_iterations: int | None = None,
 ) -> ActionResult:
     """Compute ``y ~= A^alpha b`` with a certified total error budget.
 
-    Pipeline: estimate spectral bounds, pick a rule whose scalar probe error
-    fits the quadrature share while one node fewer does not (probing
+    Pipeline: estimate spectral bounds (unless ``bounds`` are given), check
+    the tolerance floor, pick a rule whose scalar probe error fits the
+    quadrature share while one node fewer does not (probing
     ``quad_share * epsilon / ||b||`` on eleven log-spaced samples of the
-    bound interval, see :func:`select_node_count`), solve all
-    shifted systems with multi-shift CG against the per-node thresholds, and
-    assemble ``y = A @ (sum_k omega_k x_k)`` with a single final product.
+    bound interval, see :func:`select_node_count`), solve all shifted
+    systems with multi-shift CG against the per-node thresholds, assemble
+    ``y = A @ (sum_k omega_k x_k)`` with a single final product, and certify
+    the result against the same thresholds and probe.
 
-    ``bounds``, ``rule`` and ``solver_thresholds`` can be supplied to bypass
-    the corresponding stage (precomputed bounds, an enlarged rule, forced
-    thresholds); certification is always judged against the internally
-    recomputed certificate thresholds and probe error, so overrides cannot
-    fake a certificate.
+    Every rule is exact on ``b = 0``, so there the probe budget is infinite
+    and the rule is the 1-node rule of ``family``; thresholds, solve,
+    assembly and certificate are as for any other ``b``, which gives
+    ``y = 0``, no CG iteration and ``certified=True``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -223,39 +222,16 @@ def fracpow_action(
     if bounds is None:
         bounds = estimate_spectral_bounds(A)
 
-    if bnorm == 0.0:
-        rule = rule or build_rule("gj1", alpha, 1)
-        request = ShiftedSolveRequest(rule.shifts, np.full(rule.m, np.inf), 1)
-        _, report = shifted_cg_solve(A, b, request)
-        thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
-        return ActionResult(
-            y=np.zeros_like(b, dtype=np.promote_types(b.dtype, A.values.dtype)),
-            rule=rule,
-            bounds=bounds,
-            budget=budget,
-            report=report,
-            thresholds=thresholds,
-            node_error_bounds=np.zeros(rule.m),
-            error_bound_sum=0.0,
-            scalar_probe_error=0.0,
-            certified=True,
-        )
-
     check_tolerance(budget, bnorm, bounds.lambda_hi, alpha)
-
     probe = scalar_probe(budget, bounds, bnorm)
-    if rule is None:
+    if bnorm == 0.0:
+        rule = build_rule(family, alpha, 1, bounds)
+    else:
         rule = select_node_count(family, alpha, bounds, probe)
         logger.info("selected %s rule with m = %d nodes", rule.family, rule.m)
-    certificate_thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
-    if solver_thresholds is None:
-        requested = certificate_thresholds
-    else:
-        requested = np.broadcast_to(
-            np.asarray(solver_thresholds, dtype=np.float64), rule.shifts.shape
-        ).copy()
+    thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
 
-    request = ShiftedSolveRequest(rule.shifts, requested, max_iterations)
+    request = ShiftedSolveRequest(rule.shifts, thresholds, max_iterations)
     solutions, report = shifted_cg_solve(A, b, request)
     y = A.matvec(rule.weights @ solutions)
 
@@ -264,8 +240,7 @@ def fracpow_action(
     )
     scalar_err = probe_error(rule, probe.probe_values)
     certified = bool(
-        np.all(report.final_residual_norms <= certificate_thresholds)
-        and scalar_err <= probe.budget
+        np.all(report.final_residual_norms <= thresholds) and scalar_err <= probe.budget
     )
     return ActionResult(
         y=y,
@@ -273,7 +248,6 @@ def fracpow_action(
         bounds=bounds,
         budget=budget,
         report=report,
-        thresholds=certificate_thresholds,
         node_error_bounds=node_bounds,
         error_bound_sum=float(node_bounds.sum()),
         scalar_probe_error=scalar_err,

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes, so raising the specific subclass matters
-there; library callers can usually just catch :class:`FracpowError`.
+Library callers can usually just catch :class:`FracpowError`.  The CLI
+reports any of them on stderr and exits 1; only :class:`ToleranceFloorError`
+gets a message of its own.
 """
 
 from __future__ import annotations

@@ -328,8 +328,6 @@ def select_node_count(
     alpha: float,
     bounds: SpectralBounds,
     probe: ProbeSpec,
-    *,
-    m_cap: int = NODE_COUNT_CAP,
 ) -> ShiftedQuadratureRule:
     """A rule that meets the probe budget while one node fewer does not.
 
@@ -350,9 +348,9 @@ def select_node_count(
     after an interpolated step that did not halve the bracket, and whenever
     the logarithms are undefined.
 
-    :class:`BudgetUnreachableError` is raised when ``m_cap`` fails: the
-    budget then lies below the family's rounding floor or beyond its
-    convergence at ``m_cap``, unless the error rose with ``m``, which points
+    :class:`BudgetUnreachableError` is raised when ``NODE_COUNT_CAP``
+    fails: the budget then lies below the family's rounding floor or beyond
+    its convergence at the cap, unless the error rose with ``m``, which points
     at a rounding defect in the rule.  The message therefore reports the
     smallest error seen and its ``m``.
     """
@@ -380,25 +378,25 @@ def select_node_count(
 
     # A NaN error leaves no line to fit, so the first step doubles.
     lo, lo_err = 0, math.nan
-    m = min(4, m_cap)
+    m = min(4, NODE_COUNT_CAP)
     while True:
         rule, err = attempt(m)
         if err <= probe.budget:
             best, hi, hi_err = rule, m, err
             break
-        if m >= m_cap:
+        if m >= NODE_COUNT_CAP:
             log_attempts()
             finite = [(e, k) for k, e in tried if e < math.inf]
             smallest = min(finite, default=(math.inf, tried[0][0]))
             raise BudgetUnreachableError(
-                f"no {family} rule with m <= {m_cap} reaches scalar budget "
+                f"no {family} rule with m <= {NODE_COUNT_CAP} reaches scalar budget "
                 f"{probe.budget:.3e} (last error {err:.3e} at m = {m}, "
                 f"smallest {smallest[0]:.3e} at m = {smallest[1]})"
             )
         target = crossing(lo, lo_err, m, err)
         lo, lo_err = m, err
         step = 2 * m if target is None else min(max(target, 1.25 * m), 2 * m)
-        m = min(math.ceil(step), m_cap)
+        m = min(math.ceil(step), NODE_COUNT_CAP)
 
     bisect = False
     while hi - lo > 1:

@@ -132,11 +132,11 @@ class HermitianSparseMatrix:
         return cls(n, offsets, cols, values)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, tol: float = 0.0) -> "HermitianSparseMatrix":
+    def from_dense(cls, dense: np.ndarray) -> "HermitianSparseMatrix":
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense input must be square")
-        rows, cols = np.nonzero(np.abs(dense) > tol)
+        rows, cols = np.nonzero(np.abs(dense) > 0.0)
         return cls.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -237,15 +237,22 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
     ``hermitian`` qualifiers are admitted; ``general`` files are rejected
     because symmetry cannot be certified from one triangle.  Entries must
     store the lower triangle (``i >= j``); the upper triangle is generated by
-    conjugation.
+    conjugation.  Every diagonal entry must be stored, since a Hermitian
+    positive definite matrix has ``a_ii > 0``; this is checked before any
+    ``O(n)`` array is allocated.
     """
     if hasattr(source, "read"):
         text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("ascii")
     else:
         with open(source, "rb") as fh:
-            text = fh.read().decode("ascii")
+            text = fh.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"non-ASCII byte {text[exc.start]:#04x} at offset {exc.start}"
+            ) from exc
     lines = text.splitlines()
     if not lines:
         raise MatrixFormatError("empty Matrix Market stream")
@@ -277,8 +284,6 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
         raise MatrixFormatError(f"malformed size line: {body[0]!r}") from exc
     if nrows != ncols:
         raise MatrixFormatError(f"matrix must be square, got {nrows} x {ncols}")
-    if nnz == 0:
-        raise MatrixFormatError("no entries: an all-zero matrix is not positive definite")
     if len(body) - 1 != nnz:
         raise MatrixFormatError(f"expected {nnz} entries, found {len(body) - 1}")
 
@@ -306,6 +311,12 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
                 "symmetric files must store the lower triangle"
             )
         rows[k], cols[k], vals[k] = i - 1, j - 1, v
+    stored_diagonal = int(np.count_nonzero(rows == cols))
+    if stored_diagonal < nrows:
+        raise MatrixFormatError(
+            f"matrix is not positive definite: only {stored_diagonal} of {nrows} "
+            "diagonal entries are stored"
+        )
 
     off = rows != cols
     full_rows = np.concatenate([rows, cols[off]])

@@ -15,6 +15,7 @@ from fracpow.error_control import (
     ErrorBudget,
     error_coefficient,
     fracpow_action,
+    node_error_bound,
     residual_thresholds,
     scalar_probe,
 )
@@ -236,28 +237,33 @@ def test_criterion_6_quadrature_correctness():
 
 
 def test_criterion_7_budget_isolation():
+    # The stages are composed by hand so that each share can be isolated: the
+    # selected rule's systems solved far below their thresholds leave only the
+    # quadrature error, and a doubled rule's node bounds price the solves.
     A = build_laplacian_1d(200)
     b = np.ones(A.n)
     alpha, epsilon = 0.5, 1e-6
     budget = ErrorBudget(epsilon)
     bounds = estimate_spectral_bounds(A, seed=0)
+    probe = scalar_probe(budget, bounds, float(np.linalg.norm(b)))
     y_ref = dense_fracpow_action(A, b, alpha)
     failures = []
     for family in GRID_FAMILIES:
-        tight = fracpow_action(
-            A, b, alpha, budget, family, bounds=bounds, solver_thresholds=1e-13
-        )
-        quad_err = absolute_error(tight.y, y_ref)
+        selected = select_node_count(family, alpha, bounds, probe)
+        X, _ = shifted_cg_solve(A, b, ShiftedSolveRequest(selected.shifts, 1e-13))
+        quad_err = absolute_error(A.matvec(selected.weights @ X), y_ref)
         if not quad_err <= budget.quad_share * epsilon:
             failures.append(("quad-only", family, quad_err))
 
-        probe = scalar_probe(budget, bounds, float(np.linalg.norm(b)))
-        selected = select_node_count(family, alpha, bounds, probe)
         doubled = build_rule(family, alpha, 2 * selected.m, bounds)
-        over = fracpow_action(A, b, alpha, budget, family, bounds=bounds, rule=doubled)
-        if not over.error_bound_sum <= budget.solve_share * epsilon:
-            failures.append(("solve-bound", family, over.error_bound_sum))
-        total = absolute_error(over.y, y_ref)
+        thresholds = residual_thresholds(doubled, budget, bounds.lambda_hi)
+        X, solve = shifted_cg_solve(A, b, ShiftedSolveRequest(doubled.shifts, thresholds))
+        bound_sum = node_error_bound(
+            solve.final_residual_norms, doubled.shifts, bounds.lambda_hi, doubled.weights
+        ).sum()
+        if not bound_sum <= budget.solve_share * epsilon:
+            failures.append(("solve-bound", family, bound_sum))
+        total = absolute_error(A.matvec(doubled.weights @ X), y_ref)
         if not total <= epsilon:
             failures.append(("total", family, total))
     ok = not failures

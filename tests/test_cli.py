@@ -268,7 +268,7 @@ class TestVerify:
     def test_small_grid_all_families(self, capsys):
         code = run_cli(
             ["verify", "--matrix", "lap1d:30", "--alpha", "0.2,0.5", "--eps", "1e-4",
-             "--family", "gj1,gj2,de", "--jobs", "2"]
+             "--family", "gj1,gj2,de"]
         )
         assert code == 0
         assert "6/6 cells passed" in capsys.readouterr().out
@@ -292,17 +292,6 @@ class TestVerify:
              "--family", "vulcan"]
         )
         assert code == 1
-
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_nonpositive_jobs_exits_1(self, jobs, capsys):
-        code = run_cli(
-            ["verify", "--matrix", "diag:1,2", "--alpha", "0.5", "--eps", "1e-5",
-             "--family", "gj1", "--jobs", jobs]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "--jobs" in captured.err
-        assert "cells passed" not in captured.out
 
     @pytest.mark.parametrize("flag", ["alpha", "eps", "family"])
     def test_empty_list_exits_1(self, flag, capsys, monkeypatch):

@@ -298,11 +298,12 @@ class TestSelectNodeCount:
         rule = select_node_count("gj1", 0.5, bounds, probe)
         assert rule.m == 1
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
         bounds = SpectralBounds(1e-6, 1e6)
         probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
-        with pytest.raises(BudgetUnreachableError, match=r"smallest .* at m = \d+"):
-            select_node_count("gj1", 0.5, bounds, probe, m_cap=64)
+        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* smallest .* at m = \d+"):
+            select_node_count("gj1", 0.5, bounds, probe)
 
     def test_cap_default_is_large(self):
         assert NODE_COUNT_CAP == 2**14

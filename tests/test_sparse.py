@@ -226,6 +226,24 @@ class TestMatrixMarket:
         with pytest.raises(MatrixFormatError):
             read_matrix_market(io.StringIO(text))
 
+    def test_rejects_missing_diagonal_before_allocating(self):
+        # 76 bytes claiming n = 10^7: rejected from the entry count alone,
+        # before any array of length n is built.
+        text = "%%MatrixMarket matrix coordinate real symmetric\n10000000 10000000 1\n1 1 2.0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFormatError, match="not positive definite"):
+                read_matrix_market(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_rejects_non_ascii_byte(self):
+        data = "%%MatrixMarket matrix coordinate real symmetric\n% café\n1 1 1\n1 1 2.0\n"
+        with pytest.raises(MatrixFormatError, match="offset 53"):
+            read_matrix_market(io.BytesIO(data.encode("utf-8")))
+
     def test_rejects_rectangular(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
         with pytest.raises(MatrixFormatError):
