@@ -34,9 +34,7 @@ from .error_control import (
     tolerance_floor,
 )
 from .oracle import (
-    DenseSymmetricMatrix,
     absolute_error,
-    dense_eigh,
     dense_fracpow_action,
     dense_shifted_solve,
 )
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionResult",
     "BudgetUnreachableError",
-    "DenseSymmetricMatrix",
     "ErrorBudget",
     "FAMILIES",
     "FracpowError",
@@ -93,7 +90,6 @@ __all__ = [
     "build_laplacian_1d",
     "build_laplacian_2d",
     "build_rule",
-    "dense_eigh",
     "dense_fracpow_action",
     "dense_shifted_solve",
     "error_coefficient",

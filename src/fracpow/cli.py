@@ -25,13 +25,14 @@ from .errors import FracpowError, ToleranceFloorError
 from .error_control import (
     ErrorBudget,
     check_tolerance,
+    choose_rule,
     error_coefficient,
     fracpow_action,
     residual_thresholds,
     scalar_probe,
 )
 from .oracle import absolute_error, hpd_eigendecomposition
-from .quadrature import FAMILIES, select_node_count
+from .quadrature import FAMILIES
 from .shifted_cg import single_shift_cg
 from .sparse import (
     HermitianSparseMatrix,
@@ -160,12 +161,8 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     """Emit the per-node stopping thresholds for the selected rule."""
     A, b, budget, bounds = _setup(args)
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        raise ValueError("right-hand side is zero; thresholds are undefined")
     check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
-    rule = select_node_count(
-        args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm)
-    )
+    rule = choose_rule(args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm))
     taus = residual_thresholds(rule, budget, bounds.lambda_hi)
     records = [
         (k + 1, float(rule.shifts[k]), float(rule.weights[k]), float(taus[k]))
@@ -235,8 +232,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for spec in matrices:
         A = build_matrix(spec)
         b = np.ones(A.n)
-        bounds = estimate_spectral_bounds(A, seed=args.seed)
         w, Q = hpd_eigendecomposition(A)
+        bounds = estimate_spectral_bounds(A, seed=args.seed)
         qtb = Q.T @ b
         refs = {alpha: Q @ (w**alpha * qtb) for alpha in args.alpha}
         prepared[spec] = (A, b, bounds, refs)

@@ -98,6 +98,22 @@ def scalar_probe(budget: ErrorBudget, bounds: SpectralBounds, b_norm: float) -> 
     return ProbeSpec(probe_values_from_bounds(bounds), scalar_budget)
 
 
+def choose_rule(
+    family: str, alpha: float, bounds: SpectralBounds, probe: ProbeSpec
+) -> ShiftedQuadratureRule:
+    """Quadrature rule for a probe spec from :func:`scalar_probe`.
+
+    An infinite probe budget means ``b = 0``, on which every rule is exact,
+    so the rule is the 1-node rule of ``family``; otherwise it is the rule
+    :func:`select_node_count` picks.
+    """
+    if math.isinf(probe.budget):
+        return build_rule(family, alpha, 1, bounds)
+    rule = select_node_count(family, alpha, bounds, probe)
+    logger.info("selected %s rule with m = %d nodes", rule.family, rule.m)
+    return rule
+
+
 def error_coefficient(sigma, lambda_max: float):
     """Factor turning a shifted residual norm into an error bound on ``A x``.
 
@@ -224,11 +240,7 @@ def fracpow_action(
 
     check_tolerance(budget, bnorm, bounds.lambda_hi, alpha)
     probe = scalar_probe(budget, bounds, bnorm)
-    if bnorm == 0.0:
-        rule = build_rule(family, alpha, 1, bounds)
-    else:
-        rule = select_node_count(family, alpha, bounds, probe)
-        logger.info("selected %s rule with m = %d nodes", rule.family, rule.m)
+    rule = choose_rule(family, alpha, bounds, probe)
     thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
 
     request = ShiftedSolveRequest(rule.shifts, thresholds, max_iterations)

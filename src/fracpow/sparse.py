@@ -1,9 +1,10 @@
 """Sparse Hermitian matrices, model problem generators, and spectral bounds.
 
-Matrices are validated in compressed sparse row form with both triangles
-present and then held as one ``scipy.sparse.csr_array`` on the same arrays,
-so a matrix-vector product needs no conjugation logic.  The generators build
-the standard Dirichlet Laplacians used throughout the test-suite, and
+Every matrix is built through scipy (COO or DIA to CSR), validated as one
+``scipy.sparse.csr_array`` with both triangles present and held in that
+form, so a matrix-vector product needs no conjugation logic.  Non-finite
+values are rejected.  The generators build the standard Dirichlet
+Laplacians used throughout the test-suite, and
 :func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
 lambda_hi]`` for the spectrum of a Hermitian positive definite matrix.  The
 upper end is the Gershgorin bound, which is guaranteed; the lower end is the
@@ -47,6 +48,7 @@ class HermitianSparseMatrix:
     - ``row_offsets`` has length ``n + 1``, starts at 0, is non-decreasing;
     - column indices are in range and strictly increasing within each row
       (hence no duplicate entries);
+    - every value is finite;
     - entry ``(i, j)`` is present exactly when ``(j, i)`` is, and the two
       values agree with conjugation to within ``1e-13`` relative;
     - every stored diagonal entry is real to the same tolerance.
@@ -84,59 +86,56 @@ class HermitianSparseMatrix:
             raise ValueError("values and col_indices must have equal length")
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("column index out of range")
+        if not np.all(np.isfinite(vals)):
+            raise MatrixFormatError("matrix values are not finite")
 
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        # Strictly increasing columns per row: compare neighbours that share a row.
-        same_row = rows[1:] == rows[:-1]
-        if np.any(same_row & (np.diff(cols) <= 0)):
-            raise ValueError("col_indices must be strictly increasing within each row")
-
-        self._check_hermitian(rows, cols, vals)
         csr = scipy.sparse.csr_array((vals, cols, offsets), shape=(n, n))
-        object.__setattr__(self, "_csr", csr)
-
-    def _check_hermitian(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        order = np.lexsort((rows, cols))  # CSR order of the transpose
-        if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)):
+        if not csr.has_canonical_format:
+            raise ValueError("col_indices must be strictly increasing within each row")
+        mirror = csr.T.conj().tocsr()
+        if not (
+            np.array_equal(mirror.indptr, csr.indptr)
+            and np.array_equal(mirror.indices, csr.indices)
+        ):
             raise MatrixFormatError("sparsity pattern is not symmetric")
-        mirrored = np.conjugate(vals[order])
-        scale = np.maximum(np.abs(vals), np.abs(mirrored))
-        if np.any(np.abs(vals - mirrored) > HERMITIAN_RTOL * scale):
+        scale = np.maximum(np.abs(csr.data), np.abs(mirror.data))
+        if np.any(np.abs(csr.data - mirror.data) > HERMITIAN_RTOL * scale):
             raise MatrixFormatError("matrix values are not Hermitian within 1e-13 relative")
-        diag = vals[rows == cols]
+        diag = csr.diagonal()
         if _is_complex(vals) and np.any(np.abs(diag.imag) > HERMITIAN_RTOL * np.abs(diag)):
             raise MatrixFormatError("diagonal entries must be real")
+        object.__setattr__(self, "_csr", csr)
 
     @property
     def nnz(self) -> int:
         return int(self.col_indices.size)
 
     @classmethod
+    def _from_csr(cls, csr: scipy.sparse.csr_array) -> "HermitianSparseMatrix":
+        return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
+
+    @classmethod
     def from_coo(
         cls, n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     ) -> "HermitianSparseMatrix":
-        """Build from coordinate triplets (duplicates are rejected, not summed)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        """Build from coordinate triplets through scipy's COO to CSR conversion.
+
+        Duplicate entries are rejected, not summed; an index outside
+        ``[0, n)`` raises scipy's ``ValueError``.
+        """
         values = np.asarray(values)
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError("row index out of range")
-        dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-        if np.any(dup):
+        csr = scipy.sparse.coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
+        if csr.nnz != values.size:
             raise ValueError("duplicate entries in coordinate data")
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return cls(n, offsets, cols, values)
+        return cls._from_csr(csr)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "HermitianSparseMatrix":
+        """Build from the nonzero entries of a square array (NaN counts as nonzero)."""
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense input must be square")
-        rows, cols = np.nonzero(np.abs(dense) > 0.0)
+        rows, cols = np.nonzero(dense != 0)
         return cls.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -173,47 +172,33 @@ class SpectralBounds:
             raise ValueError(f"need 0 < lambda_lo <= lambda_hi, got ({lo}, {hi})")
 
 
+def _laplacian_1d_csr(n: int) -> scipy.sparse.csr_array:
+    diagonals = [-1.0, 2.0, -1.0]
+    return scipy.sparse.diags_array(diagonals, offsets=[-1, 0, 1], shape=(n, n), format="csr")
+
+
 def build_laplacian_1d(n: int) -> HermitianSparseMatrix:
     """Tridiagonal (-1, 2, -1) matrix of order ``n`` (Dirichlet at both ends).
 
-    Its eigenvalues are ``4 sin^2(j pi / (2 (n + 1)))`` for ``j = 1..n``.
+    Built as a scipy DIA matrix and converted to CSR.  Its eigenvalues are
+    ``4 sin^2(j pi / (2 (n + 1)))`` for ``j = 1..n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx[:-1], idx[1:]])
-    cols = np.concatenate([idx, idx[1:], idx[:-1]])
-    vals = np.concatenate([np.full(n, 2.0), np.full(2 * (n - 1), -1.0)])
-    return HermitianSparseMatrix.from_coo(n, rows, cols, vals)
+    return HermitianSparseMatrix._from_csr(_laplacian_1d_csr(n))
 
 
 def build_laplacian_2d(nx: int, ny: int) -> HermitianSparseMatrix:
     """Five-point Laplacian on an ``nx`` by ``ny`` Dirichlet grid.
 
-    Kronecker sum of two 1-D operators; every diagonal entry is 4 and the
-    eigenvalues are sums of the 1-D eigenvalues.  Grid point ``(ix, iy)`` maps
-    to row ``ix * ny + iy``.
+    scipy's Kronecker sum of the two 1-D operators, so every diagonal entry
+    is 4 and the eigenvalues are sums of the 1-D eigenvalues.  Grid point
+    ``(ix, iy)`` maps to row ``ix * ny + iy``.
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be >= 1")
-    n = nx * ny
-    ix, iy = np.divmod(np.arange(n), ny)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0)]
-    # Horizontal neighbours (ix, iy) <-> (ix + 1, iy)
-    left = np.flatnonzero(ix < nx - 1)
-    rows += [left, left + ny]
-    cols += [left + ny, left]
-    vals += [np.full(left.size, -1.0)] * 2
-    # Vertical neighbours (ix, iy) <-> (ix, iy + 1)
-    down = np.flatnonzero(iy < ny - 1)
-    rows += [down, down + 1]
-    cols += [down + 1, down]
-    vals += [np.full(down.size, -1.0)] * 2
-    return HermitianSparseMatrix.from_coo(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    csr = scipy.sparse.kronsum(_laplacian_1d_csr(ny), _laplacian_1d_csr(nx), format="csr")
+    return HermitianSparseMatrix._from_csr(csr)
 
 
 def build_diagonal(entries: np.ndarray) -> HermitianSparseMatrix:

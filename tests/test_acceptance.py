@@ -29,6 +29,7 @@ from fracpow.quadrature import (
 )
 from fracpow.shifted_cg import ShiftedSolveRequest, shifted_cg_solve, single_shift_cg
 from fracpow.sparse import (
+    HermitianSparseMatrix,
     SpectralBounds,
     build_laplacian_1d,
     build_laplacian_2d,
@@ -272,15 +273,15 @@ def test_criterion_7_budget_isolation():
 
 
 def test_criterion_8_oracle_self_validation(rng):
-    from fracpow.oracle import DenseSymmetricMatrix, dense_eigh
+    from fracpow.oracle import hpd_eigendecomposition
 
     failures = []
     for n in (5, 50, 200):
-        B = rng.standard_normal((n, n))
-        M = DenseSymmetricMatrix((B + B.T) / 2.0)
-        w, Q = dense_eigh(M)
-        scale = np.linalg.norm(M.entries, "fro")
-        rec = np.linalg.norm(Q @ np.diag(w) @ Q.T - M.entries, "fro") / scale
+        M = random_hpd(rng, n)
+        M = (M + M.T) / 2.0
+        w, Q = hpd_eigendecomposition(HermitianSparseMatrix.from_dense(M))
+        scale = np.linalg.norm(M, "fro")
+        rec = np.linalg.norm(Q @ np.diag(w) @ Q.T - M, "fro") / scale
         orth = np.linalg.norm(Q.T @ Q - np.eye(n), "fro")
         if rec > 1e-10 or orth > 1e-10:
             failures.append(("eigh", n, rec, orth))

@@ -120,6 +120,18 @@ class TestCompute:
         assert code == 1
         assert "not positive definite" in capsys.readouterr().err
 
+    def test_non_finite_entry_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "a.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n2 1 nan\n2 2 2.0\n"
+        )
+        code = run_cli(
+            ["compute", "--matrix", f"mm:{path}", "--alpha", "0.5", "--eps", "1e-6",
+             "--out", "-"]
+        )
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+
     def test_rhs_override(self, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n0.0\n")
@@ -208,6 +220,22 @@ class TestThresholds:
         assert all(set(row) == {"k", "sigma", "omega", "tau"} for row in payload)
 
 
+    def test_zero_rhs_matches_compute(self, tmp_path):
+        # Every rule is exact on b = 0, so both commands use the 1-node rule.
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0\n" * 6)
+        common = ["--matrix", "lap1d:6", "--alpha", "0.5", "--eps", "1e-6", "--rhs", str(rhs)]
+        tau_out = tmp_path / "tau.json"
+        run_out = tmp_path / "run.json"
+        assert run_cli(["thresholds", *common, "--format", "json", "--out", str(tau_out)]) == 0
+        assert run_cli(["compute", *common, "--out", str(run_out)]) == 0
+        rows = json.loads(tau_out.read_text())
+        node = json.loads(run_out.read_text())["per_node"][0]
+        assert rows == [
+            {"k": 1, "sigma": node["sigma"], "omega": node["omega"], "tau": node["threshold"]}
+        ]
+
+
 class TestBoundTrace:
     def test_rows_satisfy_bound(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -285,6 +313,15 @@ class TestVerify:
         assert code == 3
         captured = capsys.readouterr()
         assert "failed cells:" in captured.err
+
+    def test_oversize_matrix_exits_1_before_bounds(self, capsys, monkeypatch):
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("spectral bounds estimated for an oversize matrix")
+
+        monkeypatch.setattr(cli, "estimate_spectral_bounds", no_bounds)
+        code = run_cli(["verify", "--matrix", "lap1d:1200"])
+        assert code == 1
+        assert "capped at n = 1100" in capsys.readouterr().err
 
     def test_unknown_family_exits_1(self, capsys):
         code = run_cli(

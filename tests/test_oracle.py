@@ -1,70 +1,66 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fracpow.errors import MatrixFormatError, SpectralBoundsError
 from fracpow.oracle import (
     ORACLE_SIZE_CAP,
-    DenseSymmetricMatrix,
     absolute_error,
-    dense_eigh,
     dense_fracpow_action,
     dense_shifted_solve,
+    hpd_eigendecomposition,
 )
 from fracpow.sparse import HermitianSparseMatrix, build_diagonal, build_laplacian_1d
 
-from conftest import random_hermitian
+from conftest import random_hpd
 
 
-class TestDenseSymmetricMatrix:
-    def test_rejects_non_square(self):
-        with pytest.raises(MatrixFormatError):
-            DenseSymmetricMatrix(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        M = np.array([[1.0, 2.0], [2.1, 1.0]])
-        with pytest.raises(MatrixFormatError):
-            DenseSymmetricMatrix(M)
-
-    def test_rejects_oversize(self):
-        n = ORACLE_SIZE_CAP + 1
-        diag = build_diagonal(np.ones(n))
-        with pytest.raises(MatrixFormatError):
-            DenseSymmetricMatrix.from_sparse(diag)
+class TestHpdEigendecomposition:
+    def test_rejects_oversize_before_densifying(self):
+        A = build_laplacian_1d(3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFormatError, match=f"capped at n = {ORACLE_SIZE_CAP}"):
+                hpd_eigendecomposition(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * A.n**2
 
     def test_accepts_boundary_size(self):
-        M = DenseSymmetricMatrix(np.eye(3))
-        assert M.n == 3
+        w, Q = hpd_eigendecomposition(build_diagonal(np.ones(ORACLE_SIZE_CAP)))
+        assert w.shape == (ORACLE_SIZE_CAP,)
+        assert Q.shape == (ORACLE_SIZE_CAP, ORACLE_SIZE_CAP)
 
-    def test_from_sparse_real_storage_of_complex(self):
+    def test_real_storage_of_complex(self):
         A = HermitianSparseMatrix.from_dense(np.eye(2).astype(complex))
-        M = DenseSymmetricMatrix.from_sparse(A)
-        assert not np.iscomplexobj(M.entries)
+        w, Q = hpd_eigendecomposition(A)
+        assert not np.iscomplexobj(w)
+        assert not np.iscomplexobj(Q)
 
-    def test_from_sparse_rejects_true_complex(self):
+    def test_rejects_true_complex(self):
         dense = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 2.0]])
         A = HermitianSparseMatrix.from_dense(dense)
         with pytest.raises(MatrixFormatError):
-            DenseSymmetricMatrix.from_sparse(A)
+            hpd_eigendecomposition(A)
 
-
-class TestDenseEigh:
     def test_diagonal_case(self):
-        w, Q = dense_eigh(DenseSymmetricMatrix(np.diag([3.0, 1.0, 2.0])))
+        w, Q = hpd_eigendecomposition(build_diagonal([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0], rtol=1e-15)
         # Eigenvectors of a diagonal matrix form a signed permutation.
         np.testing.assert_allclose(np.abs(Q), np.eye(3)[:, [1, 2, 0]], atol=1e-15)
 
     def test_laplacian_3_closed_form(self):
-        A = build_laplacian_1d(3)
-        w, _ = dense_eigh(DenseSymmetricMatrix.from_sparse(A))
+        w, _ = hpd_eigendecomposition(build_laplacian_1d(3))
         expected = np.array([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
         np.testing.assert_allclose(w, expected, rtol=1e-14)
 
     @pytest.mark.parametrize("n", [5, 20, 100])
     def test_backward_stability(self, rng, n):
-        M = random_hermitian(rng, n)
-        D = DenseSymmetricMatrix(M)
-        w, Q = dense_eigh(D)
+        M = random_hpd(rng, n)
+        M = (M + M.T) / 2.0
+        w, Q = hpd_eigendecomposition(HermitianSparseMatrix.from_dense(M))
         recon = Q @ np.diag(w) @ Q.T
         scale = np.linalg.norm(M, "fro")
         assert np.linalg.norm(recon - M, "fro") <= 1e-10 * scale

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import logging
 import tracemalloc
@@ -84,6 +85,15 @@ class TestHermitianSparseMatrix:
         with pytest.raises((MatrixFormatError, ValueError)):
             HermitianSparseMatrix.from_coo(2, [0], [5], [1.0])
 
+    def test_rejects_nan_from_dense(self):
+        # NaN != 0, so the NaN entries reach the finiteness check.
+        with pytest.raises(MatrixFormatError, match="not finite"):
+            HermitianSparseMatrix.from_dense([[2.0, np.nan], [np.nan, 2.0]])
+
+    def test_rejects_inf_from_coo(self):
+        with pytest.raises(MatrixFormatError, match="not finite"):
+            HermitianSparseMatrix.from_coo(2, [0, 1], [0, 1], [np.inf, 1.0])
+
     def test_diagonal(self):
         A = build_diagonal([3.0, 1.0, 2.0])
         np.testing.assert_array_equal(A.diagonal(), [3.0, 1.0, 2.0])
@@ -143,6 +153,31 @@ class TestBuilders:
         A = build_laplacian_2d(32, 32)
         assert A.n == 1024
         np.testing.assert_array_equal(A.diagonal(), np.full(1024, 4.0))
+
+    @pytest.mark.parametrize(
+        ("make", "digest"),
+        [
+            (lambda: build_laplacian_1d(1000), "77e7bd4fada00495"),
+            (lambda: build_laplacian_2d(32, 32), "86d195b1bdba3fc6"),
+            (lambda: build_laplacian_2d(150, 150), "b0fc3259b70f245e"),
+            (lambda: build_laplacian_2d(7, 3), "0a3336b887df7ccf"),
+            (lambda: build_diagonal([0.5, 1.0, 2.0, 4.0]), "3d53fbf644bba626"),
+        ],
+        ids=["lap1d:1000", "lap2d:32x32", "lap2d:150x150", "lap2d:7x3", "diag"],
+    )
+    def test_storage_digest(self, make, digest):
+        # CSR order, index dtype and values fix the order of every product's
+        # sums, so these pin the products bit for bit.
+        A = make()
+        assert (A.row_offsets.dtype, A.col_indices.dtype, A.values.dtype) == (
+            np.int64,
+            np.int64,
+            np.float64,
+        )
+        h = hashlib.sha256()
+        for array in (A.row_offsets, A.col_indices, A.values):
+            h.update(array.tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_builders_reject_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -205,6 +240,16 @@ class TestMatrixMarket:
         )
         A = read_matrix_market(io.StringIO(text))
         np.testing.assert_array_equal(A.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "entries",
+        ["1 1 2.0\n2 1 nan\n2 2 2.0\n", "1 1 inf\n2 1 -1.0\n2 2 2.0\n"],
+        ids=["nan", "inf"],
+    )
+    def test_rejects_non_finite_value(self, entries):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n" + entries
+        with pytest.raises(MatrixFormatError, match="not finite"):
+            read_matrix_market(io.StringIO(text))
 
     def test_rejects_general_symmetry(self):
         text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n"
