@@ -20,10 +20,12 @@ iteration cap.  Converged flags are consequently always backed by an explicit
 residual, never by the collinearity estimate alone.
 
 The solver keeps the active shifts as a leading contiguous block of its
-per-shift arrays: a shift that stops swaps rows with the last active one, so
-each iteration updates iterates and search directions in place on a
-contiguous ``[:na]`` view, with the same elementwise arithmetic as a
-per-shift loop.  Results, reports and callbacks use request order.
+per-shift arrays: a shift that stops swaps rows with the last active one.
+Each iteration updates the iterates and search directions of that ``[:na]``
+block in one fused pass over cache-sized tiles, with the same elementwise
+multiplies and adds as a per-shift loop, so the solve holds two m x n arrays
+plus one tile.  The solutions are returned in the search-direction array,
+which is dead by then.  Results, reports and callbacks use request order.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ BREAKDOWN_FLOOR = 1e-300
 # Tracked-residual slack under the threshold before declaring the explicit
 # residual stuck at the rounding floor.
 _STAGNATION_FACTOR = 1e-3
+
+# Elements per tile of the fused update (512 KiB of doubles), so that a tile
+# of X, the same tile of P and the workspace fit in a 2 MiB L2 cache together.
+_TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,30 @@ def _in_request_order(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fused_update(X, P, cx, cp, zn, r, work) -> None:
+    """``X += cx * P`` then ``P = cp * P + zn * r``, row-wise, tile by tile.
+
+    ``X`` and ``P`` are the active ``[:na]`` blocks and ``work`` is a flat
+    buffer of at least one tile.  Each element sees the same multiplies and
+    adds as two whole-block passes would give it; only the loop order differs.
+    """
+    na, n = X.shape
+    kb = max(1, _TILE // n)
+    cb = min(n, _TILE)
+    for i0 in range(0, na, kb):
+        rows = slice(i0, min(i0 + kb, na))
+        cxt, cpt, znt = cx[rows, None], cp[rows, None], zn[rows, None]
+        for j0 in range(0, n, cb):
+            cols = slice(j0, min(j0 + cb, n))
+            Xt, Pt = X[rows, cols], P[rows, cols]
+            w = work[: Pt.size].reshape(Pt.shape)
+            np.multiply(cxt, Pt, out=w)
+            Xt += w
+            np.multiply(cpt, Pt, out=Pt)
+            np.multiply(znt, r[cols], out=w)
+            Pt += w
+
+
 def shifted_cg_solve(
     A: HermitianSparseMatrix,
     b: np.ndarray,
@@ -122,8 +152,10 @@ def shifted_cg_solve(
     Returns ``(solutions, report)`` where ``solutions[k]`` is the iterate for
     shift ``k``.  The iteration keeps the active shifts as a leading
     contiguous block of its working rows (a shift that stops is swapped to
-    the tail), so each per-iteration update is an in-place operation on that
-    block; ``solutions`` and the report are in request order.
+    the tail) and updates that block's iterates and search directions in
+    one fused pass over cache-sized tiles per iteration.  Memory is the two
+    m x n arrays ``X`` and ``P`` plus one tile; ``solutions`` is ``P``
+    refilled with the iterates in request order, as is the report.
     ``callback(iteration, seed_residual, zetas, solutions)`` is invoked after
     each joint iteration with request-order copies of the collinearity
     factors and iterates (entries for frozen shifts hold their last active
@@ -166,7 +198,7 @@ def shifted_cg_solve(
     zeta = np.ones(m)
     X = np.zeros((m, A.n), dtype=dtype)
     P = np.tile(b, (m, 1))
-    products = np.empty_like(P)  # workspace for the scaled rows of an update
+    work = np.empty(min(m * A.n, _TILE), dtype=dtype)  # one tile of the fused update
     rows = (X, P, zeta, zeta_prev, work_shifts, delta, work_thresholds, check_scale, order)
 
     r = b.copy()
@@ -196,8 +228,6 @@ def shifted_cg_solve(
             )
         znext = za * zpa * alpha_prev / denom
         ratio = znext / za
-        np.multiply((alpha * ratio)[:, None], P[:na], out=products[:na])
-        X[:na] += products[:na]
         zeta_prev[:na] = za
         zeta[:na] = znext
 
@@ -205,6 +235,9 @@ def shifted_cg_solve(
         rr_next = float(np.vdot(r, r).real)
         rnorm = np.sqrt(rr_next)
         iterations = i + 1
+        beta = rr_next / rr
+        # Rows that stop below also get their P updated; it is never read.
+        _fused_update(X[:na], P[:na], alpha * ratio, beta * ratio**2, znext, r, work)
 
         tracked = znext * rnorm
         # Verify from the last candidate down: a stopped row swaps with row
@@ -242,12 +275,6 @@ def shifted_cg_solve(
                 f"seed residual norm vanished below {BREAKDOWN_FLOOR:g} with "
                 "unconverged shifts remaining"
             )
-        beta = rr_next / rr
-        # zeta / zeta_prev of a row is that row's ratio above, bit for bit.
-        ratio = zeta[:na] / zeta_prev[:na]
-        np.multiply((beta * ratio**2)[:, None], P[:na], out=P[:na])
-        np.multiply(zeta[:na, None], r, out=products[:na])
-        P[:na] += products[:na]
         p = r + beta * p
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 
@@ -258,9 +285,7 @@ def shifted_cg_solve(
         final_res[k] = explicit
         converged[k] = explicit <= work_thresholds[pos]
         iterations_used[k] = iterations
-    # The workspace is free now: it takes the rows in request order, so the
-    # solutions need no further m x n array.
-    solutions = products
+    solutions = P
     solutions[order] = X
 
     report = ShiftedSolveReport(

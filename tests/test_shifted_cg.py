@@ -1,6 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fracpow.error_control
+import fracpow.shifted_cg
 from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import SolverBreakdownError
 from fracpow.shifted_cg import (
@@ -348,6 +353,85 @@ class TestFreezeDecisions:
         assert rep.iterations_used.tolist() == iterations_used
         assert rep.converged.all()
         assert rep.verification_matvecs == verification_matvecs
+
+
+class TestFusedUpdate:
+    @pytest.fixture(params=["lap2d", "complex"])
+    def problem(self, request, rng):
+        # Request index 2 has an infinite threshold: trivially done, never
+        # iterated.
+        if request.param == "lap2d":
+            A = build_laplacian_2d(6, 5)
+            b = rng.standard_normal(A.n)
+            shifts = np.array([0.01, 0.3, 1.0, 2.5, 9.0])
+            thresholds = np.array([1e-10, 1e-9, np.inf, 1e-12, 1e-8])
+        else:
+            dense = random_hermitian(rng, 12, complex_valued=True)
+            dense = dense @ dense.conj().T + 0.5 * np.eye(12)
+            A = HermitianSparseMatrix.from_dense(dense)
+            b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            shifts = np.array([0.0, 2.0, 0.7, 5.0])
+            thresholds = np.array([1e-10, 1e-11, np.inf, 1e-9])
+        return A, b, ShiftedSolveRequest(shifts, thresholds)
+
+    @pytest.mark.parametrize(
+        "tile",
+        [lambda n: 1, lambda n: 7, lambda n: n - 1, lambda n: n + 1, lambda n: 3 * n + 5],
+        ids=["1", "7", "n-1", "n+1", "3n+5"],
+    )
+    def test_tile_edges_bit_identical(self, problem, tile, monkeypatch):
+        # 1, 7 and n - 1 cut rows into ragged column chunks; n + 1 and 3n + 5
+        # give one- and three-row blocks, the last one ragged.
+        A, b, req = problem
+        n = A.n
+        monkeypatch.setattr(fracpow.shifted_cg, "_TILE", req.shifts.size * n)
+        X, rep = shifted_cg_solve(A, b, req)
+        assert rep.converged.all() and rep.iterations_used[2] == 0
+        monkeypatch.setattr(fracpow.shifted_cg, "_TILE", tile(n))
+        X_t, rep_t = shifted_cg_solve(A, b, req)
+        np.testing.assert_array_equal(X_t, X)
+        for field in dataclasses.fields(ShiftedSolveReport):
+            np.testing.assert_array_equal(
+                getattr(rep_t, field.name), getattr(rep, field.name), err_msg=field.name
+            )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_request_order(self, problem, seed):
+        # Each row's arithmetic does not depend on its position, so a
+        # permuted request gives the permuted rows and report bit for bit.
+        A, b, req = problem
+        perm = np.random.default_rng(seed).permutation(req.shifts.size)
+        X, rep = shifted_cg_solve(A, b, req)
+        X_p, rep_p = shifted_cg_solve(
+            A, b, ShiftedSolveRequest(req.shifts[perm], req.thresholds[perm])
+        )
+        np.testing.assert_array_equal(X_p, X[perm])
+        for name in ("iterations_used", "final_residual_norms", "converged"):
+            np.testing.assert_array_equal(getattr(rep_p, name), getattr(rep, name)[perm])
+        assert rep_p.verification_matvecs == rep.verification_matvecs
+        assert rep_p.total_matvecs == rep.total_matvecs
+
+    def test_solve_holds_two_blocks(self, monkeypatch):
+        # X and P, one update tile and a few n-vectors; the solutions reuse P.
+        A = build_laplacian_2d(100, 100)
+        h = np.pi / (2 * 101)  # the exact extreme eigenvalues of this Laplacian
+        bounds = SpectralBounds(8 * np.sin(h) ** 2, 8 * np.cos(h) ** 2)
+        peaks = []
+
+        def measured(A, b, req):
+            tracemalloc.start()
+            try:
+                out = shifted_cg_solve(A, b, req)
+                peaks.append((req.shifts.size, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(fracpow.error_control, "shifted_cg_solve", measured)
+        fracpow_action(A, np.ones(A.n), 0.2, ErrorBudget(1e-9), "gj2", bounds=bounds)
+        [(m, peak)] = peaks
+        n = A.n
+        assert peak <= 2 * m * n * 8 + 8 * fracpow.shifted_cg._TILE + 16 * n * 8
 
 
 class TestBreakdown:
