@@ -25,14 +25,13 @@ from .errors import FracpowError, ToleranceFloorError
 from .error_control import (
     ErrorBudget,
     check_tolerance,
-    choose_rule,
     error_coefficient,
     fracpow_action,
     residual_thresholds,
     scalar_probe,
 )
 from .oracle import absolute_error, hpd_eigendecomposition
-from .quadrature import FAMILIES
+from .quadrature import FAMILIES, select_node_count
 from .shifted_cg import single_shift_cg
 from .sparse import (
     HermitianSparseMatrix,
@@ -40,6 +39,7 @@ from .sparse import (
     build_laplacian_1d,
     build_laplacian_2d,
     estimate_spectral_bounds,
+    gershgorin_bound,
     read_matrix_market,
 )
 
@@ -162,7 +162,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     A, b, budget, bounds = _setup(args)
     bnorm = float(np.linalg.norm(b))
     check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
-    rule = choose_rule(args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm))
+    rule = select_node_count(args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm))
     taus = residual_thresholds(rule, budget, bounds.lambda_hi)
     records = [
         (k + 1, float(rule.shifts[k]), float(rule.weights[k]), float(taus[k]))
@@ -177,18 +177,18 @@ def cmd_bound_trace(args: argparse.Namespace) -> int:
 
     For each shift, every row records the measured error
     ``||A (sigma I + A)^(-1) b - A x_i||_2`` (against a dense reference
-    solve) next to the certified bound ``||r_i|| / (1 + sigma/lambda_hi)``.
-    Requires an oracle-sized matrix.
+    solve) next to the certified bound ``||r_i|| / (1 + sigma/lambda_hi)``,
+    with ``lambda_hi`` the Gershgorin bound.  Requires an oracle-sized matrix.
     """
     A, b = _load_problem(args)
     w, Q = hpd_eigendecomposition(A)
-    bounds = estimate_spectral_bounds(A, seed=args.seed)
+    lambda_hi = gershgorin_bound(A)
     records: list[tuple[int, float, float, float]] = []
     for sigma in args.shifts:
         # A (sigma I + A)^{-1} b via the transfer w/(w+sigma) in (0, 1]; this
         # avoids forming the 1/lambda_min-amplified intermediate solve.
         target = Q @ ((w / (w + sigma)) * (Q.T @ b))
-        coefficient = error_coefficient(sigma, bounds.lambda_hi)
+        coefficient = error_coefficient(sigma, lambda_hi)
         records.append(
             (0, sigma, float(np.linalg.norm(target)), coefficient * float(np.linalg.norm(b)))
         )
@@ -350,10 +350,10 @@ def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool, fmt: str) -> 
         sub.add_argument("--family", choices=FAMILIES, default="de", help="quadrature family (default de)")
         sub.add_argument("--quad-share", type=_share, default=0.5, help="budget share for quadrature error (default 0.5)")
         sub.add_argument("--solve-share", type=_share, default=0.5, help="budget share for solve error (default 0.5)")
+        sub.add_argument("--seed", type=_seed, default=0, help="seed for the spectral bound estimator")
     sub.add_argument("--rhs", default=None, help="right-hand side file, one value per line (default: all ones)")
     sub.add_argument("--out", default=None, help="output artifact path (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default=fmt, help=f"artifact format (default {fmt})")
-    sub.add_argument("--seed", type=_seed, default=0, help="seed for the spectral bound estimator")
 
 
 def make_parser() -> argparse.ArgumentParser:

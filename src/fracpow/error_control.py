@@ -21,7 +21,6 @@ of the assembled result.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -31,15 +30,12 @@ from .errors import ToleranceFloorError
 from .quadrature import (
     ProbeSpec,
     ShiftedQuadratureRule,
-    build_rule,
     probe_error,
     probe_values_from_bounds,
     select_node_count,
 )
 from .shifted_cg import ShiftedSolveReport, ShiftedSolveRequest, shifted_cg_solve
 from .sparse import HermitianSparseMatrix, SpectralBounds, estimate_spectral_bounds
-
-logger = logging.getLogger(__name__)
 
 #: Requested tolerances below ``TOLERANCE_FLOOR_FACTOR * eps_machine * ||b|| *
 #: lambda_hi^alpha`` are rejected as unattainable in double precision.
@@ -96,22 +92,6 @@ def scalar_probe(budget: ErrorBudget, bounds: SpectralBounds, b_norm: float) -> 
     """
     scalar_budget = budget.quad_share * budget.epsilon / b_norm if b_norm else math.inf
     return ProbeSpec(probe_values_from_bounds(bounds), scalar_budget)
-
-
-def choose_rule(
-    family: str, alpha: float, bounds: SpectralBounds, probe: ProbeSpec
-) -> ShiftedQuadratureRule:
-    """Quadrature rule for a probe spec from :func:`scalar_probe`.
-
-    An infinite probe budget means ``b = 0``, on which every rule is exact,
-    so the rule is the 1-node rule of ``family``; otherwise it is the rule
-    :func:`select_node_count` picks.
-    """
-    if math.isinf(probe.budget):
-        return build_rule(family, alpha, 1, bounds)
-    rule = select_node_count(family, alpha, bounds, probe)
-    logger.info("selected %s rule with m = %d nodes", rule.family, rule.m)
-    return rule
 
 
 def error_coefficient(sigma, lambda_max: float):
@@ -225,9 +205,9 @@ def fracpow_action(
     the result against the same thresholds and probe.
 
     Every rule is exact on ``b = 0``, so there the probe budget is infinite
-    and the rule is the 1-node rule of ``family``; thresholds, solve,
-    assembly and certificate are as for any other ``b``, which gives
-    ``y = 0``, no CG iteration and ``certified=True``.
+    and :func:`select_node_count` returns the 1-node rule of ``family``;
+    every stage runs as for any other ``b``, which gives ``y = 0``, no CG
+    iteration and ``certified=True``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -240,7 +220,7 @@ def fracpow_action(
 
     check_tolerance(budget, bnorm, bounds.lambda_hi, alpha)
     probe = scalar_probe(budget, bounds, bnorm)
-    rule = choose_rule(family, alpha, bounds, probe)
+    rule = select_node_count(family, alpha, bounds, probe)
     thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
 
     request = ShiftedSolveRequest(rule.shifts, thresholds, max_iterations)

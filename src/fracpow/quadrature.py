@@ -333,7 +333,10 @@ def select_node_count(
 
     Each attempt builds the ``m``-node rule and accepts it iff its probe
     error is at most the budget.  The returned rule of ``m`` nodes passes
-    and the ``m - 1``-node rule fails (or ``m = 1``).  Where the probe error
+    and the ``m - 1``-node rule fails (or ``m = 1``).  Every rule meets an
+    infinite budget (``b = 0`` in :func:`fracpow.error_control.scalar_probe`),
+    so then the result is ``build_rule(family, alpha, 1, bounds)``, built
+    without a probe.  Where the probe error
     falls with ``m`` down to a rounding floor, as for ``gj1`` and ``gj2``,
     this is the smallest passing count.  The ``de`` error is not monotone in
     ``m``, so a smaller passing count may lie below a failing one.
@@ -354,6 +357,8 @@ def select_node_count(
     at a rounding defect in the rule.  The message therefore reports the
     smallest error seen and its ``m``.
     """
+    if math.isinf(probe.budget):
+        return build_rule(family, alpha, 1, bounds)
     tried: list[tuple[int, float]] = []
 
     def attempt(m: int) -> tuple[ShiftedQuadratureRule, float]:
@@ -413,4 +418,5 @@ def select_node_count(
             lo, lo_err = m, err
         bisect = target is not None and 2 * (hi - lo) > width
     log_attempts()
+    logger.info("selected %s rule with m = %d nodes", family, best.m)
     return best

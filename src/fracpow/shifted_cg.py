@@ -270,11 +270,6 @@ def shifted_cg_solve(
             callback(iterations, r, _in_request_order(zeta, order), _in_request_order(X, order))
         if na == 0:
             break
-        if rr_next < BREAKDOWN_FLOOR**2:
-            raise SolverBreakdownError(
-                f"seed residual norm vanished below {BREAKDOWN_FLOOR:g} with "
-                "unconverged shifts remaining"
-            )
         p = r + beta * p
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 

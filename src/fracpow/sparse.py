@@ -15,10 +15,12 @@ smallest one.
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.io
 import scipy.sparse
 from scipy.linalg import eigh_tridiagonal
 
@@ -218,13 +220,16 @@ def build_diagonal(entries: np.ndarray) -> HermitianSparseMatrix:
 def read_matrix_market(source) -> HermitianSparseMatrix:
     """Read a coordinate Matrix Market file into a Hermitian sparse matrix.
 
-    Accepts a path or an open text/byte stream.  Only ``symmetric`` and
-    ``hermitian`` qualifiers are admitted; ``general`` files are rejected
-    because symmetry cannot be certified from one triangle.  Entries must
-    store the lower triangle (``i >= j``); the upper triangle is generated by
-    conjugation.  Every diagonal entry must be stored, since a Hermitian
-    positive definite matrix has ``a_ii > 0``; this is checked before any
-    ``O(n)`` array is allocated.
+    Accepts a path or an open text/byte stream (bytes must be ASCII).
+    ``scipy.io.mminfo`` reads the banner and size line; one ``np.loadtxt``
+    reads the entry lines, each exactly two indices and the value, skipping
+    blank and ``%`` lines.  Only ``symmetric`` and ``hermitian`` files are
+    admitted (the symmetry of a ``general`` file cannot be certified from
+    one triangle), and they must store the lower triangle (``i >= j``).  The
+    mirror is conjugated for ``hermitian`` only, so a complex ``symmetric``
+    file must be real off the diagonal.  Every diagonal entry must be stored,
+    since a Hermitian positive definite matrix has ``a_ii > 0``; fewer
+    entries than rows are rejected before any entry is parsed.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -238,15 +243,11 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
             raise MatrixFormatError(
                 f"non-ASCII byte {text[exc.start]:#04x} at offset {exc.start}"
             ) from exc
-    lines = text.splitlines()
-    if not lines:
-        raise MatrixFormatError("empty Matrix Market stream")
-
-    header = lines[0].strip().split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise MatrixFormatError(f"malformed Matrix Market header: {lines[0]!r}")
-    _, obj, fmt, fieldq, symq = (tok.lower() for tok in header)
-    if obj != "matrix" or fmt != "coordinate":
+    try:
+        nrows, ncols, nnz, fmt, fieldq, symq = scipy.io.mminfo(io.BytesIO(text.encode()))
+    except (ValueError, OverflowError) as exc:
+        raise MatrixFormatError(f"malformed Matrix Market header: {exc}") from exc
+    if fmt != "coordinate":
         raise MatrixFormatError("only 'matrix coordinate' Matrix Market data is supported")
     if fieldq not in ("real", "complex"):
         raise MatrixFormatError(f"unsupported field qualifier {fieldq!r}")
@@ -256,46 +257,33 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
         )
     if symq not in ("symmetric", "hermitian"):
         raise MatrixFormatError(f"unsupported symmetry qualifier {symq!r}")
+    if nrows != ncols or nrows < 1:
+        raise MatrixFormatError(f"matrix must be square and non-empty, got {nrows} x {ncols}")
+    if nnz < nrows:
+        raise MatrixFormatError(
+            f"matrix is not positive definite: {nnz} entries cannot store "
+            f"all {nrows} diagonal entries"
+        )
 
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise MatrixFormatError("missing size line")
-    size = body[0].split()
-    if len(size) != 3:
-        raise MatrixFormatError(f"malformed size line: {body[0]!r}")
-    try:
-        nrows, ncols, nnz = (int(tok) for tok in size)
-    except ValueError as exc:
-        raise MatrixFormatError(f"malformed size line: {body[0]!r}") from exc
-    if nrows != ncols:
-        raise MatrixFormatError(f"matrix must be square, got {nrows} x {ncols}")
+    body = [ln for ln in text.splitlines()[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if len(body) - 1 != nnz:
         raise MatrixFormatError(f"expected {nnz} entries, found {len(body) - 1}")
-
-    want = 4 if fieldq == "complex" else 3
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.complex128 if fieldq == "complex" else np.float64)
-    for k, line in enumerate(body[1:]):
-        toks = line.split()
-        if len(toks) != want:
-            raise MatrixFormatError(f"malformed entry line: {line!r}")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-            if fieldq == "complex":
-                v = complex(float(toks[2]), float(toks[3]))
-            else:
-                v = float(toks[2])
-        except ValueError as exc:
-            raise MatrixFormatError(f"malformed entry line: {line!r}") from exc
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise MatrixFormatError(f"entry index ({i}, {j}) out of range for n = {nrows}")
-        if i < j:
-            raise MatrixFormatError(
-                f"entry ({i}, {j}) lies above the diagonal; "
-                "symmetric files must store the lower triangle"
-            )
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
+    dtype = [("i", np.int64), ("j", np.int64), ("re", np.float64)]
+    if fieldq == "complex":
+        dtype.append(("im", np.float64))
+    try:
+        # comments=None: text after the value is an error, not a comment.
+        data = np.loadtxt(body[1:], dtype=dtype, ndmin=1, comments=None)
+    except ValueError as exc:
+        raise MatrixFormatError(f"malformed entry line: {exc}") from exc
+    rows, cols, vals = data["i"] - 1, data["j"] - 1, data["re"]
+    if fieldq == "complex":
+        vals = vals.astype(np.complex128)
+        vals.imag = data["im"]
+    bad = np.flatnonzero((cols < 0) | (rows < cols) | (rows >= nrows))
+    if bad.size:
+        i, j = data["i"][bad[0]], data["j"][bad[0]]
+        raise MatrixFormatError(f"entry ({i}, {j}) is not in the lower triangle for n = {nrows}")
     stored_diagonal = int(np.count_nonzero(rows == cols))
     if stored_diagonal < nrows:
         raise MatrixFormatError(
@@ -304,9 +292,10 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
         )
 
     off = rows != cols
+    mirror = np.conjugate(vals[off]) if symq == "hermitian" else vals[off]
     full_rows = np.concatenate([rows, cols[off]])
     full_cols = np.concatenate([cols, rows[off]])
-    full_vals = np.concatenate([vals, np.conjugate(vals[off])])
+    full_vals = np.concatenate([vals, mirror])
     try:
         return HermitianSparseMatrix.from_coo(nrows, full_rows, full_cols, full_vals)
     except ValueError as exc:
@@ -390,13 +379,21 @@ def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[
         v_prev, v, beta_prev = v, w / b, b
 
 
+def gershgorin_bound(A: HermitianSparseMatrix) -> float:
+    """Largest absolute row sum of ``A``, an upper bound on its spectrum.
+
+    With every ``a_ii > 0`` this is the Gershgorin bound ``max_i a_ii +
+    sum_{j != i} |a_ij|``.  It costs no product.
+    """
+    return float(np.max(abs(A._csr) @ np.ones(A.n)))
+
+
 def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> SpectralBounds:
     """Spectral interval ``[lambda_lo, lambda_hi]`` of a Hermitian positive definite A.
 
-    ``lambda_hi`` is the Gershgorin bound ``max_i a_ii + sum_{j != i}
-    |a_ij|``, a guaranteed upper bound on the spectrum that costs no
-    product.  Overestimating ``lambda_hi`` only tightens downstream stopping
-    thresholds, so this direction is safe.
+    ``lambda_hi`` is :func:`gershgorin_bound`, a guaranteed upper bound on
+    the spectrum that costs no product.  Overestimating ``lambda_hi`` only
+    tightens downstream stopping thresholds, so this direction is safe.
 
     ``lambda_lo`` is the bottom Ritz value of :func:`_lanczos_bottom` minus
     its residual, floored at ``1e-12 * lambda_hi``.  A Ritz value minus its
@@ -420,8 +417,7 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> Spec
         raise SpectralBoundsError(
             f"matrix is not positive definite: diagonal entry {k} is {diag[k]:.6e}"
         )
-    # With every a_ii > 0 the Gershgorin bound is the largest absolute row sum.
-    gersh = float(np.max(abs(A._csr) @ np.ones(A.n)))
+    gersh = gershgorin_bound(A)
     t_lo, r_lo = _lanczos_bottom(A, seed, gersh)
     if t_lo <= 0.0:
         raise SpectralBoundsError(

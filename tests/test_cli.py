@@ -396,7 +396,6 @@ class TestParsing:
         [
             (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
             (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
-            (["bound-trace", "--matrix", "lap1d:8", "--seed", "-1"], "--seed"),
             (["verify", "--matrix", "lap1d:8", "--seed", "-1"], "--seed"),
             (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "1.5"], "--seed"),
             (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "0"], "--quad-share"),
@@ -406,7 +405,7 @@ class TestParsing:
             (["verify", "--matrix", "lap1d:8", "--solve-share", "nan"], "--solve-share"),
         ],
         ids=[
-            "compute-seed", "thresholds-seed", "bound-trace-seed", "verify-seed", "compute-seed-float",
+            "compute-seed", "thresholds-seed", "verify-seed", "compute-seed-float",
             "compute-quad-share", "compute-solve-share", "thresholds-quad-share",
             "verify-quad-share", "verify-solve-share",
         ],
@@ -417,6 +416,11 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
+
+    def test_bound_trace_has_no_seed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrix", _no_matrix)
+        assert run_cli(["bound-trace", "--matrix", "lap1d:8", "--seed", "0"]) == 1
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_log_env(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOW_LOG", "DEBUG")
@@ -606,3 +610,14 @@ class TestGoldenArtifacts:
         captured = capsys.readouterr()
         assert captured.out == stdout
         assert captured.err == stderr
+
+    def test_bound_trace_runs_no_bounds_stage(self, tmp_path, capsys, monkeypatch):
+        # bound-trace needs only lambda_hi, the Gershgorin bound: no Lanczos.
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("spectral bounds estimated by bound-trace")
+
+        monkeypatch.setattr(cli, "estimate_spectral_bounds", no_bounds)
+        argv, artifact, _, _ = GOLDEN["bound-trace-csv"]
+        out = tmp_path / "artifact"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == artifact

@@ -292,6 +292,16 @@ class TestSelectNodeCount:
             ms.append(rule.m)
         assert ms[0] <= ms[1] <= ms[2]
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_infinite_budget_gives_one_node_rule(self, family):
+        # b = 0 gives an infinite budget, which every rule meets: m = 1.
+        bounds = SpectralBounds(0.1, 10.0)
+        rule = select_node_count(family, 0.3, bounds, ProbeSpec(np.array([1.0]), math.inf))
+        expected = build_rule(family, 0.3, 1, bounds)
+        assert rule.m == 1
+        np.testing.assert_array_equal(rule.shifts, expected.shifts)
+        np.testing.assert_array_equal(rule.weights, expected.weights)
+
     def test_loose_budget_gives_tiny_rule(self):
         bounds = SpectralBounds(0.9, 1.1)
         probe = ProbeSpec(probe_values_from_bounds(bounds), 0.5)

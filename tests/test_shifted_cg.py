@@ -447,6 +447,19 @@ class TestBreakdown:
             single_shift_cg(B, np.array([1.0, 1.0]), 0.0, tol=1e-10)
         del A
 
+    def test_exact_zero_seed_residual_freezes_every_shift(self):
+        # On A = 2I the seed residual is exactly 0 after one iteration, so every
+        # tracked residual is 0 and every shift is verified in that iteration:
+        # the seed converges, the others stop at their rounding floor, and the
+        # loop ends before any breakdown check could see a zero residual.
+        A = build_diagonal([2.0] * 5)
+        b = np.arange(1.0, 6.0)
+        X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest([0.0, 1.0, 3.0], 1e-300))
+        assert rep.iterations_used.tolist() == [1, 1, 1]
+        assert rep.converged.tolist() == [True, False, False]
+        assert rep.verification_matvecs == 3
+        np.testing.assert_array_equal(X[0], b / 2.0)
+
     def test_complex_hermitian_system(self, rng):
         dense = random_hermitian(rng, 12, complex_valued=True)
         dense = dense @ dense.conj().T + 0.5 * np.eye(12)

@@ -303,6 +303,41 @@ class TestMatrixMarket:
         with pytest.raises(MatrixFormatError):
             read_matrix_market(io.StringIO("not a matrix market file\n"))
 
+    def test_rejects_complex_symmetric_with_imaginary_off_diagonal(self):
+        # [[2, i], [i, 2]] is complex symmetric, not Hermitian: its mirror is
+        # not conjugated, so it fails the Hermitian check.
+        text = (
+            "%%MatrixMarket matrix coordinate complex symmetric\n2 2 3\n"
+            "1 1 2 0\n2 1 0 1\n2 2 2 0\n"
+        )
+        with pytest.raises(MatrixFormatError, match="not Hermitian"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_complex_symmetric_with_real_off_diagonal_reads_as_hermitian(self):
+        entries = "2 2 3\n1 1 2 0\n2 1 -0.5 0\n2 2 3 0\n"
+        head = "%%MatrixMarket matrix coordinate complex "
+        A = read_matrix_market(io.StringIO(head + "symmetric\n" + entries))
+        B = read_matrix_market(io.StringIO(head + "hermitian\n" + entries))
+        np.testing.assert_array_equal(A.to_dense(), B.to_dense())
+        np.testing.assert_array_equal(A.to_dense(), [[2, -0.5], [-0.5, 3]])
+
+    @pytest.mark.parametrize("tail", [" # c", " % c", " 0"], ids=["hash", "percent", "number"])
+    def test_rejects_trailing_text_on_entry_line(self, tail):
+        text = (
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+            f"1 1 2.0\n2 1 -1{tail}\n2 2 2.0\n"
+        )
+        with pytest.raises(MatrixFormatError, match="malformed entry line"):
+            read_matrix_market(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "size", ["0 0 0", "99999999999999999999 99999999999999999999 1"], ids=["empty", "int64-overflow"]
+    )
+    def test_rejects_size_line(self, size):
+        text = f"%%MatrixMarket matrix coordinate real symmetric\n{size}\n1 1 2.0\n"
+        with pytest.raises(MatrixFormatError):
+            read_matrix_market(io.StringIO(text))
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix_market(tmp_path / "missing.mtx")
