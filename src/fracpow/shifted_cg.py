@@ -21,11 +21,18 @@ residual, never by the collinearity estimate alone.
 
 The solver keeps the active shifts as a leading contiguous block of its
 per-shift arrays: a shift that stops swaps rows with the last active one.
-Each iteration updates the iterates and search directions of that ``[:na]``
-block in one fused pass over cache-sized tiles, with the same elementwise
-multiplies and adds as a per-shift loop, so the solve holds two m x n arrays
-plus one tile.  The solutions are returned in the search-direction array,
-which is dead by then.  Results, reports and callbacks use request order.
+The seed and collinearity recurrences never read the iterates, so the
+iterates and search directions are updated lazily over a window of
+``_BLOCK`` joint iterations.  Inside a window that starts at ``X0``, ``P0``,
+every active row is ``x = x0 + a p0 + D R`` and ``p = c p0 + E R``, where
+the rows of ``R`` are the window's seed residuals and ``a``, ``c``, ``D``,
+``E`` are per-shift scalars and ``_BLOCK``-vectors updated by scalar work.
+At the end of a window ``D R`` and ``E R`` are applied as block products
+over fixed-size tiles, so the solve holds two m x n arrays, ``R`` (``_BLOCK``
+x n) and one tile.  A shift that is checked or reported between flushes is
+formed alone from its coefficients.  The solutions are returned in the
+search-direction array, which is dead by then.  Results, reports and
+callbacks use request order.
 """
 
 from __future__ import annotations
@@ -46,9 +53,16 @@ BREAKDOWN_FLOOR = 1e-300
 # residual stuck at the rounding floor.
 _STAGNATION_FACTOR = 1e-3
 
-# Elements per tile of the fused update (512 KiB of doubles), so that a tile
-# of X, the same tile of P and the workspace fit in a 2 MiB L2 cache together.
+# Joint iterations per window of the deferred update.
+_BLOCK = 16
+
+# Elements per tile of a window flush (512 KiB of doubles), so that a tile of
+# X, the same tile of P and the workspace fit in a 2 MiB L2 cache together.
 _TILE = 1 << 16
+
+# Columns per flush tile.  numpy's elementwise passes over a strided tile
+# slow down about fourfold once its rows are 2048 doubles or shorter.
+_COLS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,28 +130,34 @@ def _in_request_order(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fused_update(X, P, cx, cp, zn, r, work) -> None:
-    """``X += cx * P`` then ``P = cp * P + zn * r``, row-wise, tile by tile.
+def _flush(X, P, a, c, D, E, R, na, work) -> None:
+    """Close a window: ``X += a P + D R`` then ``P = c P + E R`` on rows ``[:na]``.
 
-    ``X`` and ``P`` are the active ``[:na]`` blocks and ``work`` is a flat
-    buffer of at least one tile.  Each element sees the same multiplies and
-    adds as two whole-block passes would give it; only the loop order differs.
+    ``work`` is ``kb x cb``; ``D`` and ``E`` hold whole ``kb``-row blocks and
+    ``R`` whole ``cb``-column blocks, so every product has the workspace's
+    shape.  Block rows at or past ``na`` are computed and dropped.  Then
+    ``a``, ``c`` and ``D`` restart; ``E``'s columns are set before use.
     """
-    na, n = X.shape
-    kb = max(1, _TILE // n)
-    cb = min(n, _TILE)
-    for i0 in range(0, na, kb):
-        rows = slice(i0, min(i0 + kb, na))
-        cxt, cpt, znt = cx[rows, None], cp[rows, None], zn[rows, None]
-        for j0 in range(0, n, cb):
-            cols = slice(j0, min(j0 + cb, n))
+    kb, cb = work.shape
+    n = X.shape[1]
+    for j0 in range(0, n, cb):
+        cols = slice(j0, min(j0 + cb, n))
+        Rt = R[:, j0 : j0 + cb]
+        for i0 in range(0, na, kb):
+            block = slice(i0, i0 + kb)
+            rows = slice(i0, min(i0 + kb, na))
             Xt, Pt = X[rows, cols], P[rows, cols]
-            w = work[: Pt.size].reshape(Pt.shape)
-            np.multiply(cxt, Pt, out=w)
+            w = work[: Pt.shape[0], : Pt.shape[1]]
+            np.multiply(a[rows, None], Pt, out=w)
             Xt += w
-            np.multiply(cpt, Pt, out=Pt)
-            np.multiply(znt, r[cols], out=w)
+            np.matmul(D[block], Rt, out=work)
+            Xt += w
+            np.multiply(c[rows, None], Pt, out=Pt)
+            np.matmul(E[block], Rt, out=work)
             Pt += w
+    a.fill(0.0)
+    c.fill(1.0)
+    D.fill(0.0)
 
 
 def shifted_cg_solve(
@@ -152,14 +172,17 @@ def shifted_cg_solve(
     Returns ``(solutions, report)`` where ``solutions[k]`` is the iterate for
     shift ``k``.  The iteration keeps the active shifts as a leading
     contiguous block of its working rows (a shift that stops is swapped to
-    the tail) and updates that block's iterates and search directions in
-    one fused pass over cache-sized tiles per iteration.  Memory is the two
-    m x n arrays ``X`` and ``P`` plus one tile; ``solutions`` is ``P``
-    refilled with the iterates in request order, as is the report.
-    ``callback(iteration, seed_residual, zetas, solutions)`` is invoked after
-    each joint iteration with request-order copies of the collinearity
-    factors and iterates (entries for frozen shifts hold their last active
-    values); making them costs O(m n) per call.  The tracked residual norm of
+    the tail) and carries their iterates and search directions as
+    coefficients on the last ``_BLOCK`` seed residuals, applied to that block
+    as two block products over cache-sized tiles once per window.  Memory is
+    the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n residual window
+    and one tile; ``solutions`` is ``P`` refilled with the iterates in request
+    order, as is the report.  A shift that stops keeps the iterate whose
+    residual was checked.  ``callback(iteration, seed_residual, zetas,
+    solutions)`` is invoked after each joint iteration with request-order
+    copies of the collinearity factors and iterates (entries for frozen
+    shifts hold their last active values); forming them costs O(m n _BLOCK)
+    per call and does not change the solve.  The tracked residual norm of
     shift ``k`` at that iteration is ``zetas[k] * ||seed_residual||``.
     """
     b = np.asarray(b)
@@ -168,9 +191,8 @@ def shifted_cg_solve(
     shifts = request.shifts
     thresholds = request.thresholds
     m = shifts.size
-    max_iterations = (
-        10 * A.n if request.max_iterations is None else int(request.max_iterations)
-    )
+    n = A.n
+    max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
     if not np.issubdtype(dtype, np.inexact):
         dtype = np.float64
@@ -196,13 +218,38 @@ def shifted_cg_solve(
     check_scale = np.ones(m)
     zeta_prev = np.ones(m)
     zeta = np.ones(m)
-    X = np.zeros((m, A.n), dtype=dtype)
+    X = np.zeros((m, n), dtype=dtype)
     P = np.tile(b, (m, 1))
-    work = np.empty(min(m * A.n, _TILE), dtype=dtype)  # one tile of the fused update
-    rows = (X, P, zeta, zeta_prev, work_shifts, delta, work_thresholds, check_scale, order)
+    # Window: row j is x = X[j] + a[j] P[j] + D[j, :t] R[:t] and
+    # p = c[j] P[j] + E[j, :t] R[:t].  OpenBLAS rounds the ragged column edge
+    # of a product differently by row position, and a one-row (vector)
+    # product differently from a block one.  So flush products are whole
+    # tiles of at least two rows and a multiple of 16 columns (D, E and R
+    # are zero-padded to them), and each row's bits do not depend on its
+    # position, on the tile size or on how many shifts are still active.
+    s = _BLOCK
+    chunks = -(-n // _COLS)
+    cb = 16 * -(-n // (16 * chunks))
+    nblocks = -(-m // max(2, _TILE // cb))
+    kb = max(2, -(-m // nblocks))
+    a = np.zeros(m, dtype=dtype)
+    c = np.ones(m, dtype=dtype)
+    D = np.zeros((nblocks * kb, s), dtype=dtype)
+    E = np.zeros_like(D)
+    R = np.zeros((s, -(-n // cb) * cb), dtype=dtype)
+    work = np.empty((kb, cb), dtype=dtype)
+    t = 0
+    rows = (
+        X, P, zeta, zeta_prev, work_shifts, delta, work_thresholds, check_scale, order, a, c, D, E
+    )
 
-    r = b.copy()
-    p = b.copy()
+    def iterate(pos: int) -> np.ndarray:
+        x = X[pos] + a[pos] * P[pos]
+        x += D[pos, :t] @ R[:t, :n]
+        return x
+
+    r = b
+    p = b
     rr = float(np.vdot(r, r).real)
     alpha_prev = 1.0
     beta_prev = 0.0
@@ -231,13 +278,20 @@ def shifted_cg_solve(
         zeta_prev[:na] = za
         zeta[:na] = znext
 
-        r -= alpha * q
+        r = np.subtract(r, alpha * q, out=R[t, :n])
         rr_next = float(np.vdot(r, r).real)
         rnorm = np.sqrt(rr_next)
         iterations = i + 1
         beta = rr_next / rr
-        # Rows that stop below also get their P updated; it is never read.
-        _fused_update(X[:na], P[:na], alpha * ratio, beta * ratio**2, znext, r, work)
+        # x += cx p, then p = cp p + znext r, on the window coefficients.
+        cx = alpha * ratio
+        cp = beta * ratio**2
+        a[:na] += cx * c[:na]
+        D[:na, :t] += cx[:, None] * E[:na, :t]
+        c[:na] *= cp
+        E[:na, :t] *= cp[:, None]
+        E[:na, t] = znext
+        t += 1
 
         tracked = znext * rnorm
         # Verify from the last candidate down: a stopped row swaps with row
@@ -247,7 +301,8 @@ def shifted_cg_solve(
         for pos in candidates[::-1]:
             k = order[pos]
             threshold = work_thresholds[pos]
-            explicit = _explicit_residual_norm(A, b, work_shifts[pos], X[pos])
+            x = iterate(pos)
+            explicit = _explicit_residual_norm(A, b, work_shifts[pos], x)
             verification_matvecs += 1
             if explicit <= threshold:
                 converged[k] = True
@@ -260,19 +315,28 @@ def shifted_cg_solve(
             else:
                 check_scale[pos] *= 0.5
                 continue
+            X[pos] = x
             final_res[k] = explicit
             iterations_used[k] = iterations
             na -= 1
-            for a in rows:
-                a[[pos, na]] = a[[na, pos]]
+            for arr in rows:
+                arr[[pos, na]] = arr[[na, pos]]
 
         if callback is not None:
-            callback(iterations, r, _in_request_order(zeta, order), _in_request_order(X, order))
+            solutions = _in_request_order(X, order)
+            for pos in range(na):
+                solutions[order[pos]] = iterate(pos)
+            callback(iterations, r, _in_request_order(zeta, order), solutions)
         if na == 0:
             break
+        if t == s:
+            _flush(X, P, a, c, D, E, R, na, work)
+            t = 0
         p = r + beta * p
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 
+    if t:
+        _flush(X, P, a, c, D[:, :t], E[:, :t], R[:t], na, work)
     for pos in range(na):
         k = order[pos]
         explicit = _explicit_residual_norm(A, b, work_shifts[pos], X[pos])

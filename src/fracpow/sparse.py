@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,34 +218,44 @@ def build_diagonal(entries: np.ndarray) -> HermitianSparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+# ``%`` comment lines between Matrix Market entries.
+_COMMENT_LINES = re.compile(rb"^[ \t\r\v\f]*%[^\n]*(?:\n|\Z)", re.MULTILINE)
+
+
 def read_matrix_market(source) -> HermitianSparseMatrix:
     """Read a coordinate Matrix Market file into a Hermitian sparse matrix.
 
     Accepts a path or an open text/byte stream (bytes must be ASCII).
-    ``scipy.io.mminfo`` reads the banner and size line; one ``np.loadtxt``
-    reads the entry lines, each exactly two indices and the value, skipping
-    blank and ``%`` lines.  Only ``symmetric`` and ``hermitian`` files are
-    admitted (the symmetry of a ``general`` file cannot be certified from
-    one triangle), and they must store the lower triangle (``i >= j``).  The
-    mirror is conjugated for ``hermitian`` only, so a complex ``symmetric``
-    file must be real off the diagonal.  Every diagonal entry must be stored,
-    since a Hermitian positive definite matrix has ``a_ii > 0``; fewer
-    entries than rows are rejected before any entry is parsed.
+    ``scipy.io.mminfo`` reads the banner and size line; ``%`` lines are cut
+    from the rest, and one ``np.loadtxt`` parses what remains (skipping blank
+    lines), each line exactly two indices and the value.  Only
+    ``symmetric`` and ``hermitian`` files are admitted (the symmetry of a
+    ``general`` file cannot be certified from one triangle), and they must
+    store the lower triangle (``i >= j``).  The mirror is conjugated for
+    ``hermitian`` only, so a complex ``symmetric`` file must be real off the
+    diagonal.  Every diagonal entry must be stored, since a Hermitian
+    positive definite matrix has ``a_ii > 0``; fewer entries than rows are
+    rejected before any entry is parsed.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        raw = source.read()
     else:
         with open(source, "rb") as fh:
-            text = fh.read()
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(
-                f"non-ASCII byte {text[exc.start]:#04x} at offset {exc.start}"
-            ) from exc
+            raw = fh.read()
+    if isinstance(raw, str):
+        raw = raw.encode()
+    elif not raw.isascii():
+        offset = re.search(rb"[\x80-\xff]", raw).start()
+        raise MatrixFormatError(f"non-ASCII byte {raw[offset]:#04x} at offset {offset}")
+
+    lines = io.BytesIO(raw)
+    next(lines, None)  # the banner
+    for line in lines:
+        if line.strip() and not line.lstrip().startswith(b"%"):
+            break  # the size line
+    header_end = lines.tell()
     try:
-        nrows, ncols, nnz, fmt, fieldq, symq = scipy.io.mminfo(io.BytesIO(text.encode()))
+        nrows, ncols, nnz, fmt, fieldq, symq = scipy.io.mminfo(io.BytesIO(raw[:header_end]))
     except (ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"malformed Matrix Market header: {exc}") from exc
     if fmt != "coordinate":
@@ -265,17 +276,21 @@ def read_matrix_market(source) -> HermitianSparseMatrix:
             f"all {nrows} diagonal entries"
         )
 
-    body = [ln for ln in text.splitlines()[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if len(body) - 1 != nnz:
-        raise MatrixFormatError(f"expected {nnz} entries, found {len(body) - 1}")
+    entries = raw[header_end:]
+    if b"%" in entries:  # the pass costs about as much as the parse; most files skip it
+        entries = _COMMENT_LINES.sub(b"", entries)
+    if not entries.strip():  # np.loadtxt warns on empty input
+        raise MatrixFormatError(f"expected {nnz} entries, found 0")
     dtype = [("i", np.int64), ("j", np.int64), ("re", np.float64)]
     if fieldq == "complex":
         dtype.append(("im", np.float64))
     try:
         # comments=None: text after the value is an error, not a comment.
-        data = np.loadtxt(body[1:], dtype=dtype, ndmin=1, comments=None)
+        data = np.loadtxt(io.BytesIO(entries), dtype=dtype, ndmin=1, comments=None)
     except ValueError as exc:
         raise MatrixFormatError(f"malformed entry line: {exc}") from exc
+    if data.size != nnz:
+        raise MatrixFormatError(f"expected {nnz} entries, found {data.size}")
     rows, cols, vals = data["i"] - 1, data["j"] - 1, data["re"]
     if fieldq == "complex":
         vals = vals.astype(np.complex128)

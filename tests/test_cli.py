@@ -553,8 +553,8 @@ iteration,shift,measured_error,error_bound
         ["verify", "--matrix", "diag:1,2,3", "--matrix", "lap1d:40", "--alpha", "0.5", "--eps", "1e-6", "--family", "gj1"],
         """\
 matrix,alpha,eps,family,m,error,pass
-"diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341752701186e-08,true
-lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464584215591e-07,true
+"diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341530656859e-08,true
+lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464587791261e-07,true
 """,
         """\
 diag:1,2,3   alpha=0.5  eps=1e-06  gj1  m=7      error=3.407e-08 PASS
@@ -573,7 +573,7 @@ lap1d:40     alpha=0.5  eps=1e-06  gj1  m=48     error=3.515e-07 PASS
     "eps": 0.0001,
     "family": "gj2",
     "m": 3,
-    "error": 1.2445436519986306e-05,
+    "error": 1.2445436520155465e-05,
     "pass": true
   }
 ]
@@ -588,9 +588,9 @@ diag:1,2,3   alpha=0.2  eps=0.0001 gj2  m=3      error=1.245e-05 PASS
         ["compute", "--matrix", "diag:1,2,3", "--alpha", "0.5", "--eps", "1e-8", "--format", "csv"],
         """\
 y
-0.99999999960742214
+0.99999999960742203
 1.4142135631126389
-1.7320508063396534
+1.7320508063396538
 """,
         "",
         """\

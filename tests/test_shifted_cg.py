@@ -321,6 +321,76 @@ class TestOutOfOrderFreezes:
                 assert tracked == pytest.approx(plain[int(i)], rel=1e-8)
 
 
+class TestWindowEdges:
+    # With the default window the freezes land mid-window (iterations 10, 13,
+    # 27, 82, 133 and 200); the caps stop the solve just before, at and just
+    # after a window's end, and inside the third window.  Request index 3 is
+    # trivially done.
+    SHIFTS = np.array([0.003, 0.03, 0.1, 0.4, 1.5, 6.0, 25.0])
+    THRESHOLDS = np.array([1e-9, 1e-9, 1e-10, np.inf, 1e-12, 1e-10, 1e-13])
+    S = fracpow.shifted_cg._BLOCK
+    CAPS = [None, S - 1, S, S + 1, 2 * S + 3]
+
+    @pytest.fixture
+    def problem(self, rng):
+        return build_laplacian_1d(200), rng.standard_normal(200)
+
+    def solve(self, A, b, cap, **kwargs):
+        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap)
+        return shifted_cg_solve(A, b, req, **kwargs)
+
+    def test_freezes_land_mid_window(self, problem):
+        _, rep = self.solve(*problem, None)
+        used = rep.iterations_used
+        assert rep.all_converged
+        assert np.count_nonzero(used % self.S) >= 4
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_reported_residual_is_the_returned_rows(self, problem, cap):
+        A, b = problem
+        X, rep = self.solve(A, b, cap)
+        for k, sigma in enumerate(self.SHIFTS):
+            assert rep.final_residual_norms[k] == np.linalg.norm(b - sigma * X[k] - A.matvec(X[k]))
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_rows_match_plain_cg(self, problem, cap):
+        A, b = problem
+        X, rep = self.solve(A, b, cap)
+        for k, sigma in enumerate(self.SHIFTS):
+            if rep.iterations_used[k] == 0:
+                np.testing.assert_array_equal(X[k], 0.0)
+                continue
+            x, iterations, _ = single_shift_cg(
+                A, b, sigma, tol=1e-300, max_iterations=rep.iterations_used[k]
+            )
+            assert iterations == rep.iterations_used[k]
+            assert np.linalg.norm(X[k] - x) <= 1e-8 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_window_length_keeps_decisions(self, problem, cap, block, monkeypatch):
+        A, b = problem
+        _, rep = self.solve(A, b, cap)
+        monkeypatch.setattr(fracpow.shifted_cg, "_BLOCK", block)
+        _, rep_b = self.solve(A, b, cap)
+        np.testing.assert_array_equal(rep_b.iterations_used, rep.iterations_used)
+        np.testing.assert_array_equal(rep_b.converged, rep.converged)
+        assert rep_b.verification_matvecs == rep.verification_matvecs
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_callback_leaves_solve_unchanged(self, problem, cap):
+        # The callback's iterates are formed from copies; the solve itself
+        # must not depend on whether anyone looks.
+        A, b = problem
+        X, rep = self.solve(A, b, cap)
+        X_cb, rep_cb = self.solve(A, b, cap, callback=lambda *args: None)
+        np.testing.assert_array_equal(X_cb, X)
+        for field in dataclasses.fields(ShiftedSolveReport):
+            np.testing.assert_array_equal(
+                getattr(rep_cb, field.name), getattr(rep, field.name), err_msg=field.name
+            )
+
+
 class TestFreezeDecisions:
     # Per-node stopping iterations, flags and verification counts of the
     # solves that fracpow_action makes on lap2d:32x32 with b = ones; a
@@ -412,7 +482,8 @@ class TestFusedUpdate:
         assert rep_p.total_matvecs == rep.total_matvecs
 
     def test_solve_holds_two_blocks(self, monkeypatch):
-        # X and P, one update tile and a few n-vectors; the solutions reuse P.
+        # X and P, one update tile, the residual window and a few n-vectors;
+        # the solutions reuse P.
         A = build_laplacian_2d(100, 100)
         h = np.pi / (2 * 101)  # the exact extreme eigenvalues of this Laplacian
         bounds = SpectralBounds(8 * np.sin(h) ** 2, 8 * np.cos(h) ** 2)
@@ -431,7 +502,10 @@ class TestFusedUpdate:
         fracpow_action(A, np.ones(A.n), 0.2, ErrorBudget(1e-9), "gj2", bounds=bounds)
         [(m, peak)] = peaks
         n = A.n
-        assert peak <= 2 * m * n * 8 + 8 * fracpow.shifted_cg._TILE + 16 * n * 8
+        assert peak <= (
+            2 * m * n * 8 + 8 * fracpow.shifted_cg._TILE + fracpow.shifted_cg._BLOCK * n * 8
+            + 16 * n * 8
+        )
 
 
 class TestBreakdown:
