@@ -35,13 +35,17 @@ provided:
 The scalar transfer function ``Q(lambda) = sum_k omega_k lambda/(sigma_k +
 lambda)`` approximates ``lambda^alpha``.  :func:`select_node_count` probes it
 on a spectral interval and returns a rule of ``m`` nodes that meets the
-budget there while ``m - 1`` nodes do not.
+budget there while ``m - 1`` nodes do not.  For ``gj1`` and ``gj2`` it first
+prices the probe error of every ``m`` by a continued-fraction recurrence on
+the Jacobi matrix, which needs no node, and then builds only the rules that
+confirm the priced count; ``de`` searches on built rules alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +73,9 @@ _EXP_CAP = 690.0
 # end moves outward in _DE_STEP increments until the integrand is small.
 _DE_HALFWIDTH = 3.0
 _DE_STEP = 0.5
+
+# Node counts in the first chunk of the priced walk; each later chunk doubles.
+_PRICE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -148,16 +155,19 @@ def _jacobi_recurrence(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
 
 
 def _recurrence_pass(
-    s: np.ndarray, d: np.ndarray, e: np.ndarray, p0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s: np.ndarray, d: np.ndarray, e: np.ndarray, p0: float, *, christoffel: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Run the orthonormal recurrence and its derivative once at the points s.
 
-    Returns the Newton step ``-p_m(s) / p_m'(s)``, the Christoffel sum
-    ``K(s) = sum_{j<m} p_j(s)^2`` and ``K'(s) / 2``, all in O(m) memory.
+    Returns the Newton step ``-p_m(s) / p_m'(s)`` and, with ``christoffel``,
+    the Christoffel sum ``K(s) = sum_{j<m} p_j(s)^2`` and ``K'(s) / 2``
+    (otherwise ``None`` twice), all in O(m) memory.
     """
     p_prev, p = np.zeros_like(s), np.full_like(s, p0)
     dp_prev, dp = np.zeros_like(s), np.zeros_like(s)
-    k, half_dk = p * p, np.zeros_like(s)
+    k = half_dk = None
+    if christoffel:
+        k, half_dk = p * p, np.zeros_like(s)
     e_prev = 0.0
     for j in range(d.size):
         x = s - d[j]
@@ -167,8 +177,9 @@ def _recurrence_pass(
             break
         p_next /= e[j]
         dp_next /= e[j]
-        k += p_next * p_next
-        half_dk += p_next * dp_next
+        if christoffel:
+            k += p_next * p_next
+            half_dk += p_next * dp_next
         p_prev, p, dp_prev, dp, e_prev = p, p_next, dp, dp_next, e[j]
     # p_m is only needed up to scale, so its 1 / e_m normalisation is skipped.
     return -p_next / dp_next, k, half_dk
@@ -201,7 +212,7 @@ def gauss_jacobi_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     p0 = 1.0 / math.sqrt(mu0)
     nodes = eigh_tridiagonal(d, e, eigvals_only=True)
     nodes = nodes + _recurrence_pass(nodes, d, e, p0)[0]
-    delta, k, half_dk = _recurrence_pass(nodes, d, e, p0)
+    delta, k, half_dk = _recurrence_pass(nodes, d, e, p0, christoffel=True)
     return nodes + delta, 1.0 / (k + 2.0 * half_dk * delta)
 
 
@@ -323,6 +334,62 @@ def probe_error(rule: ShiftedQuadratureRule, probe_values: np.ndarray) -> float:
     return float(np.max(np.abs(lam**rule.alpha - scalar_apply(rule, lam))))
 
 
+def _priced_errors(
+    family: str, alpha: float, bounds: SpectralBounds, probe_values: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield, chunk by chunk, the ``gj1``/``gj2`` probe errors of ``m = 1, 2, ...``.
+
+    A Gauss rule applied to the Cayley-mapped resolvent is a convergent of
+    the Jacobi matrix's continued fraction, so no node is computed.  With
+    ``c`` the family's scale and ``x = lam / c``, the m-node rule gives
+    ``Q_m(lam) = c^alpha C mu_0 x g_m(x)``, where ``C = 2 sin(alpha pi) / pi``,
+    ``g_m = [((1 + x) I + (x - 1) J_m)^(-1)]_11`` for the order-m Jacobi
+    matrix ``J_m`` of exponents ``(alpha - 1, -alpha)`` (Golub-Welsch:
+    ``w_k = mu_0 v_1k^2``), and ``C mu_0 = 2`` because
+    ``mu_0 = B(alpha, 1 - alpha) = pi / sin(alpha pi)``.  That matrix is SPD
+    for ``x > 0``; its diagonal is ``a_k = (1 + x) + (x - 1) d_k`` and its
+    off-diagonal ``b_k = (x - 1) e_k``.  With its LDL^T pivots
+    ``u_1 = a_1``, ``u_(k+1) = a_(k+1) - b_k^2 / u_k``, each node adds one
+    term: ``g_(m+1) = g_m + rho_m / u_(m+1)`` with
+    ``rho_m = prod_(j<=m) (b_j / u_j)^2``, so each ``m`` costs O(probes).
+    The terms are positive, so ``Q_m`` rises to ``lam^alpha`` and the error
+    falls with ``m`` down to a rounding floor.  The walk ends at
+    ``NODE_COUNT_CAP``.
+    """
+    c = 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    x = probe_values / c
+    scale = 2.0 * c**alpha * x
+    target = probe_values**alpha
+    u, g, rho, b2 = np.ones_like(x), np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    lo, hi = 0, _PRICE_CHUNK
+    while lo < NODE_COUNT_CAP:
+        hi = min(hi, NODE_COUNT_CAP)
+        d, e = _jacobi_recurrence(hi + 1, alpha - 1.0, -alpha)
+        diag = (1.0 + x) + np.multiply.outer(d[lo:hi], x - 1.0)
+        off2 = np.multiply.outer(e[lo:hi], x - 1.0) ** 2
+        g_rows = np.empty_like(diag)
+        for i in range(hi - lo):
+            u = diag[i] - b2 / u
+            g = g_rows[i] = g + rho / u
+            b2 = off2[i]
+            rho = rho * b2 / (u * u)
+        yield np.max(np.abs(target - scale * g_rows), axis=1)
+        lo, hi = hi, 2 * hi
+
+
+def _priced_node_count(
+    family: str, alpha: float, bounds: SpectralBounds, probe: ProbeSpec
+) -> int | None:
+    """The first ``m`` whose priced probe error meets the budget, if any up to the cap."""
+    m = 1
+    for errors in _priced_errors(family, alpha, bounds, probe.probe_values):
+        passing = np.flatnonzero(errors <= probe.budget)
+        if passing.size:
+            return m + int(passing[0])
+        m += errors.size
+    return None
+
+
 def select_node_count(
     family: str,
     alpha: float,
@@ -341,15 +408,29 @@ def select_node_count(
     this is the smallest passing count.  The ``de`` error is not monotone in
     ``m``, so a smaller passing count may lie below a failing one.
 
-    The search models ``log err`` as linear in ``m``.  It starts at
-    ``m = 4``.  While every attempt fails, it steps to the count where the
-    line through the last two failures meets the budget, clamped to
-    ``[ceil(1.25 m), 2 m]``.  It doubles when there is no such line: a
-    single failure, or an error that is zero, NaN or not falling.  Once an
-    attempt passes, it interpolates ``log err`` between the failing ``lo``
-    and the passing ``hi``, clamped to ``[lo + 1, hi - 1]``.  It bisects
-    after an interpolated step that did not halve the bracket, and whenever
-    the logarithms are undefined.
+    ``gj1`` and ``gj2`` are Gauss rules, so their probe error at every
+    ``m`` is first priced by one O(m) continued-fraction recurrence without
+    a node (see :func:`_priced_errors`).  The search starts at the first
+    priced count ``m*`` that meets the budget and confirms it on built
+    rules.  If ``m*`` passes, it tries ``m* - 1``, ``m* - 3``,
+    ``m* - 7``, ... until one fails.  If ``m*`` fails, it tries
+    ``m* + 1``, ``m* + 3``, ... until one passes.  Pricing only picks
+    where to start: every decision is still a built rule's probe error.
+    Priced and built errors agree to several digits above the rounding
+    floor, so this usually builds two rules, ``m*`` and a neighbour.
+
+    Otherwise (``de``, or no priced count up to ``NODE_COUNT_CAP``, which
+    happens near the rounding floor) the search models ``log err`` as
+    linear in ``m``.  It starts at ``m = 4``.  While every attempt fails,
+    it steps to the count where the line through the last two failures
+    meets the budget, clamped to ``[ceil(1.25 m), 2 m]``.  It doubles when
+    there is no such line: a single failure, or an error that is zero, NaN
+    or not falling.
+
+    Once a failing ``lo`` and a passing ``hi`` bracket the count, it
+    interpolates ``log err`` between them, clamped to ``[lo + 1, hi - 1]``.
+    It bisects after an interpolated step that did not halve the bracket,
+    and whenever the logarithms are undefined.
 
     :class:`BudgetUnreachableError` is raised when ``NODE_COUNT_CAP``
     fails: the budget then lies below the family's rounding floor or beyond
@@ -377,13 +458,16 @@ def select_node_count(
     def log_attempts() -> None:
         pairs = " ".join(f"({m}, {err:.3e})" for m, err in tried)
         logger.debug(
-            "select_node_count %s budget=%.3e builds=%d tried %s",
-            family, probe.budget, len(tried), pairs,
+            "select_node_count %s budget=%.3e priced=%s builds=%d tried %s",
+            family, probe.budget, priced, len(tried), pairs,
         )
 
-    # A NaN error leaves no line to fit, so the first step doubles.
+    # de is not a Gauss rule, so only gj1 and gj2 are priced.
+    priced = None if family == "de" else _priced_node_count(family, alpha, bounds, probe)
+    # A NaN error leaves no line to fit, so the first model-guided step doubles.
     lo, lo_err = 0, math.nan
-    m = min(4, NODE_COUNT_CAP)
+    m = min(4, NODE_COUNT_CAP) if priced is None else priced
+    step = 1
     while True:
         rule, err = attempt(m)
         if err <= probe.budget:
@@ -398,10 +482,24 @@ def select_node_count(
                 f"{probe.budget:.3e} (last error {err:.3e} at m = {m}, "
                 f"smallest {smallest[0]:.3e} at m = {smallest[1]})"
             )
-        target = crossing(lo, lo_err, m, err)
+        if priced is None:
+            target = crossing(lo, lo_err, m, err)
+            grow = 2 * m if target is None else min(max(target, 1.25 * m), 2 * m)
+        else:
+            grow, step = priced + step, 2 * step + 1
         lo, lo_err = m, err
-        step = 2 * m if target is None else min(max(target, 1.25 * m), 2 * m)
-        m = min(math.ceil(step), NODE_COUNT_CAP)
+        m = min(math.ceil(grow), NODE_COUNT_CAP)
+
+    if hi == priced:
+        # The priced count passed at once: gallop down until a rule fails.
+        while hi > 1:
+            m = max(priced - step, 1)
+            rule, err = attempt(m)
+            if not err <= probe.budget:
+                lo, lo_err = m, err
+                break
+            best, hi, hi_err = rule, m, err
+            step = 2 * step + 1
 
     bisect = False
     while hi - lo > 1:

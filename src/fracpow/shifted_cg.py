@@ -20,7 +20,8 @@ iteration cap.  Converged flags are consequently always backed by an explicit
 residual, never by the collinearity estimate alone.
 
 The solver keeps the active shifts as a leading contiguous block of its
-per-shift arrays: a shift that stops swaps rows with the last active one.
+per-shift arrays: once every candidate of a joint iteration is checked, the
+shifts that stopped trade rows with continuing ones at the end of the block.
 The seed and collinearity recurrences never read the iterates, so the
 iterates and search directions are updated lazily over a window of
 ``_BLOCK`` joint iterations.  Inside a window that starts at ``X0``, ``P0``,
@@ -294,11 +295,10 @@ def shifted_cg_solve(
         t += 1
 
         tracked = znext * rnorm
-        # Verify from the last candidate down: a stopped row swaps with row
-        # na - 1, which is then either already checked or not a candidate.
         # ~(>) keeps a NaN estimate a candidate.
         candidates = np.flatnonzero(~(tracked > work_thresholds[:na] * check_scale[:na]))
-        for pos in candidates[::-1]:
+        stopped = np.zeros(na, dtype=bool)
+        for pos in candidates:
             k = order[pos]
             threshold = work_thresholds[pos]
             x = iterate(pos)
@@ -318,9 +318,16 @@ def shifted_cg_solve(
             X[pos] = x
             final_res[k] = explicit
             iterations_used[k] = iterations
-            na -= 1
+            stopped[pos] = True
+        if stopped.any():
+            # Stopped rows below the new na trade places with continuing rows
+            # at or above it, in one fancy-indexed swap per array.
+            na -= int(np.count_nonzero(stopped))
+            low = np.flatnonzero(stopped[:na])
+            high = na + np.flatnonzero(~stopped[na:])
+            swap, into = np.concatenate([low, high]), np.concatenate([high, low])
             for arr in rows:
-                arr[[pos, na]] = arr[[na, pos]]
+                arr[swap] = arr[into]
 
         if callback is not None:
             solutions = _in_request_order(X, order)

@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import beta as beta_function
 from scipy.special import roots_jacobi
 
 import fracpow.quadrature as quadrature
@@ -85,6 +86,48 @@ class TestGaussJacobiNodes:
             )
             np.testing.assert_allclose(weights, ref_weights, rtol=1e-11, err_msg=driver)
             assert np.sum(np.abs(weights - ref_weights)) <= 1e-13 * np.sum(ref_weights), driver
+
+
+    @pytest.mark.parametrize("m", [2, 40, 400, 1814])
+    def test_newton_step_pass_leaves_rule_unchanged(self, m):
+        a, b = 0.2 - 1.0, -0.2
+        nodes, weights = gauss_jacobi_nodes(m, a, b)
+        ref_nodes, ref_weights = two_full_passes(m, a, b)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(weights, ref_weights)
+
+
+def two_full_passes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights with both recurrence passes summing K and K'.
+
+    Reference for the rule builder, whose first pass takes the Newton step
+    alone: the step does not read the sums, so the rules must be equal.
+    """
+    mu0 = 2.0 ** (a + b + 1.0) * beta_function(a + 1.0, b + 1.0)
+    d, e = quadrature._jacobi_recurrence(m, a, b)
+
+    def full_pass(s):
+        p_prev, p = np.zeros_like(s), np.full_like(s, 1.0 / math.sqrt(mu0))
+        dp_prev, dp = np.zeros_like(s), np.zeros_like(s)
+        k, half_dk = p * p, np.zeros_like(s)
+        e_prev = 0.0
+        for j in range(m):
+            x = s - d[j]
+            p_next = x * p - e_prev * p_prev
+            dp_next = x * dp + p - e_prev * dp_prev
+            if j == m - 1:
+                break
+            p_next /= e[j]
+            dp_next /= e[j]
+            k += p_next * p_next
+            half_dk += p_next * dp_next
+            p_prev, p, dp_prev, dp, e_prev = p, p_next, dp, dp_next, e[j]
+        return -p_next / dp_next, k, half_dk
+
+    nodes = eigh_tridiagonal(d, e, eigvals_only=True)
+    nodes = nodes + full_pass(nodes)[0]
+    delta, k, half_dk = full_pass(nodes)
+    return nodes + delta, 1.0 / (k + 2.0 * half_dk * delta)
 
 
 class TestRuleType:
@@ -264,6 +307,8 @@ def search_on_errors(monkeypatch, error_of_m) -> tuple[int, list[int]]:
 
     monkeypatch.setattr(quadrature, "build_rule", fake_build)
     monkeypatch.setattr(quadrature, "probe_error", fake_probe_error)
+    # No priced start, so the synthetic errors drive the model-guided path.
+    monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
     probe = ProbeSpec(np.array([1.0]), SYNTHETIC_BUDGET)
     try:
         m = select_node_count("gj1", 0.5, SpectralBounds(0.1, 10.0), probe).m
@@ -393,6 +438,123 @@ class TestSelectNodeCount:
     def test_synthetic_unreachable_raises_at_cap(self, monkeypatch, error):
         with pytest.raises(BudgetUnreachableError, match=r"with m <= 16384 .* at m = 16384,"):
             search_on_errors(monkeypatch, error)
+
+def count_builds(monkeypatch) -> list[int]:
+    """Record the node count of every rule the search builds."""
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args[2])
+        return build_rule(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "build_rule", counting_build)
+    return built
+
+
+def priced_errors(family, alpha, bounds, values, m_max) -> np.ndarray:
+    errors = []
+    for chunk in quadrature._priced_errors(family, alpha, bounds, values):
+        errors.extend(chunk)
+        if len(errors) >= m_max:
+            break
+    return np.array(errors[:m_max])
+
+
+def rounding_floor(alpha: float, bounds: SpectralBounds) -> float:
+    return 1e3 * np.finfo(float).eps * bounds.lambda_hi**alpha
+
+
+class TestPricedSearch:
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("family", ["gj1", "gj2"])
+    @pytest.mark.parametrize("spec", sorted(GRID_BOUNDS))
+    def test_priced_error_matches_built_rule(self, spec, family, alpha):
+        bounds, _ = GRID_BOUNDS[spec]
+        values = probe_values_from_bounds(bounds)
+        ms = (1, 4, 16, 64, 256, 1024, 1814)
+        priced = priced_errors(family, alpha, bounds, values, max(ms))
+        checked = 0
+        for m in ms:
+            built = probe_error(build_rule(family, alpha, m, bounds), values)
+            if built < rounding_floor(alpha, bounds):
+                continue
+            rtol = 1e-6 if built >= 1e-8 else 0.05
+            assert priced[m - 1] == pytest.approx(built, rel=rtol), m
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("family", ["gj1", "gj2"])
+    @pytest.mark.parametrize("spec", sorted(GRID_BOUNDS))
+    def test_priced_error_falls_to_rounding_floor(self, spec, family, alpha):
+        bounds, _ = GRID_BOUNDS[spec]
+        priced = priced_errors(family, alpha, bounds, probe_values_from_bounds(bounds), 2048)
+        at_floor = np.flatnonzero(priced <= rounding_floor(alpha, bounds))
+        stop = at_floor[0] + 1 if at_floor.size else priced.size
+        assert np.all(np.diff(priced[:stop]) <= 0.0)
+
+    @pytest.mark.parametrize("spec,family", sorted(GJ_GRID_COUNTS))
+    def test_every_gj_grid_cell_takes_two_builds(self, monkeypatch, spec, family):
+        built = count_builds(monkeypatch)
+        for (alpha, eps), expected in zip(GRID_CELLS, GJ_GRID_COUNTS[spec, family]):
+            built.clear()
+            bounds, probe = grid_probe(spec, alpha, eps)
+            assert select_node_count(family, alpha, bounds, probe).m == expected
+            assert sorted(built) == [expected - 1, expected], (alpha, eps)
+
+    @pytest.mark.parametrize("offset", [-40, -5, -1, 1, 5, 40])
+    @pytest.mark.parametrize(
+        "spec,family,cell", [("lap1d:1000", "gj2", 2), ("lap2d:32x32", "gj1", 2)]
+    )
+    def test_confirm_from_a_wrong_start(self, monkeypatch, spec, family, cell, offset):
+        alpha, eps = GRID_CELLS[cell]
+        expected = GJ_GRID_COUNTS[spec, family][cell]
+        monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: expected + offset)
+        built = count_builds(monkeypatch)
+        bounds, probe = grid_probe(spec, alpha, eps)
+        m = select_node_count(family, alpha, bounds, probe).m
+        assert m == expected
+        assert passes(family, alpha, m, bounds, probe)
+        assert not passes(family, alpha, m - 1, bounds, probe)
+        assert built[0] == expected + offset
+        assert len(built) <= 2 * math.ceil(math.log2(abs(offset) + 1)) + 2
+
+    def test_no_priced_start_takes_model_guided_path(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
+        built = count_builds(monkeypatch)
+        bounds, probe = grid_probe("lap2d:32x32", 0.2, 1e-3)
+        assert select_node_count("gj2", 0.2, bounds, probe).m == 14
+        assert built == [4, 8, 14, 13]
+
+    def test_unpriceable_budget_raises_after_model_guided_builds(self, monkeypatch):
+        # test_cap_raises' budget lies below what any rule up to the cap
+        # reaches, so pricing finds no start and the search grows from 4.
+        monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
+        bounds = SpectralBounds(1e-6, 1e6)
+        probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
+        assert quadrature._priced_node_count("gj1", 0.5, bounds, probe) is None
+        built = count_builds(monkeypatch)
+        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* smallest .* at m = \d+"):
+            select_node_count("gj1", 0.5, bounds, probe)
+        assert built[0] == 4 and built[-1] == 64
+
+    def test_failing_priced_start_gallops_up_to_cap_and_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
+        monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: 60)
+        built = count_builds(monkeypatch)
+        bounds = SpectralBounds(1e-6, 1e6)
+        probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
+        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* at m = 64, smallest"):
+            select_node_count("gj1", 0.5, bounds, probe)
+        assert built == [60, 61, 63, 64]
+
+    def test_debug_line_names_priced_start(self, caplog):
+        bounds, probe = grid_probe("lap2d:32x32", 0.5, 1e-3)
+        with caplog.at_level(logging.DEBUG, logger=quadrature.__name__):
+            select_node_count("gj2", 0.5, bounds, probe)
+        (record,) = [r for r in caplog.records if "builds=" in r.getMessage()]
+        assert "priced=15 builds=2 " in record.getMessage()
+
 
 class TestScalarApply:
     def test_broadcasts(self):
