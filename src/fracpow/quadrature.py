@@ -38,7 +38,7 @@ on a spectral interval and returns a rule of ``m`` nodes that meets the
 budget there while ``m - 1`` nodes do not.  For ``gj1`` and ``gj2`` it first
 prices the probe error of every ``m`` by a continued-fraction recurrence on
 the Jacobi matrix, which needs no node, and then builds only the rules that
-confirm the priced count; ``de`` searches on built rules alone.
+confirm the priced count; ``de`` doubles from 4 and bisects on built rules.
 """
 
 from __future__ import annotations
@@ -273,6 +273,11 @@ def _build_de(
     return sigma, omega
 
 
+def _gj_scale(family: str, bounds: SpectralBounds | None) -> float:
+    """The scale ``c`` of ``A / c``: ``sqrt(lambda_lo lambda_hi)`` for ``gj2``, 1 for ``gj1``."""
+    return 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+
+
 def build_rule(
     family: str,
     alpha: float,
@@ -302,8 +307,7 @@ def build_rule(
         return ShiftedQuadratureRule(alpha, family, sigma, omega)
     if family == "gj2" and bounds is None:
         raise ValueError("gj2 needs spectral bounds for its scaling")
-    # gj2 is gj1 applied to A / c; for gj1, c = 1 and the scaling is exact.
-    c = 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    c = _gj_scale(family, bounds)
     s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
     sigma = c * ((1.0 - s) / (1.0 + s))
     omega = c**alpha * ((2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s))
@@ -356,7 +360,7 @@ def _priced_errors(
     falls with ``m`` down to a rounding floor.  The walk ends at
     ``NODE_COUNT_CAP``.
     """
-    c = 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    c = _gj_scale(family, bounds)
     x = probe_values / c
     scale = 2.0 * c**alpha * x
     target = probe_values**alpha
@@ -408,29 +412,21 @@ def select_node_count(
     this is the smallest passing count.  The ``de`` error is not monotone in
     ``m``, so a smaller passing count may lie below a failing one.
 
-    ``gj1`` and ``gj2`` are Gauss rules, so their probe error at every
-    ``m`` is first priced by one O(m) continued-fraction recurrence without
-    a node (see :func:`_priced_errors`).  The search starts at the first
-    priced count ``m*`` that meets the budget and confirms it on built
-    rules.  If ``m*`` passes, it tries ``m* - 1``, ``m* - 3``,
-    ``m* - 7``, ... until one fails.  If ``m*`` fails, it tries
-    ``m* + 1``, ``m* + 3``, ... until one passes.  Pricing only picks
-    where to start: every decision is still a built rule's probe error.
-    Priced and built errors agree to several digits above the rounding
-    floor, so this usually builds two rules, ``m*`` and a neighbour.
-
-    Otherwise (``de``, or no priced count up to ``NODE_COUNT_CAP``, which
-    happens near the rounding floor) the search models ``log err`` as
-    linear in ``m``.  It starts at ``m = 4``.  While every attempt fails,
-    it steps to the count where the line through the last two failures
-    meets the budget, clamped to ``[ceil(1.25 m), 2 m]``.  It doubles when
-    there is no such line: a single failure, or an error that is zero, NaN
-    or not falling.
-
-    Once a failing ``lo`` and a passing ``hi`` bracket the count, it
-    interpolates ``log err`` between them, clamped to ``[lo + 1, hi - 1]``.
-    It bisects after an interpolated step that did not halve the bracket,
-    and whenever the logarithms are undefined.
+    The search is one loop.  It starts at ``m0`` and steps ``u``, ``3 u``,
+    ``7 u``, ... nodes away from it, ``m0 +- u (2^k - 1)`` within
+    ``[1, NODE_COUNT_CAP]``: down while the rules pass, up while they fail.
+    Once the outcome flips, it bisects the bracket between the largest
+    failing and the smallest passing count.  ``gj1`` and ``gj2`` are Gauss
+    rules, so their probe error at every ``m`` is first priced by one O(m)
+    continued-fraction recurrence without a node (see
+    :func:`_priced_errors`), and the search starts at the first priced count
+    ``m*`` that meets the budget, with ``u = 1``.  Pricing only picks where to
+    start: every decision is still a built rule's probe error.  Priced and
+    built errors agree to several digits above the rounding floor, so this
+    usually builds two rules, ``m*`` and a neighbour.  Otherwise (``de``, or
+    no priced count up to ``NODE_COUNT_CAP``, which happens near the
+    rounding floor) ``m0 = u = 4``, so the search doubles from 4 and then
+    bisects.
 
     :class:`BudgetUnreachableError` is raised when ``NODE_COUNT_CAP``
     fails: the budget then lies below the family's rounding floor or beyond
@@ -442,19 +438,6 @@ def select_node_count(
         return build_rule(family, alpha, 1, bounds)
     tried: list[tuple[int, float]] = []
 
-    def attempt(m: int) -> tuple[ShiftedQuadratureRule, float]:
-        rule = build_rule(family, alpha, m, bounds, truncation_budget=probe.budget)
-        err = probe_error(rule, probe.probe_values)
-        tried.append((m, err))
-        return rule, err
-
-    def crossing(m0: int, e0: float, m1: int, e1: float) -> float | None:
-        """Where the line through ``(m, log e)`` at m0 and m1 meets the budget."""
-        if not (0.0 < e1 < e0 < math.inf and math.log(e1) < math.log(e0)):
-            return None
-        slope = (math.log(e1) - math.log(e0)) / (m1 - m0)
-        return m1 + (math.log(probe.budget) - math.log(e1)) / slope
-
     def log_attempts() -> None:
         pairs = " ".join(f"({m}, {err:.3e})" for m, err in tried)
         logger.debug(
@@ -464,16 +447,16 @@ def select_node_count(
 
     # de is not a Gauss rule, so only gj1 and gj2 are priced.
     priced = None if family == "de" else _priced_node_count(family, alpha, bounds, probe)
-    # A NaN error leaves no line to fit, so the first model-guided step doubles.
-    lo, lo_err = 0, math.nan
-    m = min(4, NODE_COUNT_CAP) if priced is None else priced
-    step = 1
-    while True:
-        rule, err = attempt(m)
+    m0, u = (min(4, NODE_COUNT_CAP), 4) if priced is None else (priced, 1)
+    # lo fails and hi passes; 0 and NODE_COUNT_CAP + 1 stand for "none yet".
+    lo, hi, reach, m = 0, NODE_COUNT_CAP + 1, 0, m0
+    while hi - lo > 1:
+        rule = build_rule(family, alpha, m, bounds, truncation_budget=probe.budget)
+        err = probe_error(rule, probe.probe_values)
+        tried.append((m, err))
         if err <= probe.budget:
-            best, hi, hi_err = rule, m, err
-            break
-        if m >= NODE_COUNT_CAP:
+            best, hi = rule, m
+        elif m >= NODE_COUNT_CAP:
             log_attempts()
             finite = [(e, k) for k, e in tried if e < math.inf]
             smallest = min(finite, default=(math.inf, tried[0][0]))
@@ -482,39 +465,13 @@ def select_node_count(
                 f"{probe.budget:.3e} (last error {err:.3e} at m = {m}, "
                 f"smallest {smallest[0]:.3e} at m = {smallest[1]})"
             )
-        if priced is None:
-            target = crossing(lo, lo_err, m, err)
-            grow = 2 * m if target is None else min(max(target, 1.25 * m), 2 * m)
         else:
-            grow, step = priced + step, 2 * step + 1
-        lo, lo_err = m, err
-        m = min(math.ceil(grow), NODE_COUNT_CAP)
-
-    if hi == priced:
-        # The priced count passed at once: gallop down until a rule fails.
-        while hi > 1:
-            m = max(priced - step, 1)
-            rule, err = attempt(m)
-            if not err <= probe.budget:
-                lo, lo_err = m, err
-                break
-            best, hi, hi_err = rule, m, err
-            step = 2 * step + 1
-
-    bisect = False
-    while hi - lo > 1:
-        width = hi - lo
-        target = None if bisect else crossing(lo, lo_err, hi, hi_err)
-        if target is None:
+            lo = m
+        if lo and hi <= NODE_COUNT_CAP:
             m = (lo + hi) // 2
         else:
-            m = min(max(math.ceil(target), lo + 1), hi - 1)
-        rule, err = attempt(m)
-        if err <= probe.budget:
-            best, hi, hi_err = rule, m, err
-        else:
-            lo, lo_err = m, err
-        bisect = target is not None and 2 * (hi - lo) > width
+            reach = 2 * reach + u
+            m = max(m0 - reach, 1) if lo == 0 else min(m0 + reach, NODE_COUNT_CAP)
     log_attempts()
     logger.info("selected %s rule with m = %d nodes", family, best.m)
     return best

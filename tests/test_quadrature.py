@@ -272,9 +272,15 @@ GJ_GRID_COUNTS = {
     ("lap2d:32x32", "gj1"): (20, 33, 45, 19, 31, 44),
     ("lap2d:32x32", "gj2"): (14, 21, 29, 15, 23, 31),
 }
-# Growth from 4 by at least 1.25x reaches 2**14 within 39 attempts, and the
-# bracket then closes within 2 log2(2**14) = 28 more.
-ATTEMPT_CEILING = 67
+# de node counts on the same cells: the search doubles from 4 and bisects, and
+# the de error is not monotone in m, so these pin where that search lands.
+DE_GRID_COUNTS = {
+    "lap1d:1000": (58, 97, 143, 28, 54, 97),
+    "lap2d:32x32": (59, 92, 136, 28, 41, 65),
+}
+# Doubling from 4 reaches 2**14 within 13 attempts, and bisecting the bracket
+# it leaves then takes at most 14 more.
+ATTEMPT_CEILING = 27
 SYNTHETIC_BUDGET = 1e-8
 
 
@@ -307,7 +313,7 @@ def search_on_errors(monkeypatch, error_of_m) -> tuple[int, list[int]]:
 
     monkeypatch.setattr(quadrature, "build_rule", fake_build)
     monkeypatch.setattr(quadrature, "probe_error", fake_probe_error)
-    # No priced start, so the synthetic errors drive the model-guided path.
+    # No priced start, so the synthetic errors drive the search from m = 4.
     monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
     probe = ProbeSpec(np.array([1.0]), SYNTHETIC_BUDGET)
     try:
@@ -388,6 +394,19 @@ class TestSelectNodeCount:
         got = tuple(grid_selection(spec, family, alpha, eps) for alpha, eps in GRID_CELLS)
         assert got == GJ_GRID_COUNTS[spec, family]
 
+    @pytest.mark.parametrize("spec", sorted(DE_GRID_COUNTS))
+    def test_de_grid_counts_unchanged(self, spec):
+        got = tuple(grid_selection(spec, "de", alpha, eps) for alpha, eps in GRID_CELLS)
+        assert got == DE_GRID_COUNTS[spec]
+
+    def test_de_search_doubles_then_bisects(self, monkeypatch):
+        # m = 143 and 144 pass, 145 to 149 fail and 150 passes: bisection
+        # lands on the passing window below the failing bump.
+        built = count_builds(monkeypatch)
+        bounds, probe = grid_probe("lap1d:1000", 0.2, 1e-9)
+        assert select_node_count("de", 0.2, bounds, probe).m == 143
+        assert built == [4, 8, 16, 32, 64, 128, 256, 192, 160, 144, 136, 140, 142, 143]
+
     def test_largest_gj1_grid_cell_takes_at_most_13_builds(self, monkeypatch):
         # Doubling from 4 and then bisecting took 20 builds here.
         built = []
@@ -412,7 +431,8 @@ class TestSelectNodeCount:
     def test_geometric_error_sequence(self, monkeypatch):
         m, attempts = search_on_errors(monkeypatch, lambda m: 0.9**m)
         assert m == math.ceil(math.log(SYNTHETIC_BUDGET) / math.log(0.9))
-        assert len(attempts) <= 8
+        # Doubling from 4 past m, then bisecting the last doubling's bracket.
+        assert len(attempts) <= 2 * math.ceil(math.log2(m / 4)) + 2
 
     @pytest.mark.parametrize(
         "error",
@@ -519,12 +539,12 @@ class TestPricedSearch:
         assert built[0] == expected + offset
         assert len(built) <= 2 * math.ceil(math.log2(abs(offset) + 1)) + 2
 
-    def test_no_priced_start_takes_model_guided_path(self, monkeypatch):
+    def test_no_priced_start_doubles_from_4(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
         built = count_builds(monkeypatch)
         bounds, probe = grid_probe("lap2d:32x32", 0.2, 1e-3)
         assert select_node_count("gj2", 0.2, bounds, probe).m == 14
-        assert built == [4, 8, 14, 13]
+        assert built == [4, 8, 16, 12, 14, 13]
 
     def test_unpriceable_budget_raises_after_model_guided_builds(self, monkeypatch):
         # test_cap_raises' budget lies below what any rule up to the cap
@@ -547,6 +567,16 @@ class TestPricedSearch:
         with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* at m = 64, smallest"):
             select_node_count("gj1", 0.5, bounds, probe)
         assert built == [60, 61, 63, 64]
+
+    def test_failing_priced_start_at_cap_raises_after_one_build(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
+        monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: 64)
+        built = count_builds(monkeypatch)
+        bounds = SpectralBounds(1e-6, 1e6)
+        probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
+        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* at m = 64, smallest"):
+            select_node_count("gj1", 0.5, bounds, probe)
+        assert built == [64]
 
     def test_debug_line_names_priced_start(self, caplog):
         bounds, probe = grid_probe("lap2d:32x32", 0.5, 1e-3)
