@@ -39,10 +39,14 @@ budget there while ``m - 1`` nodes do not.  For ``gj1`` and ``gj2`` it first
 prices the probe error of every ``m`` by a continued-fraction recurrence on
 the Jacobi matrix, which needs no node, and then builds only the rules that
 confirm the priced count; ``de`` doubles from 4 and bisects on built rules.
+A ``gj1``/``gj2`` rule depends on its spectral interval only through the
+scale ``c``, so its Gauss-Jacobi table is built once per process per
+``(m, alpha)`` and reused by every later search and action.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Iterator
@@ -78,6 +82,14 @@ _DE_STEP = 0.5
 _PRICE_CHUNK = 32
 
 
+def _family_name(family: str) -> str:
+    """``family`` in lower case; :class:`ValueError` unless it is one of ``FAMILIES``."""
+    family = str(family).lower()
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return family
+
+
 @dataclass(frozen=True)
 class ShiftedQuadratureRule:
     """Quadrature rule ``sum_k omega_k A (sigma_k I + A)^(-1)`` for ``A^alpha``.
@@ -93,7 +105,7 @@ class ShiftedQuadratureRule:
 
     def __post_init__(self) -> None:
         alpha = float(self.alpha)
-        family = str(self.family).lower()
+        family = _family_name(self.family)
         shifts = np.asarray(self.shifts, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "alpha", alpha)
@@ -102,8 +114,6 @@ class ShiftedQuadratureRule:
         object.__setattr__(self, "weights", weights)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
         if shifts.ndim != 1 or shifts.size == 0 or shifts.shape != weights.shape:
             raise ValueError("shifts and weights must be equal-length non-empty vectors")
         if shifts[0] < 0.0 or np.any(np.diff(shifts) <= 0.0):
@@ -273,6 +283,23 @@ def _build_de(
     return sigma, omega
 
 
+@functools.lru_cache(maxsize=64)
+def _cayley_table(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``gj1`` shifts and weights of ``m`` nodes, ascending in ``s``.
+
+    These are the ``c = 1`` arrays ``(1 - s) / (1 + s)`` and
+    ``(2 sin(alpha pi) / pi) w / (1 + s)`` of the Gauss-Jacobi rule, which
+    depend on ``(m, alpha)`` alone.  Each table is built once per process; the
+    cache holds at most 64 of at most ``2 NODE_COUNT_CAP`` doubles, 16.8 MB.
+    One verify-grid pass uses 45 tables, about 0.25 MB.
+    """
+    s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
+    sigma = (1.0 - s) / (1.0 + s)
+    omega = (2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s)
+    sigma.flags.writeable = omega.flags.writeable = False
+    return sigma, omega
+
+
 def _gj_scale(family: str, bounds: SpectralBounds | None) -> float:
     """The scale ``c`` of ``A / c``: ``sqrt(lambda_lo lambda_hi)`` for ``gj2``, 1 for ``gj1``."""
     return 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
@@ -292,10 +319,12 @@ def build_rule(
     geometric-mean scaling) and ``de`` (for the truncation probes).
     ``truncation_budget`` is the scalar error that the ``de`` window's
     truncation may add; the other families ignore it.
+
+    ``gj1`` and ``gj2`` scale the Gauss-Jacobi table cached per
+    ``(m, alpha)`` by :func:`_cayley_table`, so only a first build computes
+    nodes; every rule is bit-identical to a fresh build and owns its arrays.
     """
-    family = str(family).lower()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    family = _family_name(family)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if m < 1:
@@ -308,11 +337,10 @@ def build_rule(
     if family == "gj2" and bounds is None:
         raise ValueError("gj2 needs spectral bounds for its scaling")
     c = _gj_scale(family, bounds)
-    s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
-    sigma = c * ((1.0 - s) / (1.0 + s))
-    omega = c**alpha * ((2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s))
-    # Gauss nodes come back ascending in s, which is descending in sigma.
-    return ShiftedQuadratureRule(alpha, family, sigma[::-1].copy(), omega[::-1].copy())
+    sigma, omega = _cayley_table(m, float(alpha))
+    # Gauss nodes come back ascending in s, which is descending in sigma; the
+    # products are fresh arrays, so the rule never aliases the cached table.
+    return ShiftedQuadratureRule(alpha, family, c * sigma[::-1], c**alpha * omega[::-1])
 
 
 def scalar_apply(rule: ShiftedQuadratureRule, lam):
@@ -426,7 +454,11 @@ def select_node_count(
     usually builds two rules, ``m*`` and a neighbour.  Otherwise (``de``, or
     no priced count up to ``NODE_COUNT_CAP``, which happens near the
     rounding floor) ``m0 = u = 4``, so the search doubles from 4 and then
-    bisects.
+    bisects.  A ``gj`` build whose table an earlier build cached computes no
+    node; the DEBUG line counts these as ``cached``.
+
+    ``family`` is matched case-insensitively, as in :func:`build_rule`, and
+    an unknown family raises :class:`ValueError` before any pricing.
 
     :class:`BudgetUnreachableError` is raised when ``NODE_COUNT_CAP``
     fails: the budget then lies below the family's rounding floor or beyond
@@ -434,15 +466,18 @@ def select_node_count(
     at a rounding defect in the rule.  The message therefore reports the
     smallest error seen and its ``m``.
     """
+    family = _family_name(family)
     if math.isinf(probe.budget):
         return build_rule(family, alpha, 1, bounds)
     tried: list[tuple[int, float]] = []
+    hits = _cayley_table.cache_info().hits
 
     def log_attempts() -> None:
         pairs = " ".join(f"({m}, {err:.3e})" for m, err in tried)
+        cached = _cayley_table.cache_info().hits - hits
         logger.debug(
-            "select_node_count %s budget=%.3e priced=%s builds=%d tried %s",
-            family, probe.budget, priced, len(tried), pairs,
+            "select_node_count %s budget=%.3e priced=%s builds=%d cached=%d tried %s",
+            family, probe.budget, priced, len(tried), cached, pairs,
         )
 
     # de is not a Gauss rule, so only gj1 and gj2 are priced.

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+import fracpow.quadrature as quadrature
+
+
+@pytest.fixture(autouse=True)
+def fresh_gauss_jacobi_tables():
+    """Start every test without the Gauss-Jacobi tables that earlier tests cached."""
+    quadrature._cayley_table.cache_clear()
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

@@ -586,6 +586,132 @@ class TestPricedSearch:
         assert "priced=15 builds=2 " in record.getMessage()
 
 
+def fresh_gj_rule(family, alpha, m, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts and weights of a ``gj`` rule computed without the table cache."""
+    c = 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    s, w = gauss_jacobi_nodes(m, alpha - 1.0, -alpha)
+    sigma = c * ((1.0 - s) / (1.0 + s))
+    omega = c**alpha * ((2.0 * math.sin(alpha * math.pi) / math.pi) * w / (1.0 + s))
+    return sigma[::-1], omega[::-1]
+
+
+def count_node_computations(monkeypatch) -> list[int]:
+    """Record the node count of every Gauss-Jacobi rule the module computes."""
+    computed = []
+
+    def counting_nodes(m, a, b):
+        computed.append(m)
+        return gauss_jacobi_nodes(m, a, b)
+
+    monkeypatch.setattr(quadrature, "gauss_jacobi_nodes", counting_nodes)
+    return computed
+
+
+def debug_line(caplog) -> str:
+    (record,) = [r for r in caplog.records if "builds=" in r.getMessage()]
+    caplog.clear()
+    return record.getMessage()
+
+
+class TestGaussJacobiTableCache:
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    @pytest.mark.parametrize("m", [1, 2, 40, 717, 1814])
+    @pytest.mark.parametrize("family", ["gj1", "gj2"])
+    def test_cached_rule_equals_fresh_computation(self, family, m, alpha):
+        bounds = GRID_BOUNDS["lap1d:1000"][0]
+        ref_shifts, ref_weights = fresh_gj_rule(family, alpha, m, bounds)
+        hits = quadrature._cayley_table.cache_info().hits
+        for _ in range(2):
+            rule = build_rule(family, alpha, m, bounds)
+            np.testing.assert_array_equal(rule.shifts, ref_shifts)
+            np.testing.assert_array_equal(rule.weights, ref_weights)
+        assert quadrature._cayley_table.cache_info().hits == hits + 1
+
+    def test_gj1_and_gj2_share_one_table(self, monkeypatch):
+        computed = count_node_computations(monkeypatch)
+        build_rule("gj1", 0.5, 40)
+        build_rule("gj2", 0.5, 40, GRID_BOUNDS["lap2d:32x32"][0])
+        build_rule("gj2", 0.5, 40, GRID_BOUNDS["lap1d:1000"][0])
+        assert computed == [40]
+
+    def test_mutating_a_rule_leaves_the_next_build_unchanged(self):
+        bounds = GRID_BOUNDS["lap2d:32x32"][0]
+        first = build_rule("gj2", 0.2, 40, bounds)
+        assert first.shifts.flags.writeable and first.weights.flags.writeable
+        first.shifts[:] = -1.0
+        first.weights[:] = 2.0 * first.weights
+        ref_shifts, ref_weights = fresh_gj_rule("gj2", 0.2, 40, bounds)
+        again = build_rule("gj2", 0.2, 40, bounds)
+        np.testing.assert_array_equal(again.shifts, ref_shifts)
+        np.testing.assert_array_equal(again.weights, ref_weights)
+
+    def test_cached_tables_are_read_only(self):
+        for table in quadrature._cayley_table(40, 0.5):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_second_search_computes_no_nodes(self, monkeypatch, caplog):
+        computed = count_node_computations(monkeypatch)
+        bounds, probe = grid_probe("lap1d:1000", 0.5, 1e-9)
+        with caplog.at_level(logging.DEBUG, logger=quadrature.__name__):
+            first = select_node_count("gj1", 0.5, bounds, probe)
+            assert sorted(computed) == [first.m - 1, first.m]
+            assert "builds=2 cached=0 " in debug_line(caplog)
+            computed.clear()
+            second = select_node_count("gj1", 0.5, bounds, probe)
+            assert computed == []
+            assert "builds=2 cached=2 " in debug_line(caplog)
+        assert second.m == first.m == 1578
+        np.testing.assert_array_equal(second.shifts, first.shifts)
+        np.testing.assert_array_equal(second.weights, first.weights)
+
+    def test_de_search_reports_no_cached_tables(self, caplog):
+        bounds, probe = grid_probe("lap2d:32x32", 0.5, 1e-6)
+        with caplog.at_level(logging.DEBUG, logger=quadrature.__name__):
+            select_node_count("de", 0.5, bounds, probe)
+        assert " cached=0 " in debug_line(caplog)
+        assert quadrature._cayley_table.cache_info().currsize == 0
+
+    def test_cache_holds_a_verify_grid_pass(self):
+        tables = {
+            (m, alpha)
+            for counts in GJ_GRID_COUNTS.values()
+            for (alpha, _), count in zip(GRID_CELLS, counts)
+            for m in (count - 1, count)
+        }
+        assert len(tables) == 45
+        assert quadrature._cayley_table.cache_info().maxsize >= len(tables)
+
+
+class TestFamilyName:
+    @pytest.mark.parametrize("name", ["DE", "GJ1", "Gj2"])
+    def test_search_ignores_case(self, monkeypatch, name):
+        bounds, probe = grid_probe("lap1d:1000", 0.2, 1e-9)
+        built = count_builds(monkeypatch)
+        lower = select_node_count(name.lower(), 0.2, bounds, probe)
+        lower_builds = built.copy()
+        built.clear()
+        rule = select_node_count(name, 0.2, bounds, probe)
+        assert built == lower_builds
+        assert rule.family == lower.family == name.lower()
+        assert rule.m == lower.m
+        np.testing.assert_array_equal(rule.shifts, lower.shifts)
+        np.testing.assert_array_equal(rule.weights, lower.weights)
+
+    @pytest.mark.parametrize("budget", [1e-9, math.inf])
+    def test_unknown_family_raises_before_pricing(self, monkeypatch, budget):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(quadrature, "_priced_node_count", unreachable)
+        monkeypatch.setattr(quadrature, "build_rule", unreachable)
+        bounds = GRID_BOUNDS["lap1d:1000"][0]
+        probe = ProbeSpec(probe_values_from_bounds(bounds), budget)
+        with pytest.raises(ValueError, match="unknown family 'foo'"):
+            select_node_count("foo", 0.2, bounds, probe)
+
+
 class TestScalarApply:
     def test_broadcasts(self):
         rule = build_rule("gj1", 0.5, 8)
