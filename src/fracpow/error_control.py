@@ -214,6 +214,8 @@ def fracpow_action(
     b = np.asarray(b)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
     bnorm = float(np.linalg.norm(b))
     if bounds is None:
         bounds = estimate_spectral_bounds(A)

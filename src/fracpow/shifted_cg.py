@@ -189,6 +189,8 @@ def shifted_cg_solve(
     b = np.asarray(b)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
     shifts = request.shifts
     thresholds = request.thresholds
     m = shifts.size
@@ -250,7 +252,8 @@ def shifted_cg_solve(
         return x
 
     r = b
-    p = b
+    p = b.copy()
+    tmp = np.empty(n, dtype=dtype)
     rr = float(np.vdot(r, r).real)
     alpha_prev = 1.0
     beta_prev = 0.0
@@ -258,7 +261,8 @@ def shifted_cg_solve(
 
     while na > 0 and iterations < max_iterations:
         i = iterations
-        q = A.matvec(p) + sigma_seed * p
+        q = A.matvec(p)
+        q += np.multiply(sigma_seed, p, out=tmp)
         pq = float(np.vdot(p, q).real)
         if pq <= 0.0 or pq < BREAKDOWN_FLOOR:
             raise SolverBreakdownError(
@@ -279,7 +283,7 @@ def shifted_cg_solve(
         zeta_prev[:na] = za
         zeta[:na] = znext
 
-        r = np.subtract(r, alpha * q, out=R[t, :n])
+        r = np.subtract(r, np.multiply(alpha, q, out=tmp), out=R[t, :n])
         rr_next = float(np.vdot(r, r).real)
         rnorm = np.sqrt(rr_next)
         iterations = i + 1
@@ -339,7 +343,8 @@ def shifted_cg_solve(
         if t == s:
             _flush(X, P, a, c, D, E, R, na, work)
             t = 0
-        p = r + beta * p
+        p *= beta
+        p += r
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 
     if t:

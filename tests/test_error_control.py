@@ -17,7 +17,7 @@ from fracpow.error_control import (
 from fracpow.errors import ToleranceFloorError
 from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
-from fracpow.sparse import SpectralBounds, build_diagonal, build_laplacian_1d
+from fracpow.sparse import SpectralBounds, build_diagonal, build_laplacian_1d, build_laplacian_2d
 
 
 class TestErrorBudget:
@@ -201,6 +201,15 @@ class TestFracpowAction:
         A = build_laplacian_1d(4)
         with pytest.raises(ValueError):
             fracpow_action(A, np.ones(5), 0.5, ErrorBudget(1e-6), "de")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_rhs(self, value):
+        # Caught before the bounds, the tolerance floor or the budget see it.
+        A = build_laplacian_2d(8, 8)
+        b = np.ones(A.n)
+        b[5] = value
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            fracpow_action(A, b, 0.5, ErrorBudget(1e-6), "de")
 
     def test_bounds_override_used_verbatim(self):
         A = build_diagonal([1.0, 2.0, 3.0])

@@ -70,6 +70,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             ShiftedSolveRequest([1.0], [1e-8], 0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_rhs(self, value):
+        A = build_laplacian_2d(8, 8)
+        b = np.ones(A.n)
+        b[5] = value
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            shifted_cg_solve(A, b, ShiftedSolveRequest([0.0, 1.0], 1e-8))
+
 
 class TestExactCases:
     def test_identity_two_shifts_one_iteration(self):
@@ -499,6 +507,9 @@ class TestFusedUpdate:
             return out
 
         monkeypatch.setattr(fracpow.error_control, "shifted_cg_solve", measured)
+        # The matrix builds its product operator on its first product; that
+        # belongs to the matrix, not to the solve measured here.
+        A.matvec(np.ones(A.n))
         fracpow_action(A, np.ones(A.n), 0.2, ErrorBudget(1e-9), "gj2", bounds=bounds)
         [(m, peak)] = peaks
         n = A.n

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import MatrixFormatError, SpectralBoundsError
@@ -121,6 +122,110 @@ class TestProductPath:
         result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(eps), family, bounds=bounds)
         # Joint iterations, explicit residual checks and the one assembly product.
         assert A.calls == result.report.total_matvecs + result.report.verification_matvecs + 1
+
+
+def banded_complex(n: int) -> HermitianSparseMatrix:
+    """Complex Hermitian tridiagonal matrix with a gap in each off-diagonal."""
+    off = (0.3 + 0.7j) * np.ones(n - 1)
+    off[n // 2] = 0.0
+    csr = scipy.sparse.diags_array([off.conj(), np.full(n, 4.0), off], offsets=[-1, 0, 1])
+    return HermitianSparseMatrix.from_dense(csr.toarray())
+
+
+def random_sparse_hermitian(n: int) -> HermitianSparseMatrix:
+    rng = np.random.default_rng(7)
+    dense = random_hermitian(rng, n)
+    dense[np.abs(dense) < 1.2] = 0.0
+    np.fill_diagonal(dense, float(n))
+    return HermitianSparseMatrix.from_dense(dense)
+
+
+def permuted_lap2d(nx: int, ny: int) -> HermitianSparseMatrix:
+    """``P A P^T`` for the five-point Laplacian: same spectrum, no band."""
+    L = build_laplacian_2d(nx, ny)
+    perm = np.random.default_rng(3).permutation(L.n)
+    P = L._csr[perm][:, perm].tocoo()
+    return HermitianSparseMatrix.from_coo(L.n, P.row, P.col, P.data)
+
+
+PRODUCT_MATRICES = {
+    "lap1d:1000": (lambda: build_laplacian_1d(1000), scipy.sparse.dia_array),
+    "lap2d:150x150": (lambda: build_laplacian_2d(150, 150), scipy.sparse.dia_array),
+    "lap2d:7x3": (lambda: build_laplacian_2d(7, 3), scipy.sparse.dia_array),
+    "complex-banded": (lambda: banded_complex(40), scipy.sparse.dia_array),
+    "random-sparse": (lambda: random_sparse_hermitian(60), scipy.sparse.csr_array),
+    "permuted-lap2d:32x32": (lambda: permuted_lap2d(32, 32), scipy.sparse.csr_array),
+}
+
+
+class TestProductOperator:
+    @pytest.mark.parametrize(
+        ("make", "kind"), PRODUCT_MATRICES.values(), ids=PRODUCT_MATRICES.keys()
+    )
+    def test_choice_and_bit_identity(self, make, kind, rng):
+        A = make()
+        x = rng.standard_normal(A.n)
+        if np.iscomplexobj(A.values):
+            x = x + 1j * rng.standard_normal(A.n)
+        y = A.matvec(x)
+        assert type(A._product_operator) is kind
+        assert y.tobytes() == (A._csr @ x).tobytes()
+        if kind is scipy.sparse.dia_array:
+            assert A._product_operator.data.size <= 2 * A.nnz
+        else:
+            assert A._product_operator is A._csr
+
+    def test_built_once_on_first_product(self, monkeypatch):
+        built = []
+        real_dia = scipy.sparse.dia_array
+
+        def counting_dia(*args, **kwargs):
+            built.append(1)
+            return real_dia(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "dia_array", counting_dia)
+        A = build_laplacian_2d(20, 10)
+        estimate_spectral_bounds(A)  # includes the Gershgorin bound, which uses CSR
+        assert len(built) == 1
+        operator = A._product_operator
+        A.matvec(np.ones(A.n))
+        assert A._product_operator is operator and len(built) == 1
+
+    def test_not_built_at_construction(self):
+        A = build_laplacian_2d(20, 10)
+        assert "_product_operator" not in vars(A)
+        A.diagonal()
+        A.to_dense()
+        write_matrix_market(A, io.StringIO())
+        assert "_product_operator" not in vars(A)
+
+    def test_first_product_memory(self):
+        # The DIA values plus a few nnz-long index arrays, freed after the build.
+        A = build_laplacian_2d(100, 100)
+        x = np.ones(A.n)
+        tracemalloc.start()
+        try:
+            A.matvec(x)
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            A.matvec(x)
+            later = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first - later <= A._product_operator.data.nbytes + 4 * 8 * A.nnz
+
+    def test_subclass_builds_its_own_operator_and_sees_every_product(self, rng):
+        L = build_laplacian_2d(12, 9)
+        x = rng.standard_normal(L.n)
+        y = L.matvec(x)
+        A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
+        np.testing.assert_array_equal(A.matvec(x), y)
+        bounds = estimate_spectral_bounds(L)
+        result = fracpow_action(A, x, 0.5, ErrorBudget(1e-8), "gj2", bounds=bounds)
+        report = result.report
+        assert A.calls == 1 + report.total_matvecs + report.verification_matvecs + 1
+        assert A._product_operator is not L._product_operator
+        assert type(A._product_operator) is scipy.sparse.dia_array
 
 
 class TestBuilders:
