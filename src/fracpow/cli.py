@@ -78,6 +78,8 @@ def _load_rhs(path: str, n: int) -> np.ndarray:
     b = np.loadtxt(path, dtype=np.float64, ndmin=1)
     if b.shape != (n,):
         raise ValueError(f"right-hand side in {path!r} has shape {b.shape}, expected ({n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"right-hand side in {path!r} must be finite")
     return b
 
 

@@ -19,21 +19,21 @@ precision; it is then frozen unconverged rather than spinning until the
 iteration cap.  Converged flags are consequently always backed by an explicit
 residual, never by the collinearity estimate alone.
 
-The solver keeps the active shifts as a leading contiguous block of its
-per-shift arrays: once every candidate of a joint iteration is checked, the
-shifts that stopped trade rows with continuing ones at the end of the block.
-The seed and collinearity recurrences never read the iterates, so the
-iterates and search directions are updated lazily over a window of
-``_BLOCK`` joint iterations.  Inside a window that starts at ``X0``, ``P0``,
-every active row is ``x = x0 + a p0 + D R`` and ``p = c p0 + E R``, where
-the rows of ``R`` are the window's seed residuals and ``a``, ``c``, ``D``,
-``E`` are per-shift scalars and ``_BLOCK``-vectors updated by scalar work.
+Every per-shift array is indexed by the shift's request index.  The seed
+and collinearity recurrences never read the iterates, so the iterates and
+search directions are updated lazily over a window of ``_BLOCK`` joint
+iterations.  Inside a window that starts at ``X0``, ``P0``, every active row
+is ``x = x0 + a p0 + D R`` and ``p = c p0 + E R``, where the rows of ``R``
+are the window's seed residuals and ``a``, ``c``, ``D``, ``E`` are per-shift
+scalars and ``_BLOCK``-vectors updated by scalar work on the active rows.
 At the end of a window ``D R`` and ``E R`` are applied as block products
-over fixed-size tiles, so the solve holds two m x n arrays, ``R`` (``_BLOCK``
-x n) and one tile.  A shift that is checked or reported between flushes is
-formed alone from its coefficients.  The solutions are returned in the
-search-direction array, which is dead by then.  Results, reports and
-callbacks use request order.
+over fixed-size tiles to the span of rows from the first active shift to
+the last, so the solve holds two m x n arrays, ``R`` (``_BLOCK`` x n) and
+one tile.  A shift that stops keeps its checked iterate in ``X`` and the
+identity coefficients ``a = 0``, ``c = 1``, ``D = E = 0``, so a flush whose
+span covers it leaves its row as it is.  A shift that is checked or
+reported between flushes is formed alone from its coefficients.  The
+solutions are returned in ``X``.
 """
 
 from __future__ import annotations
@@ -124,29 +124,35 @@ def _explicit_residual_norm(A, b, sigma: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(b - sigma * x - A.matvec(x)))
 
 
-def _in_request_order(a: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Copy of working-order ``a`` with row ``j`` moved to row ``order[j]``."""
-    out = np.empty_like(a)
-    out[order] = a
-    return out
+def _active_rows(active: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
+    """Request indices of the active shifts, and an index that selects them.
+
+    The index is the slice from the first active row to the last when no
+    stopped row lies between them, and the index array otherwise; a slice
+    gives views, where fancy indexing would copy on every iteration.
+    """
+    rows = np.flatnonzero(active)
+    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+    return rows, slice(lo, hi) if hi - lo == rows.size else rows
 
 
-def _flush(X, P, a, c, D, E, R, na, work) -> None:
-    """Close a window: ``X += a P + D R`` then ``P = c P + E R`` on rows ``[:na]``.
+def _flush(X, P, a, c, D, E, R, lo, hi, work) -> None:
+    """Close a window: ``X += a P + D R`` then ``P = c P + E R`` on rows ``[lo, hi)``.
 
-    ``work`` is ``kb x cb``; ``D`` and ``E`` hold whole ``kb``-row blocks and
-    ``R`` whole ``cb``-column blocks, so every product has the workspace's
-    shape.  Block rows at or past ``na`` are computed and dropped.  Then
-    ``a``, ``c`` and ``D`` restart; ``E``'s columns are set before use.
+    ``work`` is ``kb x cb``; ``D`` and ``E`` hold whole ``kb``-row blocks
+    from any row and ``R`` whole ``cb``-column blocks, so every product has
+    the workspace's shape.  Block rows at or past ``hi`` are computed and
+    dropped.  Then ``a``, ``c`` and ``D`` restart; ``E``'s columns are set
+    before use.
     """
     kb, cb = work.shape
     n = X.shape[1]
     for j0 in range(0, n, cb):
         cols = slice(j0, min(j0 + cb, n))
         Rt = R[:, j0 : j0 + cb]
-        for i0 in range(0, na, kb):
+        for i0 in range(lo, hi, kb):
             block = slice(i0, i0 + kb)
-            rows = slice(i0, min(i0 + kb, na))
+            rows = slice(i0, min(i0 + kb, hi))
             Xt, Pt = X[rows, cols], P[rows, cols]
             w = work[: Pt.shape[0], : Pt.shape[1]]
             np.multiply(a[rows, None], Pt, out=w)
@@ -171,17 +177,17 @@ def shifted_cg_solve(
     """Solve ``(sigma_k I + A) x_k = b`` for every shift in the request.
 
     Returns ``(solutions, report)`` where ``solutions[k]`` is the iterate for
-    shift ``k``.  The iteration keeps the active shifts as a leading
-    contiguous block of its working rows (a shift that stops is swapped to
-    the tail) and carries their iterates and search directions as
-    coefficients on the last ``_BLOCK`` seed residuals, applied to that block
-    as two block products over cache-sized tiles once per window.  Memory is
-    the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n residual window
-    and one tile; ``solutions`` is ``P`` refilled with the iterates in request
-    order, as is the report.  A shift that stops keeps the iterate whose
-    residual was checked.  ``callback(iteration, seed_residual, zetas,
-    solutions)`` is invoked after each joint iteration with request-order
-    copies of the collinearity factors and iterates (entries for frozen
+    shift ``k``; every per-shift array, the solutions and the report use
+    request order throughout.  The iteration carries the iterates and search
+    directions of the active shifts as coefficients on the last ``_BLOCK``
+    seed residuals, applied as two block products over cache-sized tiles
+    once per window to the rows from the first active shift to the last.
+    Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
+    residual window and one tile; ``solutions`` is ``X``.  A shift that stops
+    keeps the iterate whose residual was checked, and identity coefficients
+    keep a later flush from moving it.  ``callback(iteration,
+    seed_residual, zetas, solutions)`` is invoked after each joint iteration
+    with copies of the collinearity factors and iterates (entries for frozen
     shifts hold their last active values); forming them costs O(m n _BLOCK)
     per call and does not change the solve.  The tracked residual norm of
     shift ``k`` at that iteration is ``zetas[k] * ||seed_residual||``.
@@ -208,28 +214,24 @@ def shifted_cg_solve(
     converged = np.zeros(m, dtype=bool)
     verification_matvecs = 0
     # Zero iterate already qualifies: residual is exactly b, no product needed.
-    trivially_done = bnorm <= thresholds
-    converged[trivially_done] = True
+    active = bnorm > thresholds
+    converged[~active] = True
+    rows, index = _active_rows(active)
 
-    # Working order: rows [:na] of every per-shift array below are the active
-    # shifts, and order[j] is the request index of working row j.
-    order = np.concatenate([np.flatnonzero(~trivially_done), np.flatnonzero(trivially_done)])
-    na = m - int(np.count_nonzero(trivially_done))
-    work_shifts = shifts[order]
-    delta = work_shifts - sigma_seed
-    work_thresholds = thresholds[order]
+    delta = shifts - sigma_seed
     check_scale = np.ones(m)
     zeta_prev = np.ones(m)
     zeta = np.ones(m)
     X = np.zeros((m, n), dtype=dtype)
     P = np.tile(b, (m, 1))
-    # Window: row j is x = X[j] + a[j] P[j] + D[j, :t] R[:t] and
-    # p = c[j] P[j] + E[j, :t] R[:t].  OpenBLAS rounds the ragged column edge
+    # Window: row k is x = X[k] + a[k] P[k] + D[k, :t] R[:t] and
+    # p = c[k] P[k] + E[k, :t] R[:t].  OpenBLAS rounds the ragged column edge
     # of a product differently by row position, and a one-row (vector)
     # product differently from a block one.  So flush products are whole
     # tiles of at least two rows and a multiple of 16 columns (D, E and R
-    # are zero-padded to them), and each row's bits do not depend on its
-    # position, on the tile size or on how many shifts are still active.
+    # are zero-padded to them, D and E so that a tile may start at any row),
+    # and each row's bits do not depend on its position, on the tile size or
+    # on which shifts are still active.
     s = _BLOCK
     chunks = -(-n // _COLS)
     cb = 16 * -(-n // (16 * chunks))
@@ -237,18 +239,15 @@ def shifted_cg_solve(
     kb = max(2, -(-m // nblocks))
     a = np.zeros(m, dtype=dtype)
     c = np.ones(m, dtype=dtype)
-    D = np.zeros((nblocks * kb, s), dtype=dtype)
+    D = np.zeros((m + kb - 1, s), dtype=dtype)
     E = np.zeros_like(D)
     R = np.zeros((s, -(-n // cb) * cb), dtype=dtype)
     work = np.empty((kb, cb), dtype=dtype)
     t = 0
-    rows = (
-        X, P, zeta, zeta_prev, work_shifts, delta, work_thresholds, check_scale, order, a, c, D, E
-    )
 
-    def iterate(pos: int) -> np.ndarray:
-        x = X[pos] + a[pos] * P[pos]
-        x += D[pos, :t] @ R[:t, :n]
+    def iterate(k: int) -> np.ndarray:
+        x = X[k] + a[k] * P[k]
+        x += D[k, :t] @ R[:t, :n]
         return x
 
     r = b
@@ -259,7 +258,7 @@ def shifted_cg_solve(
     beta_prev = 0.0
     iterations = 0
 
-    while na > 0 and iterations < max_iterations:
+    while rows.size and iterations < max_iterations:
         i = iterations
         q = A.matvec(p)
         q += np.multiply(sigma_seed, p, out=tmp)
@@ -271,17 +270,17 @@ def shifted_cg_solve(
             )
         alpha = rr / pq
 
-        za = zeta[:na]
-        zpa = zeta_prev[:na]
-        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[:na] * alpha)
+        za = zeta[index]
+        zpa = zeta_prev[index]
+        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[index] * alpha)
         if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
             raise SolverBreakdownError(
                 f"collinearity recurrence produced a non-positive denominator at iteration {i}"
             )
         znext = za * zpa * alpha_prev / denom
         ratio = znext / za
-        zeta_prev[:na] = za
-        zeta[:na] = znext
+        zeta_prev[index] = za
+        zeta[index] = znext
 
         r = np.subtract(r, np.multiply(alpha, q, out=tmp), out=R[t, :n])
         rr_next = float(np.vdot(r, r).real)
@@ -291,73 +290,63 @@ def shifted_cg_solve(
         # x += cx p, then p = cp p + znext r, on the window coefficients.
         cx = alpha * ratio
         cp = beta * ratio**2
-        a[:na] += cx * c[:na]
-        D[:na, :t] += cx[:, None] * E[:na, :t]
-        c[:na] *= cp
-        E[:na, :t] *= cp[:, None]
-        E[:na, t] = znext
+        a[index] += cx * c[index]
+        D[index, :t] += cx[:, None] * E[index, :t]
+        c[index] *= cp
+        E[index, :t] *= cp[:, None]
+        E[index, t] = znext
         t += 1
 
         tracked = znext * rnorm
         # ~(>) keeps a NaN estimate a candidate.
-        candidates = np.flatnonzero(~(tracked > work_thresholds[:na] * check_scale[:na]))
-        stopped = np.zeros(na, dtype=bool)
-        for pos in candidates:
-            k = order[pos]
-            threshold = work_thresholds[pos]
-            x = iterate(pos)
-            explicit = _explicit_residual_norm(A, b, work_shifts[pos], x)
+        candidates = np.flatnonzero(~(tracked > thresholds[index] * check_scale[index]))
+        for j in candidates:
+            k = rows[j]
+            threshold = thresholds[k]
+            x = iterate(k)
+            explicit = _explicit_residual_norm(A, b, shifts[k], x)
             verification_matvecs += 1
             if explicit <= threshold:
                 converged[k] = True
-            elif tracked[pos] <= threshold * _STAGNATION_FACTOR:
+            elif tracked[j] <= threshold * _STAGNATION_FACTOR:
                 # Explicit residual is pinned at the rounding floor while the
                 # recurrence keeps shrinking; further iterations cannot help.
                 logger.debug(
                     "shift %d stagnated: explicit %.3e vs threshold %.3e", k, explicit, threshold
                 )
             else:
-                check_scale[pos] *= 0.5
+                check_scale[k] *= 0.5
                 continue
-            X[pos] = x
+            X[k] = x
+            a[k], c[k], D[k], E[k] = 0.0, 1.0, 0.0, 0.0
             final_res[k] = explicit
             iterations_used[k] = iterations
-            stopped[pos] = True
-        if stopped.any():
-            # Stopped rows below the new na trade places with continuing rows
-            # at or above it, in one fancy-indexed swap per array.
-            na -= int(np.count_nonzero(stopped))
-            low = np.flatnonzero(stopped[:na])
-            high = na + np.flatnonzero(~stopped[na:])
-            swap, into = np.concatenate([low, high]), np.concatenate([high, low])
-            for arr in rows:
-                arr[swap] = arr[into]
+            active[k] = False
+        if candidates.size:
+            rows, index = _active_rows(active)
 
         if callback is not None:
-            solutions = _in_request_order(X, order)
-            for pos in range(na):
-                solutions[order[pos]] = iterate(pos)
-            callback(iterations, r, _in_request_order(zeta, order), solutions)
-        if na == 0:
+            solutions = X.copy()
+            for k in rows:
+                solutions[k] = iterate(k)
+            callback(iterations, r, zeta.copy(), solutions)
+        if not rows.size:
             break
         if t == s:
-            _flush(X, P, a, c, D, E, R, na, work)
+            _flush(X, P, a, c, D, E, R, rows[0], rows[-1] + 1, work)
             t = 0
         p *= beta
         p += r
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 
-    if t:
-        _flush(X, P, a, c, D[:, :t], E[:, :t], R[:t], na, work)
-    for pos in range(na):
-        k = order[pos]
-        explicit = _explicit_residual_norm(A, b, work_shifts[pos], X[pos])
+    if t and rows.size:
+        _flush(X, P, a, c, D[:, :t], E[:, :t], R[:t], rows[0], rows[-1] + 1, work)
+    for k in rows:
+        explicit = _explicit_residual_norm(A, b, shifts[k], X[k])
         verification_matvecs += 1
         final_res[k] = explicit
-        converged[k] = explicit <= work_thresholds[pos]
+        converged[k] = explicit <= thresholds[k]
         iterations_used[k] = iterations
-    solutions = P
-    solutions[order] = X
 
     report = ShiftedSolveReport(
         shifts=shifts.copy(),
@@ -368,7 +357,7 @@ def shifted_cg_solve(
         total_matvecs=int(iterations_used.max(initial=0)),
         verification_matvecs=verification_matvecs,
     )
-    return solutions, report
+    return X, report
 
 
 def single_shift_cg(
@@ -391,6 +380,8 @@ def single_shift_cg(
     b = np.asarray(b)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
     if sigma < 0.0:
         raise ValueError("shift must be non-negative")
     max_iterations = 10 * A.n if max_iterations is None else int(max_iterations)

@@ -236,6 +236,26 @@ class TestThresholds:
         ]
 
 
+class TestNonFiniteRhs:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bound-trace", "--shifts", "1"],
+            ["thresholds", "--alpha", "0.5", "--eps", "1e-6"],
+        ],
+        ids=["bound-trace", "thresholds"],
+    )
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, command, value):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1\n" * 4 + f"{value}\n" + "1\n" * 5)
+        out = tmp_path / "out.csv"
+        code = run_cli([*command, "--matrix", "lap1d:10", "--rhs", str(rhs), "--out", str(out)])
+        assert code == 1
+        assert f"right-hand side in {str(rhs)!r} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBoundTrace:
     def test_rows_satisfy_bound(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -11,6 +11,7 @@ from fracpow.errors import SolverBreakdownError
 from fracpow.shifted_cg import (
     ShiftedSolveReport,
     ShiftedSolveRequest,
+    _active_rows,
     shifted_cg_solve,
     single_shift_cg,
 )
@@ -432,6 +433,33 @@ class TestFreezeDecisions:
         assert rep.converged.all()
         assert rep.verification_matvecs == verification_matvecs
 
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: c[0])
+    def test_iterating_shifts_are_contiguous(self, case):
+        # The pinned stopping iterations (test_pinned ties them to the solver)
+        # rise, then fall: at every iteration the shifts still iterating form
+        # one run of request indices, so a flush over the span of active rows
+        # touches no stopped row.
+        steps = np.diff(self.CASES[case][0])
+        falls = np.flatnonzero(steps < 0)
+        assert falls.size and np.all(steps[falls[0] :] <= 0)
+
+
+class TestActiveRows:
+    def test_contiguous_rows_give_a_slice(self):
+        rows, index = _active_rows(np.array([False, True, True, True, False]))
+        np.testing.assert_array_equal(rows, [1, 2, 3])
+        assert index == slice(1, 4)
+
+    def test_gap_gives_the_index_array(self):
+        rows, index = _active_rows(np.array([True, False, True, True]))
+        np.testing.assert_array_equal(rows, [0, 2, 3])
+        assert index is rows
+
+    def test_no_active_row(self):
+        rows, index = _active_rows(np.zeros(3, dtype=bool))
+        assert rows.size == 0
+        assert np.arange(3)[index].size == 0
+
 
 class TestFusedUpdate:
     @pytest.fixture(params=["lap2d", "complex"])
@@ -491,7 +519,7 @@ class TestFusedUpdate:
 
     def test_solve_holds_two_blocks(self, monkeypatch):
         # X and P, one update tile, the residual window and a few n-vectors;
-        # the solutions reuse P.
+        # the solutions are X.
         A = build_laplacian_2d(100, 100)
         h = np.pi / (2 * 101)  # the exact extreme eigenvalues of this Laplacian
         bounds = SpectralBounds(8 * np.sin(h) ** 2, 8 * np.cos(h) ** 2)
@@ -572,6 +600,14 @@ class TestSingleShiftCG:
         A = build_laplacian_1d(4)
         with pytest.raises(ValueError):
             single_shift_cg(A, np.ones(4), -0.1, tol=1e-8)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_rhs(self, value):
+        A = build_laplacian_2d(8, 8)
+        b = np.ones(A.n)
+        b[5] = value
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            single_shift_cg(A, b, 1.0, tol=1e-8)
 
     def test_report_shapes(self):
         rep = ShiftedSolveReport(
