@@ -73,8 +73,9 @@ PROBE_COUNT = 11
 # doubles with headroom for downstream products.
 _EXP_CAP = 690.0
 
-# The de trapezoid window starts at [-_DE_HALFWIDTH, _DE_HALFWIDTH] and each
-# end moves outward in _DE_STEP increments until the integrand is small.
+# The de trapezoid window starts at [-_DE_HALFWIDTH, _DE_HALFWIDTH], or
+# narrower where the shifts would leave exp(+-_EXP_CAP) there, and each end
+# moves outward in _DE_STEP increments until the integrand is small.
 _DE_HALFWIDTH = 3.0
 _DE_STEP = 0.5
 
@@ -94,8 +95,8 @@ def _family_name(family: str) -> str:
 class ShiftedQuadratureRule:
     """Quadrature rule ``sum_k omega_k A (sigma_k I + A)^(-1)`` for ``A^alpha``.
 
-    ``shifts`` are strictly increasing and non-negative, ``weights`` strictly
-    positive; both arrays share length ``m >= 1``.
+    ``shifts`` are finite, strictly increasing and non-negative, ``weights``
+    finite and strictly positive; both arrays share length ``m >= 1``.
     """
 
     alpha: float
@@ -116,6 +117,8 @@ class ShiftedQuadratureRule:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if shifts.ndim != 1 or shifts.size == 0 or shifts.shape != weights.shape:
             raise ValueError("shifts and weights must be equal-length non-empty vectors")
+        if not np.all(np.isfinite(shifts)):
+            raise ValueError("shifts must be finite")
         if shifts[0] < 0.0 or np.any(np.diff(shifts) <= 0.0):
             raise ValueError("shifts must be non-negative and strictly increasing")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -242,34 +245,32 @@ def _de_log_integrand(u: np.ndarray, alpha: float, lam: float) -> np.ndarray:
 def _build_de(
     alpha: float, m: int, bounds: SpectralBounds, truncation_budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """DE nodes on a window widened until the integrand at both probes is below tol."""
+    """DE nodes on a window widened until the integrand at ``lambda_hi`` is below tol.
+
+    ``lambda / (sigma + lambda)`` rises with ``lambda``, so ``lambda_hi`` bounds
+    the integrand on the interval.  Each end starts at
+    ``+-min(_DE_HALFWIDTH, reach)``, where ``sigma(+-reach) = exp(+-_EXP_CAP)``
+    (and, as ``alpha < 1``, the weights stay finite); a step past ``reach``
+    raises :class:`QuadratureConstructionError`.
+    """
     tol = truncation_budget / (100.0 * m)
     if tol <= 0.0 or not np.isfinite(tol):
         raise QuadratureConstructionError("truncation budget must be positive and finite")
     log_tol = math.log(tol)
-    probes = (bounds.lambda_lo, bounds.lambda_hi)
-
-    def small_enough(u: float) -> bool:
-        return all(_de_log_integrand(np.array([u]), alpha, lam)[0] <= log_tol for lam in probes)
-
-    left = -_DE_HALFWIDTH
-    # sigma(u) = exp(pi sinh(u) / alpha) must stay a positive normal double,
-    # and exp(pi sinh u) in the weight must stay finite.
-    while not small_enough(left):
-        left -= _DE_STEP
-        if math.pi * math.sinh(left) / alpha < -_EXP_CAP:
-            raise QuadratureConstructionError(
-                "truncation search failed on the left: integrand does not reach "
-                f"{tol:.3e} before the shifts underflow"
-            )
-    right = _DE_HALFWIDTH
-    while not small_enough(right):
-        right += _DE_STEP
-        if math.pi * math.sinh(right) / alpha > _EXP_CAP or math.pi * math.sinh(right) > _EXP_CAP:
-            raise QuadratureConstructionError(
-                "truncation search failed on the right: integrand does not reach "
-                f"{tol:.3e} before the weights overflow"
-            )
+    reach = math.asinh(_EXP_CAP * alpha / math.pi)
+    ends = []
+    for side in (-1.0, 1.0):
+        u = side * min(_DE_HALFWIDTH, reach)
+        while _de_log_integrand(np.array([u]), alpha, bounds.lambda_hi)[0] > log_tol:
+            u += side * _DE_STEP
+            if abs(u) > reach:
+                raise QuadratureConstructionError(
+                    f"de window for alpha = {alpha} does not bring the integrand under "
+                    f"{tol:.3e} before exp(pi sinh(u) / alpha) leaves exp(+-{_EXP_CAP:g}); "
+                    "use gj2, which covers every alpha in (0, 1)"
+                )
+        ends.append(u)
+    left, right = ends
     if m == 1:
         u = np.array([0.5 * (left + right)])
         h = right - left
@@ -316,7 +317,10 @@ def build_rule(
     """Construct an m-node rule of the requested family.
 
     ``bounds`` is ignored by ``gj1`` and required by ``gj2`` (for the
-    geometric-mean scaling) and ``de`` (for the truncation probes).
+    geometric-mean scaling) and ``de``, whose truncation window is set by
+    the integrand at ``lambda_hi``.  A ``de`` window that cannot be
+    truncated before its shifts leave the double range, as for small
+    ``alpha``, raises :class:`QuadratureConstructionError`.
     ``truncation_budget`` is the scalar error that the ``de`` window's
     truncation may add; the other families ignore it.
 
@@ -331,7 +335,7 @@ def build_rule(
         raise ValueError("node count must be >= 1")
     if family == "de":
         if bounds is None:
-            raise ValueError("de needs spectral bounds for its truncation probes")
+            raise ValueError("de needs spectral bounds: lambda_hi sets its window")
         sigma, omega = _build_de(alpha, m, bounds, truncation_budget)
         return ShiftedQuadratureRule(alpha, family, sigma, omega)
     if family == "gj2" and bounds is None:

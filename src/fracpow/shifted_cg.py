@@ -16,8 +16,11 @@ iterating and is re-checked at a geometrically lower trigger.  A shift whose
 tracked estimate has fallen three orders of magnitude below its threshold
 while the explicit residual still fails has hit the rounding floor of double
 precision; it is then frozen unconverged rather than spinning until the
-iteration cap.  Converged flags are consequently always backed by an explicit
-residual, never by the collinearity estimate alone.
+iteration cap.  The cap is the third stop reason: at the last allowed
+iteration every active shift is checked once and stops, converged if its
+explicit residual passes and unconverged otherwise.  All three stop in one
+place, and converged flags are always backed by an explicit residual, never
+by the collinearity estimate alone.
 
 Every per-shift array is indexed by the shift's request index.  The seed
 and collinearity recurrences never read the iterates, so the iterates and
@@ -33,7 +36,8 @@ one tile.  A shift that stops keeps its checked iterate in ``X`` and the
 identity coefficients ``a = 0``, ``c = 1``, ``D = E = 0``, so a flush whose
 span covers it leaves its row as it is.  A shift that is checked or
 reported between flushes is formed alone from its coefficients.  The
-solutions are returned in ``X``.
+solutions are returned in ``X``; each row is the iterate whose residual was
+checked when its shift stopped.
 """
 
 from __future__ import annotations
@@ -139,6 +143,7 @@ def _active_rows(active: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
 def _flush(X, P, a, c, D, E, R, lo, hi, work) -> None:
     """Close a window: ``X += a P + D R`` then ``P = c P + E R`` on rows ``[lo, hi)``.
 
+    It only closes whole windows, so every row of ``R`` is a seed residual.
     ``work`` is ``kb x cb``; ``D`` and ``E`` hold whole ``kb``-row blocks
     from any row and ``R`` whole ``cb``-column blocks, so every product has
     the workspace's shape.  Block rows at or past ``hi`` are computed and
@@ -183,9 +188,11 @@ def shifted_cg_solve(
     seed residuals, applied as two block products over cache-sized tiles
     once per window to the rows from the first active shift to the last.
     Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
-    residual window and one tile; ``solutions`` is ``X``.  A shift that stops
-    keeps the iterate whose residual was checked, and identity coefficients
-    keep a later flush from moving it.  ``callback(iteration,
+    residual window and one tile; ``solutions`` is ``X``.  A shift stops when
+    its explicit residual passes, when it stagnates, or at ``max_iterations``,
+    where every active shift is checked once; it keeps the iterate whose
+    residual was checked, and identity coefficients keep a later flush from
+    moving it.  ``callback(iteration,
     seed_residual, zetas, solutions)`` is invoked after each joint iteration
     with copies of the collinearity factors and iterates (entries for frozen
     shifts hold their last active values); forming them costs O(m n _BLOCK)
@@ -258,7 +265,7 @@ def shifted_cg_solve(
     beta_prev = 0.0
     iterations = 0
 
-    while rows.size and iterations < max_iterations:
+    while rows.size:
         i = iterations
         q = A.matvec(p)
         q += np.multiply(sigma_seed, p, out=tmp)
@@ -298,8 +305,10 @@ def shifted_cg_solve(
         t += 1
 
         tracked = znext * rnorm
-        # ~(>) keeps a NaN estimate a candidate.
-        candidates = np.flatnonzero(~(tracked > thresholds[index] * check_scale[index]))
+        capped = iterations == max_iterations
+        # At the cap every active shift is a candidate and stops; ~(>) keeps a
+        # NaN estimate a candidate.
+        candidates = np.flatnonzero(capped | ~(tracked > thresholds[index] * check_scale[index]))
         for j in candidates:
             k = rows[j]
             threshold = thresholds[k]
@@ -308,11 +317,13 @@ def shifted_cg_solve(
             verification_matvecs += 1
             if explicit <= threshold:
                 converged[k] = True
-            elif tracked[j] <= threshold * _STAGNATION_FACTOR:
-                # Explicit residual is pinned at the rounding floor while the
-                # recurrence keeps shrinking; further iterations cannot help.
+            elif capped or tracked[j] <= threshold * _STAGNATION_FACTOR:
+                # Out of iterations, or the explicit residual is pinned at the
+                # rounding floor while the recurrence keeps shrinking; further
+                # iterations cannot help.
                 logger.debug(
-                    "shift %d stagnated: explicit %.3e vs threshold %.3e", k, explicit, threshold
+                    "shift %d %s: explicit %.3e vs threshold %.3e",
+                    k, "capped" if capped else "stagnated", explicit, threshold,
                 )
             else:
                 check_scale[k] *= 0.5
@@ -338,15 +349,6 @@ def shifted_cg_solve(
         p *= beta
         p += r
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
-
-    if t and rows.size:
-        _flush(X, P, a, c, D[:, :t], E[:, :t], R[:t], rows[0], rows[-1] + 1, work)
-    for k in rows:
-        explicit = _explicit_residual_norm(A, b, shifts[k], X[k])
-        verification_matvecs += 1
-        final_res[k] = explicit
-        converged[k] = explicit <= thresholds[k]
-        iterations_used[k] = iterations
 
     report = ShiftedSolveReport(
         shifts=shifts.copy(),

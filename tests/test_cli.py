@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +94,20 @@ class TestCompute:
         )
         assert code == 1
         assert "tolerance below double-precision floor" in capsys.readouterr().err
+
+    def test_de_below_its_alpha_range_exits_1_without_warnings(self):
+        # Run as a process so that numpy's warnings reach stderr as a user
+        # sees them, not the test suite's warning filter.
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "fracpow.cli", "compute", "--matrix", "lap1d:50",
+             "--alpha", "0.01", "--eps", "1e-6"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120, check=False,
+        )
+        assert done.returncode == 1
+        assert "alpha = 0.01" in done.stderr
+        assert "Warning" not in done.stderr
 
     def test_matrix_market_input(self, tmp_path):
         path = tmp_path / "a.mtx"

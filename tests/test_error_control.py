@@ -14,7 +14,7 @@ from fracpow.error_control import (
     scalar_probe,
     tolerance_floor,
 )
-from fracpow.errors import ToleranceFloorError
+from fracpow.errors import QuadratureConstructionError, ToleranceFloorError
 from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
 from fracpow.sparse import SpectralBounds, build_diagonal, build_laplacian_1d, build_laplacian_2d
@@ -210,6 +210,21 @@ class TestFracpowAction:
         b[5] = value
         with pytest.raises(ValueError, match="right-hand side must be finite"):
             fracpow_action(A, b, 0.5, ErrorBudget(1e-6), "de")
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.02])
+    def test_de_below_its_alpha_range_raises_typed_error(self, alpha):
+        A = build_laplacian_1d(50)
+        with pytest.raises(QuadratureConstructionError, match=f"alpha = {alpha}"):
+            fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(1e-2), "de")
+
+    def test_de_near_its_alpha_limit(self):
+        # The window starts inside the exponent cap rather than at [-3, 3],
+        # where the shifts of alpha = 0.04 would overflow.
+        A = build_laplacian_1d(50)
+        b = np.ones(A.n)
+        result = fracpow_action(A, b, 0.04, ErrorBudget(1e-2), "de")
+        assert result.certified
+        assert absolute_error(result.y, dense_fracpow_action(A, b, 0.04)) <= 1e-2
 
     def test_bounds_override_used_verbatim(self):
         A = build_diagonal([1.0, 2.0, 3.0])

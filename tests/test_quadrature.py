@@ -143,6 +143,14 @@ class TestRuleType:
         with pytest.raises(ValueError):
             ShiftedQuadratureRule(0.5, "gj1", [1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_rejects_non_finite_shift(self, value, where):
+        shifts = np.array([1.0, 2.0])
+        shifts[where] = value
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            ShiftedQuadratureRule(0.5, "de", shifts, [1.0, 1.0])
+
 
 class TestGJ1:
     def test_alpha_half_single_node_closed_form(self):
@@ -226,6 +234,32 @@ class TestDE:
         # the exponential map.
         with pytest.raises(QuadratureConstructionError):
             build_rule("de", 0.5, 9, SpectralBounds(0.5, 2.0), truncation_budget=1e-300)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.02])
+    def test_small_alpha_raises_typed_error(self, alpha):
+        # sigma = exp(pi sinh(u) / alpha) leaves exp(+-690) inside [-3, 3]
+        # for alpha < 0.0456; the window starts inside that reach and the
+        # search stops with a typed error, never a numpy overflow warning.
+        with pytest.raises(QuadratureConstructionError, match=f"alpha = {alpha}.*gj2"):
+            build_rule("de", alpha, 8, SpectralBounds(0.01, 4.0))
+
+    @pytest.mark.parametrize("alpha", [0.03, 0.04, 0.2, 0.9])
+    @pytest.mark.parametrize("m", [2, 54])
+    def test_shifts_stay_inside_the_exponent_cap(self, alpha, m):
+        rule = build_rule("de", alpha, m, SpectralBounds(0.01, 4.0), truncation_budget=1e-2)
+        cap = quadrature._EXP_CAP * (1.0 + 1e-12)
+        assert -cap <= np.log(rule.shifts[0]) and np.log(rule.shifts[-1]) <= cap
+        assert np.all(np.isfinite(rule.weights))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("m", [2, 54])
+    def test_window_reads_lambda_hi_only(self, alpha, m):
+        # lambda / (sigma + lambda) rises with lambda, so the integrand at
+        # lambda_hi bounds it on the interval and lambda_lo cannot move the window.
+        wide = build_rule("de", alpha, m, SpectralBounds(1e-8, 4.0))
+        narrow = build_rule("de", alpha, m, SpectralBounds(3.9, 4.0))
+        np.testing.assert_array_equal(wide.shifts, narrow.shifts)
+        np.testing.assert_array_equal(wide.weights, narrow.weights)
 
 
 class TestProbe:

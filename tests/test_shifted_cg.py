@@ -400,6 +400,61 @@ class TestWindowEdges:
             )
 
 
+class TestIterationCap:
+    # The cap stops every shift still iterating in the same block as the
+    # other stop reasons: each is checked once on its formed iterate.  Cap 16
+    # ends a window, cap 35 falls inside one.
+    SHIFTS = np.array([0.0, 0.05, 0.4, 2.0, 9.0])
+    THRESHOLDS = np.full(5, 1e-14)
+    CAPS = [fracpow.shifted_cg._BLOCK, 35]
+
+    @pytest.fixture
+    def problem(self):
+        A = build_laplacian_2d(12, 10)
+        return A, np.random.default_rng(7).standard_normal(A.n)
+
+    def solve(self, A, b, cap, **kwargs):
+        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap)
+        return shifted_cg_solve(A, b, req, **kwargs)
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_callback_sees_the_returned_rows(self, problem, cap):
+        last = []
+        X, rep = self.solve(*problem, cap, callback=lambda i, r, zeta, sols: last.append(sols))
+        assert rep.iterations_used.max() == cap
+        np.testing.assert_array_equal(last[-1], X)
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_active_rows_stop_at_the_cap(self, problem, cap):
+        A, b = problem
+        _, free = self.solve(A, b, None)
+        _, rep = self.solve(A, b, cap)
+        late = free.iterations_used > cap
+        assert late.any()
+        assert np.all(rep.iterations_used[late] == cap)
+        np.testing.assert_array_equal(rep.iterations_used[~late], free.iterations_used[~late])
+        np.testing.assert_array_equal(rep.converged[~late], free.converged[~late])
+
+    @pytest.mark.parametrize("cap", CAPS, ids=str)
+    def test_flags_and_residuals_are_the_returned_rows(self, problem, cap):
+        A, b = problem
+        X, rep = self.solve(A, b, cap)
+        np.testing.assert_array_equal(rep.converged, rep.final_residual_norms <= self.THRESHOLDS)
+        for k, sigma in enumerate(self.SHIFTS):
+            assert rep.final_residual_norms[k] == np.linalg.norm(b - sigma * X[k] - A.matvec(X[k]))
+
+    def test_one_check_per_capped_shift(self, problem, caplog):
+        A, b = problem
+        cap = self.CAPS[1]
+        _, free = self.solve(A, b, None)
+        with caplog.at_level("DEBUG", logger="fracpow.shifted_cg"):
+            _, rep = self.solve(A, b, cap)
+        capped = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
+        late = np.flatnonzero(free.iterations_used > cap)
+        assert len(capped) == np.count_nonzero(~rep.converged[late])
+        assert all(msg.startswith(f"shift {k} capped") for k, msg in zip(late, capped))
+
+
 class TestFreezeDecisions:
     # Per-node stopping iterations, flags and verification counts of the
     # solves that fracpow_action makes on lap2d:32x32 with b = ones; a
