@@ -10,8 +10,9 @@ Laplacians used throughout the test-suite, and
 :func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
 lambda_hi]`` for the spectrum of a Hermitian positive definite matrix.  The
 upper end is the Gershgorin bound, which is guaranteed; the lower end is the
-bottom Ritz value of a basis-free Lanczos recurrence minus its residual, an
-estimate, since that bounds the distance to *some* eigenvalue, not to the
+bottom Ritz value of a basis-free Lanczos recurrence, started from a seeded
+random vector plus the all-ones vector, minus its residual.  That is an
+estimate, since it bounds the distance to *some* eigenvalue, not to the
 smallest one.
 """
 
@@ -384,11 +385,37 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
 # ---------------------------------------------------------------------------
 
 
+def lanczos_start_vector(n: int, seed: int) -> np.ndarray:
+    """Unit start vector of the bounds recurrence: ``g/||g|| + 1/sqrt(n)``, renormalised.
+
+    ``g`` is the first ``n`` standard normal draws of
+    ``np.random.default_rng(seed)``, its sign chosen so that ``sum(g) >= 0``.
+    The two unit parts then never cancel, and the start keeps at least
+    ``1/sqrt(2)`` of its length along the all-ones direction.
+
+    A Stieltjes matrix (positive definite with non-positive off-diagonal
+    entries, such as every Dirichlet Laplacian built here) has an entrywise
+    positive inverse, so its bottom eigenvector is positive (Perron--Frobenius;
+    Varga, *Matrix Iterative Analysis*).  A plain Gaussian start has only
+    about ``1/sqrt(n)`` of its length along that vector, and the recurrence
+    takes twice as many steps on the ``lap2d`` matrices.  The random part
+    keeps every eigencomponent, so on other matrices the start is about
+    ``sqrt(2)`` worse in initial angle; a sign-flipped Laplacian ``S L S``
+    (same spectrum, ``S`` a random +-1 diagonal) takes the same number of
+    steps from either start.
+    """
+    g = np.random.default_rng(seed).standard_normal(n)
+    g *= np.copysign(1.0 / np.linalg.norm(g), g.sum())
+    v = g + 1.0 / np.sqrt(n)
+    return v / np.linalg.norm(v)
+
+
 def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[float, float]:
     """Bottom Ritz value and its residual from a plain three-term Lanczos recurrence.
 
-    No basis is stored and nothing is re-orthogonalized, so memory is O(n)
-    whatever the step count.  Lost orthogonality only adds ghost copies of
+    The recurrence starts from :func:`lanczos_start_vector`.  No basis is
+    stored and nothing is re-orthogonalized, so memory is O(n) whatever the
+    step count.  Lost orthogonality only adds ghost copies of
     converged Ritz values; the extreme ones still converge (Paige, 1980;
     Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
 
@@ -398,10 +425,8 @@ def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[
     Krylov space is invariant (a new direction below ``1e-12 * scale``).
     """
     n = A.n
-    rng = np.random.default_rng(seed)
     dtype = np.complex128 if _is_complex(A.values) else np.float64
-    v = rng.standard_normal(n).astype(dtype)
-    v /= np.linalg.norm(v)
+    v = lanczos_start_vector(n, seed).astype(dtype)
     v_prev = np.zeros(n, dtype=dtype)
     tmp = np.empty(n, dtype=dtype)
     alphas, betas = [], []
@@ -451,13 +476,15 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> Spec
     its residual, floored at ``1e-12 * lambda_hi``.  A Ritz value minus its
     residual bounds the distance to *some* eigenvalue, not to the smallest
     one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
-    a guaranteed lower bound.  Underestimating it only widens the probing
-    interval.  The recurrence is extended from ``LANCZOS_INITIAL_STEPS``
-    steps while the relative residual is large: on matrices with a tiny
-    relative gap at the low end (the 1-D Laplacian at n = 1000, say) a fixed
-    50-step run overestimates ``lambda_lo`` by orders of magnitude, and the
-    node-count needed to cover the resulting fictitious interval becomes
-    infeasible.
+    a guaranteed lower bound, whatever the start vector.  Underestimating it
+    only widens the probing interval.  ``seed`` selects the random part of
+    :func:`lanczos_start_vector`; its all-ones part halves the recurrence on
+    the Laplacians, whose bottom eigenvector is positive.  The recurrence is
+    extended from ``LANCZOS_INITIAL_STEPS`` steps while the relative residual
+    is large: on matrices with a tiny relative gap at the low end (the 1-D
+    Laplacian at n = 1000, say) a fixed 50-step run overestimates
+    ``lambda_lo`` by orders of magnitude, and the node-count needed to cover
+    the resulting fictitious interval becomes infeasible.
 
     A diagonal entry ``a_ii = e_i^* A e_i <= 0`` rules out positive
     definiteness before any product is spent.

@@ -490,51 +490,51 @@ k,sigma,omega,tau
 [
   {
     "k": 1,
-    "sigma": 0.0014862313344541928,
-    "omega": 0.04940233653055377,
-    "tau": 0.12655924143574107
+    "sigma": 0.0014862313344541581,
+    "omega": 0.04940233653055319,
+    "tau": 0.12655924143574254
   },
   {
     "k": 2,
-    "sigma": 0.014098349249720732,
-    "omega": 0.05342999979902623,
-    "tau": 0.11738777268004026
+    "sigma": 0.014098349249720402,
+    "omega": 0.05342999979902561,
+    "tau": 0.11738777268004164
   },
   {
     "k": 3,
-    "sigma": 0.0437726941468885,
-    "omega": 0.06290646281350804,
-    "tau": 0.10044110814712269
+    "sigma": 0.04377269414688748,
+    "omega": 0.0629064628135073,
+    "tau": 0.10044110814712386
   },
   {
     "k": 4,
-    "sigma": 0.10318966013611151,
-    "omega": 0.08188119275551045,
-    "tau": 0.07829922389022857
+    "sigma": 0.10318966013610911,
+    "omega": 0.0818811927555095,
+    "tau": 0.07829922389022943
   },
   {
     "k": 5,
-    "sigma": 0.2274800643677659,
-    "omega": 0.12157316987709074,
-    "tau": 0.05433302107078943
+    "sigma": 0.2274800643677606,
+    "omega": 0.12157316987708931,
+    "tau": 0.05433302107079001
   },
   {
     "k": 6,
-    "sigma": 0.5362610409832201,
-    "omega": 0.22018196864289624,
-    "tau": 0.03219113681389532
+    "sigma": 0.5362610409832077,
+    "omega": 0.22018196864289363,
+    "tau": 0.03219113681389561
   },
   {
     "k": 7,
-    "sigma": 1.6649885822849448,
-    "omega": 0.580639624427361,
-    "tau": 0.015244472280977736
+    "sigma": 1.664988582284906,
+    "omega": 0.5806396244273541,
+    "tau": 0.015244472280977809
   },
   {
     "k": 8,
-    "sigma": 15.794035548625434,
-    "omega": 5.092732190257901,
-    "tau": 0.006073003525276873
+    "sigma": 15.794035548625065,
+    "omega": 5.092732190257841,
+    "tau": 0.006073003525276831
   }
 ]
 """,

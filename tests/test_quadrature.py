@@ -290,8 +290,9 @@ class TestProbe:
             ProbeSpec(np.array([]), 1e-6)
 
 
-# Spectral intervals of the verify-grid matrices (Lanczos lambda_lo at seed 0,
-# Gershgorin lambda_hi) and the grid's (alpha, eps) cells with b = ones.
+# Frozen spectral intervals of the verify-grid matrices (a Lanczos lambda_lo
+# and the Gershgorin lambda_hi), kept fixed so that the quadrature tests do not
+# move with the bounds estimator, and the grid's (alpha, eps) cells with b = ones.
 GRID_BOUNDS = {
     "lap1d:1000": (SpectralBounds(9.849886619966925e-06, 4.0), 1000),
     "lap2d:32x32": (SpectralBounds(0.01811207274561162, 8.0), 1024),

@@ -16,6 +16,7 @@ from fracpow.sparse import (
     build_laplacian_1d,
     build_laplacian_2d,
     estimate_spectral_bounds,
+    lanczos_start_vector,
     read_matrix_market,
     write_matrix_market,
 )
@@ -513,11 +514,11 @@ class TestSpectralBounds:
             estimate_spectral_bounds(A)
 
     def test_top_eigenvector_orthogonal_to_start_vector(self):
-        # The Lanczos start vector is seed 0's first draw; a top eigenvector
-        # orthogonal to it is never seen by the recurrence, so only a bound
-        # that does not come from Lanczos reaches lambda_max.
+        # A top eigenvector orthogonal to the seed-0 Lanczos start vector is
+        # never seen by the recurrence, so only a bound that does not come
+        # from Lanczos reaches lambda_max.
         n = 200
-        start = np.random.default_rng(0).standard_normal(n)
+        start = lanczos_start_vector(n, 0)
         u = np.random.default_rng(1).standard_normal(n)
         u -= (u @ start) / (start @ start) * start
         u /= np.linalg.norm(u)
@@ -530,9 +531,9 @@ class TestSpectralBounds:
     @pytest.mark.parametrize(
         ("make", "products", "lambda_lo", "gershgorin", "lambda_max"),
         [
-            (lambda: build_laplacian_1d(1000), 1000, 9.849886619935064e-06, 4.0,
+            (lambda: build_laplacian_1d(1000), 800, 9.597246855030176e-06, 4.0,
              4.0 * np.sin(1000 * np.pi / 2002) ** 2),
-            (lambda: build_laplacian_2d(32, 32), 100, 0.01811207274561117, 8.0,
+            (lambda: build_laplacian_2d(32, 32), 50, 0.01784013701636091, 8.0,
              8.0 * np.sin(32 * np.pi / 66) ** 2),
             (lambda: build_laplacian_1d(50), 50, 0.0037933425258559663, 4.0,
              4.0 * np.sin(50 * np.pi / 102) ** 2),
@@ -550,6 +551,37 @@ class TestSpectralBounds:
         assert bounds.lambda_lo == pytest.approx(lambda_lo, rel=1e-9)
         assert bounds.lambda_hi == gershgorin
         assert bounds.lambda_hi >= lambda_max
+
+    @pytest.mark.parametrize(("sign_flipped", "max_products"), [(False, 200), (True, 400)])
+    def test_start_vector_sweep_length(self, sign_flipped, max_products):
+        # The Laplacian's bottom eigenvector is positive, so the all-ones part
+        # of the start vector halves the sweep (400 products from a plain
+        # Gaussian start).  S L S, with S a random +-1 diagonal, has the same
+        # spectrum but a bottom eigenvector of mixed signs: the sweep must be
+        # no longer than from a plain Gaussian start, and still enclose.
+        L = build_laplacian_2d(150, 150)
+        ev = lap1d_eigenvalues(150)
+        if sign_flipped:
+            s = np.random.default_rng(5).choice([-1.0, 1.0], L.n)
+            coo = L._csr.tocoo()
+            L = HermitianSparseMatrix.from_coo(
+                L.n, coo.row, coo.col, coo.data * s[coo.row] * s[coo.col]
+            )
+        A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
+        bounds = estimate_spectral_bounds(A)
+        assert A.calls <= max_products
+        assert bounds.lambda_lo <= 2 * ev.min() * (1 + 1e-12)
+        assert bounds.lambda_hi >= 2 * ev.max() * (1 - 1e-12)
+        assert bounds.lambda_lo >= 2 * ev.min() * 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_start_vector_leans_on_all_ones(self, n):
+        # g is oriented toward the all-ones vector, so the two unit parts
+        # never cancel: the start keeps at least 1/sqrt(2) along 1/sqrt(n).
+        for seed in range(8):
+            v = lanczos_start_vector(n, seed)
+            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
+            assert v.sum() / np.sqrt(n) >= 2**-0.5
 
     def test_memory_is_order_n(self):
         # The recurrence runs all n steps here, so a peak that grows with the
