@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FracpowError, ToleranceFloorError
+from .errors import FracpowError
 from .error_control import (
     ErrorBudget,
     check_tolerance,
@@ -126,16 +126,13 @@ def _load_problem(args: argparse.Namespace):
 def _setup(args: argparse.Namespace):
     budget = ErrorBudget(args.eps, args.quad_share, args.solve_share)
     A, b = _load_problem(args)
-    bounds = estimate_spectral_bounds(A, seed=args.seed)
-    return A, b, budget, bounds
+    return A, b, budget
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     """Run the full pipeline; write the result artifact; 0 iff certified."""
-    A, b, budget, bounds = _setup(args)
-    result = fracpow_action(
-        A, b, args.alpha, budget, args.family, bounds=bounds, max_iterations=args.max_iter
-    )
+    A, b, budget = _setup(args)
+    result = fracpow_action(A, b, args.alpha, budget, args.family, max_iterations=args.max_iter)
     if args.format == "json":
         payload = result.to_json_dict()
         y = result.y
@@ -161,7 +158,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """Emit the per-node stopping thresholds for the selected rule."""
-    A, b, budget, bounds = _setup(args)
+    A, b, budget = _setup(args)
+    bounds = estimate_spectral_bounds(A)
     bnorm = float(np.linalg.norm(b))
     check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
     rule = select_node_count(args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm))
@@ -235,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         A = build_matrix(spec)
         b = np.ones(A.n)
         w, Q = hpd_eigendecomposition(A)
-        bounds = estimate_spectral_bounds(A, seed=args.seed)
+        bounds = estimate_spectral_bounds(A)
         qtb = Q.T @ b
         refs = {alpha: Q @ (w**alpha * qtb) for alpha in args.alpha}
         prepared[spec] = (A, b, bounds, refs)
@@ -314,22 +312,14 @@ def _family(text: str) -> str:
     return text
 
 
-def _integer(text: str, minimum: int, expected: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    return _integer(text, 1, "a positive integer")
-
-
-def _seed(text: str) -> int:
-    return _integer(text, 0, "a non-negative integer")
 
 
 def _list_of(item):
@@ -352,7 +342,6 @@ def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool, fmt: str) -> 
         sub.add_argument("--family", choices=FAMILIES, default="de", help="quadrature family (default de)")
         sub.add_argument("--quad-share", type=_share, default=0.5, help="budget share for quadrature error (default 0.5)")
         sub.add_argument("--solve-share", type=_share, default=0.5, help="budget share for solve error (default 0.5)")
-        sub.add_argument("--seed", type=_seed, default=0, help="seed for the spectral bound estimator")
     sub.add_argument("--rhs", default=None, help="right-hand side file, one value per line (default: all ones)")
     sub.add_argument("--out", default=None, help="output artifact path (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default=fmt, help=f"artifact format (default {fmt})")
@@ -387,7 +376,6 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--solve-share", type=_share, default=0.5)
     verify.add_argument("--out", default=None, help="write the report table to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="csv", help="report table format (default csv)")
-    verify.add_argument("--seed", type=_seed, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -407,9 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ToleranceFloorError as exc:
-        print(f"fracpow: error: tolerance below double-precision floor ({exc})", file=sys.stderr)
-        return 1
     except (FracpowError, ValueError, OSError) as exc:
         print(f"fracpow: error: {exc}", file=sys.stderr)
         return 1

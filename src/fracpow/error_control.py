@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceFloorError
+from .errors import ToleranceFloorError, check_alpha, check_rhs, check_shifts
 from .quadrature import (
     ProbeSpec,
     ShiftedQuadratureRule,
@@ -102,8 +102,7 @@ def error_coefficient(sigma, lambda_max: float):
     Vectorized over ``sigma``.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("shift must be non-negative")
+    check_shifts(sigma)
     if not lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
     coef = 1.0 / (1.0 + sigma / lambda_max)
@@ -209,13 +208,8 @@ def fracpow_action(
     every stage runs as for any other ``b``, which gives ``y = 0``, no CG
     iteration and ``certified=True``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    b = np.asarray(b)
-    if b.shape != (A.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    check_alpha(alpha)
+    b = check_rhs(b, A.n)
     bnorm = float(np.linalg.norm(b))
     if bounds is None:
         bounds = estimate_spectral_bounds(A)

@@ -1,11 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types and input checks shared across the package.
 
 Library callers can usually just catch :class:`FracpowError`.  The CLI
-reports any of them on stderr and exits 1; only :class:`ToleranceFloorError`
-gets a message of its own.
+reports any of them on stderr and exits 1.
+
+Each rule on an input that a caller supplies is written once, in a check
+below that every public entry point taking that input calls: the
+right-hand side (:func:`check_rhs`), the power alpha (:func:`check_alpha`)
+and the shifts (:func:`check_shifts`).  They raise :class:`ValueError`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class FracpowError(Exception):
@@ -34,3 +40,26 @@ class SolverBreakdownError(FracpowError):
 
 class ToleranceFloorError(FracpowError):
     """The requested tolerance is below what double precision can certify."""
+
+
+def check_rhs(b, n: int) -> np.ndarray:
+    """``b`` as an array; :class:`ValueError` unless it has shape ``(n,)`` and is finite."""
+    b = np.asarray(b)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return b
+
+
+def check_alpha(alpha) -> None:
+    """:class:`ValueError` unless the power ``alpha`` lies in (0, 1) (NaN does not)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def check_shifts(shifts) -> None:
+    """:class:`ValueError` unless every shift (a scalar or an array) is finite and non-negative."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if not (np.all(shifts >= 0.0) and np.all(np.isfinite(shifts))):
+        raise ValueError("shifts must be finite and non-negative")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MatrixFormatError, SpectralBoundsError
+from .errors import MatrixFormatError, SpectralBoundsError, check_alpha, check_rhs, check_shifts
 from .sparse import HERMITIAN_RTOL, HermitianSparseMatrix
 
 #: Largest dimension the dense oracle accepts.
@@ -48,22 +48,16 @@ def dense_fracpow_action(A: HermitianSparseMatrix, b: np.ndarray, alpha: float) 
     Raises if any eigenvalue is non-positive; the fractional power of an
     indefinite matrix is not real.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
+    check_alpha(alpha)
+    b = check_rhs(np.asarray(b, dtype=np.float64), A.n)
     w, Q = hpd_eigendecomposition(A)
     return Q @ (w**alpha * (Q.T @ b))
 
 
 def dense_shifted_solve(A: HermitianSparseMatrix, b: np.ndarray, sigma: float) -> np.ndarray:
     """Reference solution of ``(sigma I + A) x = b`` via eigendecomposition."""
-    if sigma < 0.0:
-        raise ValueError("shift must be non-negative")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
+    check_shifts(sigma)
+    b = check_rhs(np.asarray(b, dtype=np.float64), A.n)
     w, Q = hpd_eigendecomposition(A)
     return Q @ ((Q.T @ b) / (w + sigma))
 

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as beta_function
 
-from .errors import BudgetUnreachableError, QuadratureConstructionError
+from .errors import BudgetUnreachableError, QuadratureConstructionError, check_alpha, check_shifts
 from .sparse import SpectralBounds
 
 logger = logging.getLogger(__name__)
@@ -113,14 +113,12 @@ class ShiftedQuadratureRule:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "weights", weights)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        check_alpha(alpha)
         if shifts.ndim != 1 or shifts.size == 0 or shifts.shape != weights.shape:
             raise ValueError("shifts and weights must be equal-length non-empty vectors")
-        if not np.all(np.isfinite(shifts)):
-            raise ValueError("shifts must be finite")
-        if shifts[0] < 0.0 or np.any(np.diff(shifts) <= 0.0):
-            raise ValueError("shifts must be non-negative and strictly increasing")
+        check_shifts(shifts)
+        if np.any(np.diff(shifts) <= 0.0):
+            raise ValueError("shifts must be strictly increasing")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
 
@@ -329,8 +327,7 @@ def build_rule(
     nodes; every rule is bit-identical to a fresh build and owns its arrays.
     """
     family = _family_name(family)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if m < 1:
         raise ValueError("node count must be >= 1")
     if family == "de":

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverBreakdownError
+from .errors import SolverBreakdownError, check_rhs, check_shifts
 from .sparse import HermitianSparseMatrix
 
 logger = logging.getLogger(__name__)
@@ -90,8 +90,9 @@ class ShiftedSolveRequest:
         ).copy()
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "thresholds", thresholds)
-        if shifts.size == 0 or np.any(shifts < 0.0) or not np.all(np.isfinite(shifts)):
-            raise ValueError("shifts must be finite and non-negative")
+        if shifts.size == 0:
+            raise ValueError("shifts must be a non-empty vector")
+        check_shifts(shifts)
         if np.unique(shifts).size != shifts.size:
             raise ValueError("shifts must be distinct")
         if np.any(thresholds <= 0.0) or np.any(np.isnan(thresholds)):
@@ -199,19 +200,13 @@ def shifted_cg_solve(
     per call and does not change the solve.  The tracked residual norm of
     shift ``k`` at that iteration is ``zetas[k] * ||seed_residual||``.
     """
-    b = np.asarray(b)
-    if b.shape != (A.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    b = check_rhs(b, A.n)
     shifts = request.shifts
     thresholds = request.thresholds
     m = shifts.size
     n = A.n
     max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
-    if not np.issubdtype(dtype, np.inexact):
-        dtype = np.float64
     b = b.astype(dtype, copy=False)
 
     sigma_seed = float(shifts.min())
@@ -270,7 +265,7 @@ def shifted_cg_solve(
         q = A.matvec(p)
         q += np.multiply(sigma_seed, p, out=tmp)
         pq = float(np.vdot(p, q).real)
-        if pq <= 0.0 or pq < BREAKDOWN_FLOOR:
+        if pq < BREAKDOWN_FLOOR:
             raise SolverBreakdownError(
                 f"curvature term {pq:.3e} at iteration {i} is not safely positive; "
                 "the operator is numerically singular or indefinite on the Krylov space"
@@ -379,13 +374,8 @@ def single_shift_cg(
     through live views (copy to retain).  Returns
     ``(x, iterations, final_residual_norm)``.
     """
-    b = np.asarray(b)
-    if b.shape != (A.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
-    if sigma < 0.0:
-        raise ValueError("shift must be non-negative")
+    b = check_rhs(b, A.n)
+    check_shifts(sigma)
     max_iterations = 10 * A.n if max_iterations is None else int(max_iterations)
     x = np.zeros_like(b, dtype=np.promote_types(b.dtype, A.values.dtype))
     r = b.astype(x.dtype, copy=True)

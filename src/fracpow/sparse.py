@@ -10,8 +10,8 @@ Laplacians used throughout the test-suite, and
 :func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
 lambda_hi]`` for the spectrum of a Hermitian positive definite matrix.  The
 upper end is the Gershgorin bound, which is guaranteed; the lower end is the
-bottom Ritz value of a basis-free Lanczos recurrence, started from a seeded
-random vector plus the all-ones vector, minus its residual.  That is an
+bottom Ritz value of a basis-free Lanczos recurrence, started from a fixed
+seed-0 random vector plus the all-ones vector, minus its residual.  That is an
 estimate, since it bounds the distance to *some* eigenvalue, not to the
 smallest one.
 """
@@ -385,11 +385,11 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
 # ---------------------------------------------------------------------------
 
 
-def lanczos_start_vector(n: int, seed: int) -> np.ndarray:
+def lanczos_start_vector(n: int) -> np.ndarray:
     """Unit start vector of the bounds recurrence: ``g/||g|| + 1/sqrt(n)``, renormalised.
 
     ``g`` is the first ``n`` standard normal draws of
-    ``np.random.default_rng(seed)``, its sign chosen so that ``sum(g) >= 0``.
+    ``np.random.default_rng(0)``, its sign chosen so that ``sum(g) >= 0``.
     The two unit parts then never cancel, and the start keeps at least
     ``1/sqrt(2)`` of its length along the all-ones direction.
 
@@ -404,13 +404,13 @@ def lanczos_start_vector(n: int, seed: int) -> np.ndarray:
     (same spectrum, ``S`` a random +-1 diagonal) takes the same number of
     steps from either start.
     """
-    g = np.random.default_rng(seed).standard_normal(n)
+    g = np.random.default_rng(0).standard_normal(n)
     g *= np.copysign(1.0 / np.linalg.norm(g), g.sum())
     v = g + 1.0 / np.sqrt(n)
     return v / np.linalg.norm(v)
 
 
-def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[float, float]:
+def _lanczos_bottom(A: HermitianSparseMatrix, scale: float) -> tuple[float, float]:
     """Bottom Ritz value and its residual from a plain three-term Lanczos recurrence.
 
     The recurrence starts from :func:`lanczos_start_vector`.  No basis is
@@ -426,7 +426,7 @@ def _lanczos_bottom(A: HermitianSparseMatrix, seed: int, scale: float) -> tuple[
     """
     n = A.n
     dtype = np.complex128 if _is_complex(A.values) else np.float64
-    v = lanczos_start_vector(n, seed).astype(dtype)
+    v = lanczos_start_vector(n).astype(dtype)
     v_prev = np.zeros(n, dtype=dtype)
     tmp = np.empty(n, dtype=dtype)
     alphas, betas = [], []
@@ -465,7 +465,7 @@ def gershgorin_bound(A: HermitianSparseMatrix) -> float:
     return float(np.max(abs(A._csr) @ np.ones(A.n)))
 
 
-def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> SpectralBounds:
+def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     """Spectral interval ``[lambda_lo, lambda_hi]`` of a Hermitian positive definite A.
 
     ``lambda_hi`` is :func:`gershgorin_bound`, a guaranteed upper bound on
@@ -477,14 +477,16 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> Spec
     residual bounds the distance to *some* eigenvalue, not to the smallest
     one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
     a guaranteed lower bound, whatever the start vector.  Underestimating it
-    only widens the probing interval.  ``seed`` selects the random part of
-    :func:`lanczos_start_vector`; its all-ones part halves the recurrence on
-    the Laplacians, whose bottom eigenvector is positive.  The recurrence is
-    extended from ``LANCZOS_INITIAL_STEPS`` steps while the relative residual
-    is large: on matrices with a tiny relative gap at the low end (the 1-D
-    Laplacian at n = 1000, say) a fixed 50-step run overestimates
-    ``lambda_lo`` by orders of magnitude, and the node-count needed to cover
-    the resulting fictitious interval becomes infeasible.
+    only widens the probing interval.  The start is
+    :func:`lanczos_start_vector`, a fixed seed-0 Gaussian draw plus the
+    all-ones vector, so the interval is a function of ``A`` alone; the
+    all-ones part halves the recurrence on the Laplacians, whose bottom
+    eigenvector is positive.  The recurrence is extended from
+    ``LANCZOS_INITIAL_STEPS`` steps while the relative residual is large: on
+    matrices with a tiny relative gap at the low end (the 1-D Laplacian at
+    n = 1000, say) a fixed 50-step run overestimates ``lambda_lo`` by orders
+    of magnitude, and the node-count needed to cover the resulting
+    fictitious interval becomes infeasible.
 
     A diagonal entry ``a_ii = e_i^* A e_i <= 0`` rules out positive
     definiteness before any product is spent.
@@ -497,7 +499,7 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix, *, seed: int = 0) -> Spec
             f"matrix is not positive definite: diagonal entry {k} is {diag[k]:.6e}"
         )
     gersh = gershgorin_bound(A)
-    t_lo, r_lo = _lanczos_bottom(A, seed, gersh)
+    t_lo, r_lo = _lanczos_bottom(A, gersh)
     if t_lo <= 0.0:
         raise SpectralBoundsError(
             f"Lanczos found a non-positive Rayleigh quotient ({t_lo:.3e}): "

@@ -56,7 +56,7 @@ def grid_setup():
         ("lap2d:32x32", build_laplacian_2d(32, 32)),
     ):
         b = np.ones(A.n)
-        bounds = estimate_spectral_bounds(A, seed=0)
+        bounds = estimate_spectral_bounds(A)
         y_refs = {alpha: dense_fracpow_action(A, b, alpha) for alpha in GRID_ALPHAS}
         out[name] = (A, b, bounds, y_refs)
     return out
@@ -245,7 +245,7 @@ def test_criterion_7_budget_isolation():
     b = np.ones(A.n)
     alpha, epsilon = 0.5, 1e-6
     budget = ErrorBudget(epsilon)
-    bounds = estimate_spectral_bounds(A, seed=0)
+    bounds = estimate_spectral_bounds(A)
     probe = scalar_probe(budget, bounds, float(np.linalg.norm(b)))
     y_ref = dense_fracpow_action(A, b, alpha)
     failures = []

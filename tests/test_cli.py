@@ -93,7 +93,7 @@ class TestCompute:
             ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-40"]
         )
         assert code == 1
-        assert "tolerance below double-precision floor" in capsys.readouterr().err
+        assert "below the double-precision floor" in capsys.readouterr().err
 
     def test_de_below_its_alpha_range_exits_1_without_warnings(self):
         # Run as a process so that numpy's warnings reach stderr as a user
@@ -219,7 +219,7 @@ class TestThresholds:
         )
         rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
         A = build_matrix("lap1d:40")
-        bounds = estimate_spectral_bounds(A, seed=0)
+        bounds = estimate_spectral_bounds(A)
         budget = ErrorBudget(1e-6)
         probe = scalar_probe(budget, bounds, np.sqrt(40.0))
         rule = select_node_count("gj2", 0.5, bounds, probe)
@@ -432,10 +432,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "argv,flag",
         [
-            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
-            (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "-1"], "--seed"),
-            (["verify", "--matrix", "lap1d:8", "--seed", "-1"], "--seed"),
-            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--seed", "1.5"], "--seed"),
             (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "0"], "--quad-share"),
             (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--solve-share", "1"], "--solve-share"),
             (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "1.5"], "--quad-share"),
@@ -443,21 +439,31 @@ class TestParsing:
             (["verify", "--matrix", "lap1d:8", "--solve-share", "nan"], "--solve-share"),
         ],
         ids=[
-            "compute-seed", "thresholds-seed", "verify-seed", "compute-seed-float",
             "compute-quad-share", "compute-solve-share", "thresholds-quad-share",
             "verify-quad-share", "verify-solve-share",
         ],
     )
-    def test_seed_and_shares_checked_at_parse_time(self, argv, flag, capsys, monkeypatch):
+    def test_shares_checked_at_parse_time(self, argv, flag, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_matrix", _no_matrix)
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
 
-    def test_bound_trace_has_no_seed(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["bound-trace", "--matrix", "lap1d:8"],
+            ["verify", "--matrix", "lap1d:8"],
+        ],
+        ids=["compute", "thresholds", "bound-trace", "verify"],
+    )
+    def test_no_subcommand_takes_seed(self, argv, capsys, monkeypatch):
+        # The spectral-bounds start vector is fixed, so there is no seed to set.
         monkeypatch.setattr(cli, "build_matrix", _no_matrix)
-        assert run_cli(["bound-trace", "--matrix", "lap1d:8", "--seed", "0"]) == 1
+        assert run_cli([*argv, "--seed", "0"]) == 1
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_log_env(self, monkeypatch, capsys):

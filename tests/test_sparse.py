@@ -496,13 +496,13 @@ class TestSpectralBounds:
         with pytest.raises(SpectralBoundsError):
             estimate_spectral_bounds(A)
 
-    def test_seed_changes_probe_not_validity(self, rng):
-        dense = random_hermitian(rng, 30)
-        dense = dense @ dense.T + 0.5 * np.eye(30)
-        A = HermitianSparseMatrix.from_dense(dense)
-        ev = np.linalg.eigvalsh(dense)
-        for seed in (0, 1, 7):
-            bounds = estimate_spectral_bounds(A, seed=seed)
+    def test_encloses_random_hpd_spectra(self, rng):
+        for _ in range(3):
+            dense = random_hermitian(rng, 30)
+            dense = dense @ dense.T + 0.5 * np.eye(30)
+            A = HermitianSparseMatrix.from_dense(dense)
+            ev = np.linalg.eigvalsh(dense)
+            bounds = estimate_spectral_bounds(A)
             assert bounds.lambda_lo <= ev.min() * (1 + 1e-10)
             assert bounds.lambda_hi >= ev.max() * (1 - 1e-10)
 
@@ -518,7 +518,7 @@ class TestSpectralBounds:
         # never seen by the recurrence, so only a bound that does not come
         # from Lanczos reaches lambda_max.
         n = 200
-        start = lanczos_start_vector(n, 0)
+        start = lanczos_start_vector(n)
         u = np.random.default_rng(1).standard_normal(n)
         u -= (u @ start) / (start @ start) * start
         u /= np.linalg.norm(u)
@@ -574,14 +574,18 @@ class TestSpectralBounds:
         assert bounds.lambda_hi >= 2 * ev.max() * (1 - 1e-12)
         assert bounds.lambda_lo >= 2 * ev.min() * 0.5
 
-    @pytest.mark.parametrize("n", [1, 2, 1000])
-    def test_start_vector_leans_on_all_ones(self, n):
+    def test_start_vector_leans_on_all_ones(self):
         # g is oriented toward the all-ones vector, so the two unit parts
         # never cancel: the start keeps at least 1/sqrt(2) along 1/sqrt(n).
-        for seed in range(8):
-            v = lanczos_start_vector(n, seed)
+        # The seed-0 draw sums to a positive value for one of these n and to a
+        # negative one for the others, so both orientations are covered.
+        signs = set()
+        for n in (1, 2, 1000):
+            signs.add(np.sign(np.random.default_rng(0).standard_normal(n).sum()))
+            v = lanczos_start_vector(n)
             assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
             assert v.sum() / np.sqrt(n) >= 2**-0.5
+        assert signs == {-1.0, 1.0}
 
     def test_memory_is_order_n(self):
         # The recurrence runs all n steps here, so a peak that grows with the
