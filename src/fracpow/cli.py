@@ -83,8 +83,6 @@ def _load_rhs(path: str, n: int) -> np.ndarray:
     return b
 
 
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -123,15 +121,10 @@ def _load_problem(args: argparse.Namespace):
     return A, b
 
 
-def _setup(args: argparse.Namespace):
-    budget = ErrorBudget(args.eps, args.quad_share, args.solve_share)
-    A, b = _load_problem(args)
-    return A, b, budget
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     """Run the full pipeline; write the result artifact; 0 iff certified."""
-    A, b, budget = _setup(args)
+    A, b = _load_problem(args)
+    budget = ErrorBudget(args.eps)
     result = fracpow_action(A, b, args.alpha, budget, args.family, max_iterations=args.max_iter)
     if args.format == "json":
         payload = result.to_json_dict()
@@ -158,7 +151,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """Emit the per-node stopping thresholds for the selected rule."""
-    A, b, budget = _setup(args)
+    A, b = _load_problem(args)
+    budget = ErrorBudget(args.eps)
     bounds = estimate_spectral_bounds(A)
     bnorm = float(np.linalg.norm(b))
     check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
@@ -227,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     epsilon, else 3 with failing cells listed.
     """
     matrices = args.matrix if args.matrix is not None else list(VERIFY_MATRICES)
-    budgets = {eps: ErrorBudget(eps, args.quad_share, args.solve_share) for eps in args.eps}
+    budgets = {eps: ErrorBudget(eps) for eps in args.eps}
     prepared = {}
     for spec in matrices:
         A = build_matrix(spec)
@@ -302,10 +296,6 @@ def _shift(text: str) -> float:
     return _number(text, lambda s: s >= 0.0, "a non-negative finite shift")
 
 
-def _share(text: str) -> float:
-    return _number(text, lambda s: 0.0 < s < 1.0, "a budget share in (0, 1)")
-
-
 def _family(text: str) -> str:
     if text not in FAMILIES:
         raise argparse.ArgumentTypeError(f"unknown family {text!r}, expected one of {FAMILIES}")
@@ -340,8 +330,6 @@ def _add_common(sub: argparse.ArgumentParser, *, need_alpha: bool, fmt: str) -> 
         sub.add_argument("--alpha", type=_alpha, required=True, help="fractional power in (0, 1)")
         sub.add_argument("--eps", type=_tolerance, required=True, help="total error tolerance (2-norm, absolute)")
         sub.add_argument("--family", choices=FAMILIES, default="de", help="quadrature family (default de)")
-        sub.add_argument("--quad-share", type=_share, default=0.5, help="budget share for quadrature error (default 0.5)")
-        sub.add_argument("--solve-share", type=_share, default=0.5, help="budget share for solve error (default 0.5)")
     sub.add_argument("--rhs", default=None, help="right-hand side file, one value per line (default: all ones)")
     sub.add_argument("--out", default=None, help="output artifact path (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default=fmt, help=f"artifact format (default {fmt})")
@@ -372,8 +360,6 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--alpha", type=_list_of(_alpha), default=list(VERIFY_ALPHAS), help="comma-separated alpha values")
     verify.add_argument("--eps", type=_list_of(_tolerance), default=list(VERIFY_EPSILONS), help="comma-separated tolerances")
     verify.add_argument("--family", type=_list_of(_family), default=list(FAMILIES), help="comma-separated families")
-    verify.add_argument("--quad-share", type=_share, default=0.5)
-    verify.add_argument("--solve-share", type=_share, default=0.5)
     verify.add_argument("--out", default=None, help="write the report table to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="csv", help="report table format (default csv)")
     verify.set_defaults(func=cmd_verify)

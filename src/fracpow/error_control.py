@@ -6,8 +6,8 @@ approximation ``x`` to ``(sigma I + A)^(-1) b`` satisfies::
     || A (sigma I + A)^(-1) b - A x ||_2  <=  || b - (sigma I + A) x ||_2 / (1 + sigma / lambda_max)
 
 because ``||A (sigma I + A)^(-1)||_2 = lambda_max / (lambda_max + sigma)``.
-Splitting a total tolerance ``eps`` into a quadrature share and a solve share,
-giving each of the ``m`` quadrature nodes an equal slice of the solve share,
+Splitting a total tolerance ``eps`` in half between quadrature and solves,
+giving each of the ``m`` quadrature nodes an equal slice of the solve half,
 and inverting the inequality yields the per-node residual stopping threshold::
 
     tau_k = (solve_share * eps / m) * (1 + sigma_k / lambda_max) / omega_k
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ToleranceFloorError, check_alpha, check_rhs, check_shifts
+from .errors import ToleranceFloorError, check_alpha, check_rhs, check_shifts, check_weights
 from .quadrature import (
     ProbeSpec,
     ShiftedQuadratureRule,
@@ -44,23 +45,19 @@ TOLERANCE_FLOOR_FACTOR = 1e3
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Total tolerance and its split between quadrature and solves.
+    """Total tolerance ``epsilon``, split half to the quadrature and half to the solves.
 
-    The shares may sum to less than one (leaving slack) but never more.
+    The split is fixed: each side's cost (nodes, CG iterations) grows only
+    with the logarithm of one over its share, so moving it buys little.
     """
 
     epsilon: float
-    quad_share: float = 0.5
-    solve_share: float = 0.5
+    quad_share: ClassVar[float] = 0.5
+    solve_share: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0 or not np.isfinite(self.epsilon):
             raise ValueError("epsilon must be positive and finite")
-        for name, share in (("quad_share", self.quad_share), ("solve_share", self.solve_share)):
-            if not 0.0 < share < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {share}")
-        if self.quad_share + self.solve_share > 1.0 + 1e-12:
-            raise ValueError("quad_share + solve_share must not exceed 1")
 
 
 def tolerance_floor(b_norm: float, lambda_hi: float, alpha: float) -> float:
@@ -131,8 +128,9 @@ def node_error_bound(residual_norm, sigma, lambda_max: float, omega):
     ``|| omega * (A (sigma I + A)^(-1) b - A x) ||_2``.  Vectorized.
     """
     residual_norm = np.asarray(residual_norm, dtype=np.float64)
-    if np.any(residual_norm < 0.0):
+    if not np.all(residual_norm >= 0.0):
         raise ValueError("residual norm must be non-negative")
+    check_weights(omega)
     bound = np.asarray(omega) * residual_norm * error_coefficient(sigma, lambda_max)
     return float(bound) if bound.ndim == 0 else bound
 
@@ -196,12 +194,12 @@ def fracpow_action(
 
     Pipeline: estimate spectral bounds (unless ``bounds`` are given), check
     the tolerance floor, pick a rule whose scalar probe error fits the
-    quadrature share while one node fewer does not (probing
-    ``quad_share * epsilon / ||b||`` on eleven log-spaced samples of the
-    bound interval, see :func:`select_node_count`), solve all shifted
-    systems with multi-shift CG against the per-node thresholds, assemble
-    ``y = A @ (sum_k omega_k x_k)`` with a single final product, and certify
-    the result against the same thresholds and probe.
+    quadrature half of ``epsilon`` while one node fewer does not (probing
+    ``epsilon / (2 ||b||)`` on eleven log-spaced samples of the bound
+    interval, see :func:`select_node_count`), solve all shifted systems
+    with multi-shift CG against per-node thresholds that fit the solve
+    half, assemble ``y = A @ (sum_k omega_k x_k)`` with a single final
+    product, and certify the result against the same thresholds and probe.
 
     Every rule is exact on ``b = 0``, so there the probe budget is infinite
     and :func:`select_node_count` returns the 1-node rule of ``family``;

@@ -5,8 +5,9 @@ reports any of them on stderr and exits 1.
 
 Each rule on an input that a caller supplies is written once, in a check
 below that every public entry point taking that input calls: the
-right-hand side (:func:`check_rhs`), the power alpha (:func:`check_alpha`)
-and the shifts (:func:`check_shifts`).  They raise :class:`ValueError`.
+right-hand side (:func:`check_rhs`), the power alpha (:func:`check_alpha`),
+the shifts (:func:`check_shifts`) and the quadrature weights
+(:func:`check_weights`).  They raise :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -63,3 +64,10 @@ def check_shifts(shifts) -> None:
     shifts = np.asarray(shifts, dtype=np.float64)
     if not (np.all(shifts >= 0.0) and np.all(np.isfinite(shifts))):
         raise ValueError("shifts must be finite and non-negative")
+
+
+def check_weights(weights) -> None:
+    """:class:`ValueError` unless every weight (a scalar or an array) is positive and finite."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+        raise ValueError("weights must be positive and finite")

@@ -46,10 +46,11 @@ def dense_fracpow_action(A: HermitianSparseMatrix, b: np.ndarray, alpha: float) 
     """Reference ``A^alpha b`` through the full eigendecomposition.
 
     Raises if any eigenvalue is non-positive; the fractional power of an
-    indefinite matrix is not real.
+    indefinite matrix is not real.  ``Q`` is real, so a complex ``b`` gives
+    a complex result.
     """
     check_alpha(alpha)
-    b = check_rhs(np.asarray(b, dtype=np.float64), A.n)
+    b = check_rhs(b, A.n)
     w, Q = hpd_eigendecomposition(A)
     return Q @ (w**alpha * (Q.T @ b))
 
@@ -57,7 +58,7 @@ def dense_fracpow_action(A: HermitianSparseMatrix, b: np.ndarray, alpha: float) 
 def dense_shifted_solve(A: HermitianSparseMatrix, b: np.ndarray, sigma: float) -> np.ndarray:
     """Reference solution of ``(sigma I + A) x = b`` via eigendecomposition."""
     check_shifts(sigma)
-    b = check_rhs(np.asarray(b, dtype=np.float64), A.n)
+    b = check_rhs(b, A.n)
     w, Q = hpd_eigendecomposition(A)
     return Q @ ((Q.T @ b) / (w + sigma))
 

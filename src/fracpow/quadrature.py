@@ -56,7 +56,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as beta_function
 
-from .errors import BudgetUnreachableError, QuadratureConstructionError, check_alpha, check_shifts
+from .errors import (
+    BudgetUnreachableError,
+    QuadratureConstructionError,
+    check_alpha,
+    check_shifts,
+    check_weights,
+)
 from .sparse import SpectralBounds
 
 logger = logging.getLogger(__name__)
@@ -119,8 +125,7 @@ class ShiftedQuadratureRule:
         check_shifts(shifts)
         if np.any(np.diff(shifts) <= 0.0):
             raise ValueError("shifts must be strictly increasing")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be positive and finite")
+        check_weights(weights)
 
     @property
     def m(self) -> int:

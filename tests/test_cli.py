@@ -429,26 +429,21 @@ class TestParsing:
         assert run_cli([*argv, "--max-iter", "0"]) == 1
         assert "--max-iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--quad-share", "--solve-share"], ids=["quad-share", "solve-share"])
     @pytest.mark.parametrize(
-        "argv,flag",
+        "argv",
         [
-            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "0"], "--quad-share"),
-            (["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--solve-share", "1"], "--solve-share"),
-            (["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6", "--quad-share", "1.5"], "--quad-share"),
-            (["verify", "--matrix", "lap1d:8", "--quad-share", "-0.5"], "--quad-share"),
-            (["verify", "--matrix", "lap1d:8", "--solve-share", "nan"], "--solve-share"),
+            ["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["verify", "--matrix", "lap1d:8"],
         ],
-        ids=[
-            "compute-quad-share", "compute-solve-share", "thresholds-quad-share",
-            "verify-quad-share", "verify-solve-share",
-        ],
+        ids=["compute", "thresholds", "verify"],
     )
-    def test_shares_checked_at_parse_time(self, argv, flag, capsys, monkeypatch):
+    def test_no_subcommand_takes_shares(self, argv, flag, capsys, monkeypatch):
+        # The budget splits half-and-half by construction, so there is no share to set.
         monkeypatch.setattr(cli, "build_matrix", _no_matrix)
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage:")
-        assert f"argument {flag}" in err
+        assert run_cli([*argv, flag, "0.5"]) == 1
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

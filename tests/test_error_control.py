@@ -32,15 +32,12 @@ class TestErrorBudget:
         with pytest.raises(ValueError):
             ErrorBudget(np.inf)
 
-    def test_rejects_share_overflow(self):
-        with pytest.raises(ValueError):
-            ErrorBudget(1e-6, quad_share=0.7, solve_share=0.5)
-        with pytest.raises(ValueError):
-            ErrorBudget(1e-6, quad_share=1.0, solve_share=0.5)
-
-    def test_allows_slack(self):
-        budget = ErrorBudget(1e-6, quad_share=0.3, solve_share=0.3)
-        assert budget.quad_share + budget.solve_share < 1.0
+    def test_shares_are_not_settable(self):
+        # The half-and-half split belongs to the method: epsilon is the only field.
+        with pytest.raises(TypeError):
+            ErrorBudget(1e-6, quad_share=0.3)
+        with pytest.raises(TypeError):
+            ErrorBudget(1e-6, solve_share=0.3)
 
 
 class TestErrorCoefficient:
@@ -124,6 +121,11 @@ class TestNodeErrorBound:
     def test_rejects_negative_residual(self):
         with pytest.raises(ValueError):
             node_error_bound(-1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("residual", [np.nan, [1.0, np.nan]], ids=["scalar", "vector"])
+    def test_rejects_nan_residual(self, residual):
+        with pytest.raises(ValueError, match="residual norm must be non-negative"):
+            node_error_bound(residual, 0.0, 1.0, 1.0)
 
 
 class TestToleranceFloor:

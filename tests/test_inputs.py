@@ -1,8 +1,8 @@
 """Every public entry point applies the one check of each input it takes.
 
-The right-hand side, the power alpha and the shifts each have one rule,
-written once in ``fracpow.errors``; each entry point below must reject every
-bad value with that rule's message.
+The right-hand side, the power alpha, the shifts and the quadrature weights
+each have one rule, written once in ``fracpow.errors``; each entry point
+below must reject every bad value with that rule's message.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ def _rhs_with(value: float) -> np.ndarray:
 _FINITE_RHS = "right-hand side must be finite"
 _SHIFTS = "shifts must be finite and non-negative"
 _ALPHA = r"alpha must lie in \(0, 1\)"
+_WEIGHTS = "weights must be positive and finite"
 
 # Per rule: the bad values with the message each raises, and every entry
 # point taking the input, as a function of it.
@@ -62,6 +63,18 @@ RULES = {
             "ShiftedQuadratureRule": lambda a: ShiftedQuadratureRule(a, "gj1", [1.0], [1.0]),
             "build_rule": lambda a: build_rule("gj1", a, 4),
             "dense_fracpow_action": lambda a: dense_fracpow_action(A, np.ones(A.n), a),
+        },
+    ),
+    "weights": (
+        {
+            "nan": (np.nan, _WEIGHTS),
+            "inf": (np.inf, _WEIGHTS),
+            "zero": (0.0, _WEIGHTS),
+            "negative": (-1.0, _WEIGHTS),
+        },
+        {
+            "node_error_bound": lambda w: node_error_bound(1.0, 1.0, 4.0, w),
+            "ShiftedQuadratureRule": lambda w: ShiftedQuadratureRule(0.5, "gj1", [1.0], [w]),
         },
     ),
 }

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import MatrixFormatError, SpectralBoundsError
 from fracpow.oracle import (
     ORACLE_SIZE_CAP,
@@ -79,6 +80,15 @@ class TestDenseFracpowAction:
         got = dense_fracpow_action(A, np.array([1.0, 1.0]), 0.5)
         np.testing.assert_allclose(got, [2.0, 3.0], rtol=1e-14)
 
+    def test_complex_rhs_keeps_imaginary_part(self):
+        # Q is real, so A^alpha ((1+1j) b) = (1+1j) A^alpha b.
+        A = build_laplacian_1d(8)
+        b = np.ones(A.n)
+        got = dense_fracpow_action(A, (1 + 1j) * b, 0.5)
+        np.testing.assert_allclose(got, (1 + 1j) * dense_fracpow_action(A, b, 0.5), rtol=1e-14)
+        result = fracpow_action(A, (1 + 1j) * b, 0.5, ErrorBudget(1e-6))
+        assert absolute_error(result.y, got) <= 1e-6
+
     def test_cross_oracle_extended_precision(self):
         # Second, independent reference: per-eigenvalue powers computed as
         # exp(alpha * log(lambda)) in extended precision.
@@ -122,6 +132,12 @@ class TestDenseShiftedSolve:
             x = dense_shifted_solve(A, b, sigma)
             r = b - sigma * x - A.matvec(x)
             assert np.linalg.norm(r) <= 1e-11 * np.linalg.norm(b)
+
+    def test_complex_rhs_keeps_imaginary_part(self):
+        A = build_laplacian_1d(8)
+        b = np.ones(A.n)
+        got = dense_shifted_solve(A, (1 + 1j) * b, 0.5)
+        np.testing.assert_allclose(got, (1 + 1j) * dense_shifted_solve(A, b, 0.5), rtol=1e-14)
 
     def test_rejects_negative_shift(self):
         A = build_laplacian_1d(4)
