@@ -142,8 +142,12 @@ class ActionResult:
     ``certified`` is true when the selected rule met its scalar probe budget
     and every node's explicit final residual met the certificate threshold,
     in which case ``||y - A^alpha b||_2 <= epsilon`` up to rounding in the
-    assembly.  The solver ran against the certificate thresholds, which
-    ``report.thresholds`` holds.
+    assembly, provided that the spectrum of ``A`` lies in ``bounds`` (whose
+    ``lambda_lo`` is a Lanczos estimate, and which are used as given when
+    the caller passes them) and that the rule's scalar error stays within
+    the quadrature half between the 11 probes, where it is not checked
+    (ROADMAP.md items 1, 2 and 6).  The solver ran against the certificate
+    thresholds, which ``report.thresholds`` holds.
     """
 
     y: np.ndarray
@@ -188,7 +192,6 @@ def fracpow_action(
     family: str = "de",
     *,
     bounds: SpectralBounds | None = None,
-    max_iterations: int | None = None,
 ) -> ActionResult:
     """Compute ``y ~= A^alpha b`` with a certified total error budget.
 
@@ -217,7 +220,7 @@ def fracpow_action(
     rule = select_node_count(family, alpha, bounds, probe)
     thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
 
-    request = ShiftedSolveRequest(rule.shifts, thresholds, max_iterations)
+    request = ShiftedSolveRequest(rule.shifts, thresholds)
     solutions, report = shifted_cg_solve(A, b, request)
     y = A.matvec(rule.weights @ solutions)
 

@@ -181,13 +181,14 @@ class TestCompute:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_uncertified_exits_2(self, capsys):
-        # One CG iteration cannot meet these thresholds.
+    def test_uncertified_exits_2(self, tmp_path, capsys):
+        # The smallest-shift nodes stagnate above their thresholds at this eps.
         code = run_cli(
-            ["compute", "--matrix", "lap1d:60", "--alpha", "0.5", "--eps", "1e-9",
-             "--family", "gj2", "--max-iter", "1", "--out", "-"]
+            ["compute", "--matrix", "lap1d:1000", "--alpha", "0.2", "--eps", "1e-9",
+             "--family", "gj2", "--out", str(tmp_path / "run.json")]
         )
         assert code == 2
+        assert "certified=no" in capsys.readouterr().err
 
 
 class TestThresholds:
@@ -272,6 +273,26 @@ class TestNonFiniteRhs:
         assert code == 1
         assert f"right-hand side in {str(rhs)!r} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestEmptyRhs:
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no data\n"], ids=["empty", "blank", "comment"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compute", "--alpha", "0.5", "--eps", "1e-6"],
+            ["thresholds", "--alpha", "0.5", "--eps", "1e-6"],
+        ],
+        ids=["compute", "thresholds"],
+    )
+    def test_exits_1_with_shape_message(self, tmp_path, capsys, command, text):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text(text)
+        code = run_cli([*command, "--matrix", "lap1d:5", "--rhs", str(rhs)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"right-hand side in {str(rhs)!r} has shape (0,), expected (5,)" in err
+        assert "Warning" not in err
 
 
 class TestBoundTrace:
@@ -420,14 +441,17 @@ class TestParsing:
         "argv",
         [
             ["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
             ["bound-trace", "--matrix", "lap1d:8", "--shifts", "1"],
+            ["verify", "--matrix", "lap1d:8"],
         ],
-        ids=["compute", "bound-trace"],
+        ids=["compute", "thresholds", "bound-trace", "verify"],
     )
-    def test_zero_max_iter_exits_1(self, argv, capsys, monkeypatch):
+    def test_no_subcommand_takes_max_iter(self, argv, capsys, monkeypatch):
+        # Each node stops on its threshold, on stagnation or at the solver's 10 n guard.
         monkeypatch.setattr(cli, "build_matrix", _no_matrix)
-        assert run_cli([*argv, "--max-iter", "0"]) == 1
-        assert "--max-iter" in capsys.readouterr().err
+        assert run_cli([*argv, "--max-iter", "1"]) == 1
+        assert "unrecognized arguments: --max-iter 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--quad-share", "--solve-share"], ids=["quad-share", "solve-share"])
     @pytest.mark.parametrize(
@@ -460,6 +484,38 @@ class TestParsing:
         monkeypatch.setattr(cli, "build_matrix", _no_matrix)
         assert run_cli([*argv, "--seed", "0"]) == 1
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--matrix", "diag:1,4", "--alpha", "0.5", "--eps", "1e-6", "--out", "-"],
+            ["thresholds", "--matrix", "diag:1,4", "--alpha", "0.5", "--eps", "1e-6"],
+            ["verify", "--matrix", "diag:1,4", "--alpha", "0.5", "--eps", "1e-6", "--out", "-"],
+        ],
+        ids=["compute", "thresholds", "verify"],
+    )
+    def test_family_ignores_case(self, argv, capsys):
+        # The library's rule: names are matched in lower case.
+        outputs = []
+        for family in ("gj2", "GJ2"):
+            assert run_cli([*argv, "--family", family]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "GJ2" not in outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["thresholds", "--matrix", "lap1d:8", "--alpha", "0.5", "--eps", "1e-6"],
+            ["verify", "--matrix", "lap1d:8"],
+        ],
+        ids=["compute", "thresholds", "verify"],
+    )
+    def test_unknown_family_exits_1_before_any_matrix(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrix", _no_matrix)
+        assert run_cli([*argv, "--family", "Zeta"]) == 1
+        assert "unknown family 'zeta'" in capsys.readouterr().err
 
     def test_log_env(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACPOW_LOG", "DEBUG")

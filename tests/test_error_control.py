@@ -184,13 +184,10 @@ class TestFracpowAction:
         assert result.report.total_matvecs == 0
         assert result.error_bound_sum == 0.0
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"family": "bogus"}, {"max_iterations": 0}], ids=["family", "max_iterations"]
-    )
-    def test_zero_rhs_validates_like_any_rhs(self, kwargs):
+    def test_zero_rhs_validates_like_any_rhs(self):
         A = build_laplacian_1d(6)
         with pytest.raises(ValueError):
-            fracpow_action(A, np.zeros(6), 0.5, ErrorBudget(1e-8), **kwargs)
+            fracpow_action(A, np.zeros(6), 0.5, ErrorBudget(1e-8), "bogus")
 
     def test_alpha_validation(self):
         A = build_laplacian_1d(4)
@@ -235,14 +232,11 @@ class TestFracpowAction:
         assert result.bounds is bounds
         assert result.certified
 
-    def test_max_iterations_respected(self):
+    def test_takes_no_iteration_cap(self):
+        # Each node stops on its threshold, on stagnation or at the solver's 10 n guard.
         A = build_laplacian_1d(100)
-        b = np.ones(100)
-        result = fracpow_action(
-            A, b, 0.5, ErrorBudget(1e-9), "gj2", max_iterations=2
-        )
-        assert result.report.iterations_used.max() <= 2
-        assert not result.certified
+        with pytest.raises(TypeError, match="max_iterations"):
+            fracpow_action(A, np.ones(100), 0.5, ErrorBudget(1e-9), "gj2", max_iterations=2)
 
     def test_json_schema(self):
         A = build_diagonal([1.0, 4.0])
