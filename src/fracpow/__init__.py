@@ -21,15 +21,17 @@ from .errors import (
     MatrixFormatError,
     QuadratureConstructionError,
     SolverBreakdownError,
+    SolverMemoryError,
     SpectralBoundsError,
     ToleranceFloorError,
 )
 from .error_control import (
+    ActionPlan,
     ActionResult,
     ErrorBudget,
-    error_coefficient,
     fracpow_action,
     node_error_bound,
+    plan_action,
     residual_thresholds,
     tolerance_floor,
 )
@@ -45,7 +47,6 @@ from .quadrature import (
     build_rule,
     gauss_jacobi_nodes,
     probe_error,
-    probe_values_from_bounds,
     scalar_apply,
     select_node_count,
 )
@@ -69,6 +70,7 @@ from .sparse import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ActionPlan",
     "ActionResult",
     "BudgetUnreachableError",
     "ErrorBudget",
@@ -82,6 +84,7 @@ __all__ = [
     "ShiftedSolveReport",
     "ShiftedSolveRequest",
     "SolverBreakdownError",
+    "SolverMemoryError",
     "SpectralBounds",
     "SpectralBoundsError",
     "ToleranceFloorError",
@@ -92,13 +95,12 @@ __all__ = [
     "build_rule",
     "dense_fracpow_action",
     "dense_shifted_solve",
-    "error_coefficient",
     "estimate_spectral_bounds",
     "fracpow_action",
     "gauss_jacobi_nodes",
     "node_error_bound",
+    "plan_action",
     "probe_error",
-    "probe_values_from_bounds",
     "read_matrix_market",
     "residual_thresholds",
     "scalar_apply",

@@ -22,16 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FracpowError
-from .error_control import (
-    ErrorBudget,
-    check_tolerance,
-    error_coefficient,
-    fracpow_action,
-    residual_thresholds,
-    scalar_probe,
-)
+from .error_control import ErrorBudget, error_coefficient, fracpow_action, plan_action
 from .oracle import absolute_error, hpd_eigendecomposition
-from .quadrature import FAMILIES, _family_name, select_node_count
+from .quadrature import FAMILIES, _family_name
 from .shifted_cg import single_shift_cg
 from .sparse import (
     HermitianSparseMatrix,
@@ -155,12 +148,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     """Emit the per-node stopping thresholds for the selected rule."""
     A, b = _load_problem(args)
-    budget = ErrorBudget(args.eps)
-    bounds = estimate_spectral_bounds(A)
-    bnorm = float(np.linalg.norm(b))
-    check_tolerance(budget, bnorm, bounds.lambda_hi, args.alpha)
-    rule = select_node_count(args.family, args.alpha, bounds, scalar_probe(budget, bounds, bnorm))
-    taus = residual_thresholds(rule, budget, bounds.lambda_hi)
+    _, _, rule, taus = plan_action(A, b, args.alpha, ErrorBudget(args.eps), args.family)
     records = [
         (k + 1, float(rule.shifts[k]), float(rule.weights[k]), float(taus[k]))
         for k in range(rule.m)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -184,6 +184,47 @@ class ActionResult:
         }
 
 
+class ActionPlan(NamedTuple):
+    """Everything one action fixes before its first CG iteration."""
+
+    bounds: SpectralBounds
+    probe: ProbeSpec
+    rule: ShiftedQuadratureRule
+    thresholds: np.ndarray
+
+
+def plan_action(
+    A: HermitianSparseMatrix,
+    b: np.ndarray,
+    alpha: float,
+    budget: ErrorBudget,
+    family: str = "de",
+    *,
+    bounds: SpectralBounds | None = None,
+) -> ActionPlan:
+    """Spectral bounds, probe, rule and per-node thresholds for ``A^alpha b``.
+
+    Pipeline: estimate spectral bounds (unless ``bounds`` are given), check
+    the tolerance floor, pick a rule whose scalar probe error fits the
+    quadrature half of ``epsilon`` while one node fewer does not (probing
+    ``epsilon / (2 ||b||)`` on eleven log-spaced samples of the bound
+    interval, see :func:`select_node_count`), and set per-node residual
+    thresholds that fit the solve half.  Every rule is exact on ``b = 0``,
+    so there the probe budget is infinite and :func:`select_node_count`
+    returns the 1-node rule of ``family``.
+    """
+    check_alpha(alpha)
+    b = check_rhs(b, A.n)
+    bnorm = float(np.linalg.norm(b))
+    if bounds is None:
+        bounds = estimate_spectral_bounds(A)
+
+    check_tolerance(budget, bnorm, bounds.lambda_hi, alpha)
+    probe = scalar_probe(budget, bounds, bnorm)
+    rule = select_node_count(family, alpha, bounds, probe)
+    return ActionPlan(bounds, probe, rule, residual_thresholds(rule, budget, bounds.lambda_hi))
+
+
 def fracpow_action(
     A: HermitianSparseMatrix,
     b: np.ndarray,
@@ -195,33 +236,14 @@ def fracpow_action(
 ) -> ActionResult:
     """Compute ``y ~= A^alpha b`` with a certified total error budget.
 
-    Pipeline: estimate spectral bounds (unless ``bounds`` are given), check
-    the tolerance floor, pick a rule whose scalar probe error fits the
-    quadrature half of ``epsilon`` while one node fewer does not (probing
-    ``epsilon / (2 ||b||)`` on eleven log-spaced samples of the bound
-    interval, see :func:`select_node_count`), solve all shifted systems
-    with multi-shift CG against per-node thresholds that fit the solve
-    half, assemble ``y = A @ (sum_k omega_k x_k)`` with a single final
-    product, and certify the result against the same thresholds and probe.
-
-    Every rule is exact on ``b = 0``, so there the probe budget is infinite
-    and :func:`select_node_count` returns the 1-node rule of ``family``;
-    every stage runs as for any other ``b``, which gives ``y = 0``, no CG
-    iteration and ``certified=True``.
+    Plan with :func:`plan_action`, solve the shifted systems with
+    multi-shift CG against the plan's thresholds, assemble
+    ``y = A @ (sum_k omega_k x_k)`` with one final product and certify
+    against the same thresholds and probe; on ``b = 0`` that gives
+    ``y = 0``, no CG iteration and ``certified=True``.
     """
-    check_alpha(alpha)
-    b = check_rhs(b, A.n)
-    bnorm = float(np.linalg.norm(b))
-    if bounds is None:
-        bounds = estimate_spectral_bounds(A)
-
-    check_tolerance(budget, bnorm, bounds.lambda_hi, alpha)
-    probe = scalar_probe(budget, bounds, bnorm)
-    rule = select_node_count(family, alpha, bounds, probe)
-    thresholds = residual_thresholds(rule, budget, bounds.lambda_hi)
-
-    request = ShiftedSolveRequest(rule.shifts, thresholds)
-    solutions, report = shifted_cg_solve(A, b, request)
+    bounds, probe, rule, thresholds = plan_action(A, b, alpha, budget, family, bounds=bounds)
+    solutions, report = shifted_cg_solve(A, b, ShiftedSolveRequest(rule.shifts, thresholds))
     y = A.matvec(rule.weights @ solutions)
 
     node_bounds = node_error_bound(

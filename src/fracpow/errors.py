@@ -43,6 +43,10 @@ class ToleranceFloorError(FracpowError):
     """The requested tolerance is below what double precision can certify."""
 
 
+class SolverMemoryError(FracpowError):
+    """The shifted solve would need more memory than the machine has."""
+
+
 def check_rhs(b, n: int) -> np.ndarray:
     """``b`` as an array; :class:`ValueError` unless it has shape ``(n,)`` and is finite."""
     b = np.asarray(b)

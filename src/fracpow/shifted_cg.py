@@ -43,11 +43,12 @@ checked when its shift stopped.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverBreakdownError, check_rhs, check_shifts
+from .errors import SolverBreakdownError, SolverMemoryError, check_rhs, check_shifts
 from .sparse import HermitianSparseMatrix
 
 logger = logging.getLogger(__name__)
@@ -125,6 +126,11 @@ class ShiftedSolveReport:
         return bool(np.all(self.converged))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _explicit_residual_norm(A, b, sigma: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(b - sigma * x - A.matvec(x)))
 
@@ -189,16 +195,18 @@ def shifted_cg_solve(
     seed residuals, applied as two block products over cache-sized tiles
     once per window to the rows from the first active shift to the last.
     Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
-    residual window and one tile; ``solutions`` is ``X``.  A shift stops when
-    its explicit residual passes, when it stagnates, or at ``max_iterations``,
-    where every active shift is checked once; it keeps the iterate whose
-    residual was checked, and identity coefficients keep a later flush from
-    moving it.  ``callback(iteration,
-    seed_residual, zetas, solutions)`` is invoked after each joint iteration
-    with copies of the collinearity factors and iterates (entries for frozen
-    shifts hold their last active values); forming them costs O(m n _BLOCK)
-    per call and does not change the solve.  The tracked residual norm of
-    shift ``k`` at that iteration is ``zetas[k] * ||seed_residual||``.
+    residual window and one tile; ``solutions`` is ``X``.  Where ``X`` and
+    ``P`` would exceed physical memory, :class:`SolverMemoryError` is raised
+    before any product.  A shift stops when its explicit residual passes,
+    when it stagnates, or at ``max_iterations``, where every active shift is
+    checked once; it keeps the iterate whose residual was checked, and
+    identity coefficients keep a later flush from moving it.
+    ``callback(iteration, seed_residual, zetas, solutions)`` is invoked
+    after each joint iteration with copies of the collinearity factors and
+    iterates (entries for frozen shifts hold their last active values);
+    forming them costs O(m n _BLOCK) per call and does not change the
+    solve.  The tracked residual norm of shift ``k`` at that iteration is
+    ``zetas[k] * ||seed_residual||``.
     """
     b = check_rhs(b, A.n)
     shifts = request.shifts
@@ -207,6 +215,12 @@ def shifted_cg_solve(
     n = A.n
     max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
+    needed, available = 2 * m * n * dtype.itemsize, _physical_memory()
+    if needed > available:
+        raise SolverMemoryError(
+            f"the solve needs {needed} bytes for its {m} x {n} iterates and directions, "
+            f"more than the {available} bytes of physical memory"
+        )
     b = b.astype(dtype, copy=False)
 
     sigma_seed = float(shifts.min())

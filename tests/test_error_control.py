@@ -10,6 +10,7 @@ from fracpow.error_control import (
     error_coefficient,
     fracpow_action,
     node_error_bound,
+    plan_action,
     residual_thresholds,
     scalar_probe,
     tolerance_floor,
@@ -283,6 +284,35 @@ class TestFracpowAction:
         assert probe.budget == pytest.approx(5e-8)
         assert probe.probe_values[0] == pytest.approx(0.5)
         assert probe.probe_values[-1] == pytest.approx(2.0)
+
+
+class TestPlanAction:
+    @pytest.mark.parametrize("family", ["gj1", "gj2", "de"])
+    @pytest.mark.parametrize(
+        ("rhs", "given"),
+        [("random", False), ("random", True), ("zero", False)],
+        ids=["estimated-bounds", "given-bounds", "zero-rhs"],
+    )
+    def test_is_what_the_action_runs_on(self, rhs, given, family):
+        A = build_laplacian_2d(12, 10)
+        b = np.random.default_rng(7).standard_normal(A.n) if rhs == "random" else np.zeros(A.n)
+        bounds = SpectralBounds(0.05, 8.0) if given else None
+        budget = ErrorBudget(1e-8)
+        plan = plan_action(A, b, 0.3, budget, family, bounds=bounds)
+        result = fracpow_action(A, b, 0.3, budget, family, bounds=bounds)
+        assert plan.bounds == result.bounds
+        for planned, used in [
+            (plan.rule.shifts, result.rule.shifts),
+            (plan.rule.weights, result.rule.weights),
+            (plan.thresholds, result.report.thresholds),
+        ]:
+            assert planned.tobytes() == used.tobytes()
+
+    @pytest.mark.parametrize("call", [plan_action, fracpow_action])
+    def test_checks_alpha_before_rhs(self, call):
+        A = build_laplacian_1d(4)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            call(A, np.full(5, np.nan), 1.0, ErrorBudget(1e-6))
 
 
 class TestActionResultInvariants:

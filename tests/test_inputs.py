@@ -8,7 +8,13 @@ below must reject every bad value with that rule's message.
 import numpy as np
 import pytest
 
-from fracpow.error_control import ErrorBudget, error_coefficient, fracpow_action, node_error_bound
+from fracpow.error_control import (
+    ErrorBudget,
+    error_coefficient,
+    fracpow_action,
+    node_error_bound,
+    plan_action,
+)
 from fracpow.oracle import dense_fracpow_action, dense_shifted_solve
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
 from fracpow.shifted_cg import ShiftedSolveRequest, shifted_cg_solve, single_shift_cg
@@ -39,6 +45,7 @@ RULES = {
         },
         {
             "fracpow_action": lambda b: fracpow_action(A, b, 0.5, ErrorBudget(1e-6)),
+            "plan_action": lambda b: plan_action(A, b, 0.5, ErrorBudget(1e-6)),
             "shifted_cg_solve": lambda b: shifted_cg_solve(A, b, ShiftedSolveRequest([1.0], 1e-8)),
             "single_shift_cg": lambda b: single_shift_cg(A, b, 1.0, tol=1e-10),
             "dense_fracpow_action": lambda b: dense_fracpow_action(A, b, 0.5),
@@ -60,6 +67,7 @@ RULES = {
         {"zero": (0.0, _ALPHA), "one": (1.0, _ALPHA), "nan": (np.nan, _ALPHA)},
         {
             "fracpow_action": lambda a: fracpow_action(A, np.ones(A.n), a, ErrorBudget(1e-6)),
+            "plan_action": lambda a: plan_action(A, np.ones(A.n), a, ErrorBudget(1e-6)),
             "ShiftedQuadratureRule": lambda a: ShiftedQuadratureRule(a, "gj1", [1.0], [1.0]),
             "build_rule": lambda a: build_rule("gj1", a, 4),
             "dense_fracpow_action": lambda a: dense_fracpow_action(A, np.ones(A.n), a),

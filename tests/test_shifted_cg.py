@@ -6,8 +6,8 @@ import pytest
 
 import fracpow.error_control
 import fracpow.shifted_cg
-from fracpow.error_control import ErrorBudget, fracpow_action
-from fracpow.errors import SolverBreakdownError
+from fracpow.error_control import ErrorBudget, fracpow_action, plan_action
+from fracpow.errors import SolverBreakdownError, SolverMemoryError
 from fracpow.shifted_cg import (
     ShiftedSolveReport,
     ShiftedSolveRequest,
@@ -600,6 +600,44 @@ class TestFusedUpdate:
             2 * m * n * 8 + 8 * fracpow.shifted_cg._TILE + fracpow.shifted_cg._BLOCK * n * 8
             + 16 * n * 8
         )
+
+
+class TestMemoryGuard:
+    """X and P are checked against physical memory before any product.
+
+    The limit is patched, so nothing large is allocated.
+    """
+
+    def test_action_raises_before_any_product(self, monkeypatch):
+        A = build_laplacian_1d(200)
+        b = np.ones(A.n)
+        bounds = SpectralBounds(2.4e-4, 4.0)
+        plan = plan_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds)
+        needed = 2 * plan.rule.m * A.n * 8
+        products = []
+        matvec = HermitianSparseMatrix.matvec
+
+        def counting(self, x):
+            products.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(HermitianSparseMatrix, "matvec", counting)
+        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(SolverMemoryError, match=f"needs {needed} bytes.* {needed - 1} bytes"):
+            fracpow_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds)
+        assert not products
+        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: needed)
+        assert fracpow_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds).certified
+        assert products
+
+    def test_counts_the_promoted_dtype(self, monkeypatch):
+        # A complex right-hand side doubles the bytes per entry.
+        A = build_laplacian_1d(50)
+        request = ShiftedSolveRequest([0.5, 1.0, 2.0], 1e-8)
+        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: 2 * 3 * A.n * 8)
+        shifted_cg_solve(A, np.ones(A.n), request)
+        with pytest.raises(SolverMemoryError, match=f"needs {2 * 3 * A.n * 16} bytes"):
+            shifted_cg_solve(A, np.ones(A.n, dtype=complex), request)
 
 
 class TestBreakdown:
