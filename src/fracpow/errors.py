@@ -44,7 +44,7 @@ class ToleranceFloorError(FracpowError):
 
 
 class SolverMemoryError(FracpowError):
-    """The shifted solve would need more memory than the machine has."""
+    """The shifted solve would need more memory than the machine has available."""
 
 
 def check_rhs(b, n: int) -> np.ndarray:

@@ -10,17 +10,18 @@ three-term recurrence in the seed step/direction coefficients.  Tracking
 of one matrix-vector product per joint iteration.
 
 A shift whose tracked residual first dips under its threshold is verified by
-one explicit residual evaluation before it is frozen; if the explicit value
-disagrees (the tracked estimate drifted optimistic), the shift simply keeps
-iterating and is re-checked at a geometrically lower trigger.  A shift whose
-tracked estimate has fallen three orders of magnitude below its threshold
-while the explicit residual still fails has hit the rounding floor of double
-precision; it is then frozen unconverged rather than spinning until the
-iteration cap.  The cap is the third stop reason: at the last allowed
-iteration every active shift is checked once and stops, converged if its
-explicit residual passes and unconverged otherwise.  All three stop in one
-place, and converged flags are always backed by an explicit residual, never
-by the collinearity estimate alone.
+one explicit residual evaluation before it is frozen.  If the explicit value
+fails, the check also measures the residual gap ``||res - zeta_k r||``
+between the explicit residual ``res`` and the recursive one ``zeta_k r``
+(Greenbaum, SIMAX 1997).  As the recursive part goes to zero, the explicit
+residual tends to that gap, so a gap at or over the threshold means further
+iterations cannot pass: the shift is frozen unconverged as stagnated.  A
+smaller gap leaves the shift iterating, re-checked at a trigger half as high
+each time.  The cap is the third stop reason: at the last allowed iteration
+every active shift is checked once and stops, converged if its explicit
+residual passes and unconverged otherwise.  All three stop in one place, and
+converged flags are always backed by an explicit residual, never by the
+collinearity estimate alone.
 
 Every per-shift array is indexed by the shift's request index.  The seed
 and collinearity recurrences never read the iterates, so the iterates and
@@ -43,6 +44,7 @@ checked when its shift stopped.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -54,10 +56,6 @@ from .sparse import HermitianSparseMatrix
 logger = logging.getLogger(__name__)
 
 BREAKDOWN_FLOOR = 1e-300
-
-# Tracked-residual slack under the threshold before declaring the explicit
-# residual stuck at the rounding floor.
-_STAGNATION_FACTOR = 1e-3
 
 # Joint iterations per window of the deferred update.
 _BLOCK = 16
@@ -126,13 +124,14 @@ class ShiftedSolveReport:
         return bool(np.all(self.converged))
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _explicit_residual_norm(A, b, sigma: float, x: np.ndarray) -> float:
-    return float(np.linalg.norm(b - sigma * x - A.matvec(x)))
+def _available_memory() -> int:
+    """Bytes of ``MemAvailable`` in ``/proc/meminfo``, or of physical memory without it."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            kib = next(line.split()[1] for line in meminfo if line.startswith("MemAvailable:"))
+        return int(kib) * 1024
+    except (OSError, StopIteration):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _active_rows(active: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
@@ -195,12 +194,15 @@ def shifted_cg_solve(
     seed residuals, applied as two block products over cache-sized tiles
     once per window to the rows from the first active shift to the last.
     Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
-    residual window and one tile; ``solutions`` is ``X``.  Where ``X`` and
-    ``P`` would exceed physical memory, :class:`SolverMemoryError` is raised
-    before any product.  A shift stops when its explicit residual passes,
-    when it stagnates, or at ``max_iterations``, where every active shift is
-    checked once; it keeps the iterate whose residual was checked, and
-    identity coefficients keep a later flush from moving it.
+    residual window ``R``, the m x ``_BLOCK`` coefficients ``D`` and ``E``
+    and one tile; ``solutions`` is ``X``.  Where their sum would exceed the
+    available memory, :class:`SolverMemoryError` is raised before any
+    product.  A shift stops when its explicit residual ``res`` passes, when
+    it fails with a gap ``||res - zeta_k r||`` at least its threshold
+    (stagnation; a smaller gap re-checks it at half the trigger), or at
+    ``max_iterations``, where every active shift is checked once; it keeps
+    the iterate whose residual was checked, and identity coefficients keep
+    a later flush from moving it.
     ``callback(iteration, seed_residual, zetas, solutions)`` is invoked
     after each joint iteration with copies of the collinearity factors and
     iterates (entries for frozen shifts hold their last active values);
@@ -215,11 +217,29 @@ def shifted_cg_solve(
     n = A.n
     max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
-    needed, available = 2 * m * n * dtype.itemsize, _physical_memory()
+    # Window: row k is x = X[k] + a[k] P[k] + D[k, :t] R[:t] and
+    # p = c[k] P[k] + E[k, :t] R[:t].  OpenBLAS rounds the ragged column edge
+    # of a product differently by row position, and a one-row (vector)
+    # product differently from a block one.  So flush products are whole
+    # tiles of at least two rows and a multiple of 16 columns (D, E and R
+    # are zero-padded to them, D and E so that a tile may start at any row),
+    # and each row's bits do not depend on its position, on the tile size or
+    # on which shifts are still active.
+    s = _BLOCK
+    chunks = -(-n // _COLS)
+    cb = 16 * -(-n // (16 * chunks))
+    nblocks = -(-m // max(2, _TILE // cb))
+    kb = max(2, -(-m // nblocks))
+    shapes = {
+        "X": (m, n), "P": (m, n), "R": (s, -(-n // cb) * cb),
+        "D": (m + kb - 1, s), "E": (m + kb - 1, s), "work": (kb, cb),
+    }
+    needed = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
+    available = _available_memory()
     if needed > available:
         raise SolverMemoryError(
-            f"the solve needs {needed} bytes for its {m} x {n} iterates and directions, "
-            f"more than the {available} bytes of physical memory"
+            f"the solve needs {needed} bytes for its {m} x {n} iterates and directions "
+            f"and its workspace, more than the {available} bytes of available memory"
         )
     b = b.astype(dtype, copy=False)
 
@@ -238,27 +258,14 @@ def shifted_cg_solve(
     check_scale = np.ones(m)
     zeta_prev = np.ones(m)
     zeta = np.ones(m)
-    X = np.zeros((m, n), dtype=dtype)
+    X = np.zeros(shapes["X"], dtype=dtype)
     P = np.tile(b, (m, 1))
-    # Window: row k is x = X[k] + a[k] P[k] + D[k, :t] R[:t] and
-    # p = c[k] P[k] + E[k, :t] R[:t].  OpenBLAS rounds the ragged column edge
-    # of a product differently by row position, and a one-row (vector)
-    # product differently from a block one.  So flush products are whole
-    # tiles of at least two rows and a multiple of 16 columns (D, E and R
-    # are zero-padded to them, D and E so that a tile may start at any row),
-    # and each row's bits do not depend on its position, on the tile size or
-    # on which shifts are still active.
-    s = _BLOCK
-    chunks = -(-n // _COLS)
-    cb = 16 * -(-n // (16 * chunks))
-    nblocks = -(-m // max(2, _TILE // cb))
-    kb = max(2, -(-m // nblocks))
     a = np.zeros(m, dtype=dtype)
     c = np.ones(m, dtype=dtype)
-    D = np.zeros((m + kb - 1, s), dtype=dtype)
-    E = np.zeros_like(D)
-    R = np.zeros((s, -(-n // cb) * cb), dtype=dtype)
-    work = np.empty((kb, cb), dtype=dtype)
+    D = np.zeros(shapes["D"], dtype=dtype)
+    E = np.zeros(shapes["E"], dtype=dtype)
+    R = np.zeros(shapes["R"], dtype=dtype)
+    work = np.empty(shapes["work"], dtype=dtype)
     t = 0
 
     def iterate(k: int) -> np.ndarray:
@@ -322,21 +329,24 @@ def shifted_cg_solve(
             k = rows[j]
             threshold = thresholds[k]
             x = iterate(k)
-            explicit = _explicit_residual_norm(A, b, shifts[k], x)
+            res = b - shifts[k] * x - A.matvec(x)
+            explicit = float(np.linalg.norm(res))
             verification_matvecs += 1
             if explicit <= threshold:
                 converged[k] = True
-            elif capped or tracked[j] <= threshold * _STAGNATION_FACTOR:
-                # Out of iterations, or the explicit residual is pinned at the
-                # rounding floor while the recurrence keeps shrinking; further
-                # iterations cannot help.
-                logger.debug(
-                    "shift %d %s: explicit %.3e vs threshold %.3e",
-                    k, "capped" if capped else "stagnated", explicit, threshold,
-                )
+            elif capped:
+                logger.debug("shift %d capped: explicit %.3e vs threshold %.3e", k, explicit, threshold)
             else:
-                check_scale[k] *= 0.5
-                continue
+                # The explicit residual tends to the gap once the recursive
+                # one vanishes; a gap at the threshold cannot pass later.
+                gap = float(np.linalg.norm(res - znext[j] * r))
+                if gap < threshold:
+                    check_scale[k] *= 0.5
+                    continue
+                logger.debug(
+                    "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
+                    k, explicit, gap, threshold,
+                )
             X[k] = x
             a[k], c[k], D[k], E[k] = 0.0, 1.0, 0.0, 0.0
             final_res[k] = explicit

@@ -96,13 +96,13 @@ class TestCompute:
         assert "below the double-precision floor" in capsys.readouterr().err
 
     def test_unaffordable_solve_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("fracpow.shifted_cg._physical_memory", lambda: 1000)
+        monkeypatch.setattr("fracpow.shifted_cg._available_memory", lambda: 1000)
         code = run_cli(["compute", "--matrix", "lap1d:50", "--alpha", "0.5", "--eps", "1e-6"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fracpow: error: the solve needs ")
-        assert captured.err.endswith("more than the 1000 bytes of physical memory\n")
+        assert captured.err.endswith("more than the 1000 bytes of available memory\n")
         assert "Traceback" not in captured.err
 
     def test_de_below_its_alpha_range_exits_1_without_warnings(self):

@@ -1,4 +1,7 @@
 import dataclasses
+import io
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -499,6 +502,52 @@ class TestFreezeDecisions:
         assert falls.size and np.all(steps[falls[0] :] <= 0)
 
 
+class TestStagnation:
+    """A failed check below the cap freezes its shift only when the gap
+    between the explicit and the recursive residual is at the threshold;
+    a smaller gap re-checks the shift at half the trigger."""
+
+    def test_stuck_nodes_stop_on_their_gap(self, caplog):
+        # The three smallest shifts cannot reach their thresholds; each stops
+        # at its first check, so no joint iteration runs past the converged
+        # nodes and every node is checked once.
+        A = build_laplacian_1d(300)
+        bounds = SpectralBounds(0.00010893383959318113, 4.0)
+        with caplog.at_level("DEBUG", logger="fracpow.shifted_cg"):
+            result = fracpow_action(A, np.ones(A.n), 0.2, ErrorBudget(1e-10), "gj2", bounds=bounds)
+        rep = result.report
+        assert np.flatnonzero(~rep.converged).tolist() == [0, 1, 2]
+        assert rep.total_matvecs == rep.iterations_used[rep.converged].max() == 150
+        assert rep.verification_matvecs == result.rule.m == 94
+        lines = [r.getMessage() for r in caplog.records if "stagnated" in r.getMessage()]
+        assert len(lines) == 3
+        pattern = r"shift (\d+) stagnated: explicit (\S+), gap (\S+) vs threshold (\S+)"
+        for line in lines:
+            _, explicit, gap, threshold = re.fullmatch(pattern, line).groups()
+            assert float(explicit) > float(threshold)
+            assert float(gap) >= float(threshold)
+
+    @pytest.mark.parametrize(
+        "nx, alpha, epsilon, lambda_lo, m, checks",
+        [
+            (64, 0.2, 1e-9, 0.004645486034087669, 91, 92),
+            # Shift 0's gap is just under its threshold at its first check and
+            # grows before the next one; it passes only on the re-check at
+            # half the trigger.
+            (100, 0.5, 1e-10, 0.0019328366214641365, 148, 154),
+        ],
+        ids=["lap2d:64x64", "lap2d:100x100"],
+    )
+    def test_small_gap_is_rechecked(self, nx, alpha, epsilon, lambda_lo, m, checks):
+        A = build_laplacian_2d(nx, nx)
+        bounds = SpectralBounds(lambda_lo, 8.0)
+        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), "gj1", bounds=bounds)
+        assert result.rule.m == m
+        assert result.report.verification_matvecs == checks
+        assert result.report.converged.all()
+        assert result.certified
+
+
 class TestActiveRows:
     def test_contiguous_rows_give_a_slice(self):
         rows, index = _active_rows(np.array([False, True, True, True, False]))
@@ -603,17 +652,30 @@ class TestFusedUpdate:
 
 
 class TestMemoryGuard:
-    """X and P are checked against physical memory before any product.
+    """Every array the solve allocates is checked against the available
+    memory before any product.
 
-    The limit is patched, so nothing large is allocated.
+    The limit is patched, so nothing large is allocated.  On these small
+    problems one column tile spans ``n`` rounded up to a multiple of 16
+    (``cb``) and one row tile holds all ``m`` rows, so the solve allocates
+    ``X`` and ``P`` (m x n), the residual window ``R`` (``_BLOCK`` x cb),
+    ``D`` and ``E`` ((2 m - 1) x ``_BLOCK``) and the ``work`` tile (m x cb).
     """
+
+    @staticmethod
+    def entries(m, n):
+        cb = 16 * -(-n // 16)
+        assert m <= fracpow.shifted_cg._TILE // cb
+        s = fracpow.shifted_cg._BLOCK
+        return 2 * m * n + s * cb + 2 * (2 * m - 1) * s + m * cb
 
     def test_action_raises_before_any_product(self, monkeypatch):
         A = build_laplacian_1d(200)
         b = np.ones(A.n)
         bounds = SpectralBounds(2.4e-4, 4.0)
         plan = plan_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds)
-        needed = 2 * plan.rule.m * A.n * 8
+        needed = self.entries(plan.rule.m, A.n) * 8
+        assert needed > 2 * plan.rule.m * A.n * 8
         products = []
         matvec = HermitianSparseMatrix.matvec
 
@@ -622,11 +684,11 @@ class TestMemoryGuard:
             return matvec(self, x)
 
         monkeypatch.setattr(HermitianSparseMatrix, "matvec", counting)
-        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(fracpow.shifted_cg, "_available_memory", lambda: needed - 1)
         with pytest.raises(SolverMemoryError, match=f"needs {needed} bytes.* {needed - 1} bytes"):
             fracpow_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds)
         assert not products
-        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: needed)
+        monkeypatch.setattr(fracpow.shifted_cg, "_available_memory", lambda: needed)
         assert fracpow_action(A, b, 0.2, ErrorBudget(1e-6), "gj1", bounds=bounds).certified
         assert products
 
@@ -634,10 +696,43 @@ class TestMemoryGuard:
         # A complex right-hand side doubles the bytes per entry.
         A = build_laplacian_1d(50)
         request = ShiftedSolveRequest([0.5, 1.0, 2.0], 1e-8)
-        monkeypatch.setattr(fracpow.shifted_cg, "_physical_memory", lambda: 2 * 3 * A.n * 8)
+        entries = self.entries(3, A.n)
+        monkeypatch.setattr(fracpow.shifted_cg, "_available_memory", lambda: entries * 8)
         shifted_cg_solve(A, np.ones(A.n), request)
-        with pytest.raises(SolverMemoryError, match=f"needs {2 * 3 * A.n * 16} bytes"):
+        with pytest.raises(SolverMemoryError, match=f"needs {entries * 16} bytes"):
             shifted_cg_solve(A, np.ones(A.n, dtype=complex), request)
+
+    def test_count_covers_the_traced_peak(self, monkeypatch):
+        # The counted arrays are live together, and the rest of the solve is
+        # a few n-vectors and numpy's fixed-size ufunc buffers.
+        A = build_laplacian_2d(64, 64)
+        request = ShiftedSolveRequest(np.geomspace(1e-2, 1e2, 12), 1e-8)
+        needed = self.entries(12, A.n) * 8
+        monkeypatch.setattr(fracpow.shifted_cg, "_available_memory", lambda: needed)
+        A.matvec(np.ones(A.n))
+        tracemalloc.start()
+        try:
+            shifted_cg_solve(A, np.ones(A.n), request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert needed <= peak <= needed + 16 * A.n * 8
+
+    def test_available_memory_reads_meminfo(self, monkeypatch):
+        meminfo = "MemTotal:       8000 kB\nMemFree:        1000 kB\nMemAvailable:   3000 kB\n"
+        monkeypatch.setattr(fracpow.shifted_cg, "open", lambda path: io.StringIO(meminfo), raising=False)
+        assert fracpow.shifted_cg._available_memory() == 3000 * 1024
+
+    @pytest.mark.parametrize("meminfo", [None, "MemTotal:       8000 kB\n"], ids=["missing", "no-field"])
+    def test_available_memory_falls_back_to_physical(self, monkeypatch, meminfo):
+        def fake_open(path):
+            if meminfo is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(meminfo)
+
+        monkeypatch.setattr(fracpow.shifted_cg, "open", fake_open, raising=False)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert fracpow.shifted_cg._available_memory() == physical
 
 
 class TestBreakdown:
