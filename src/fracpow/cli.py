@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and certified, for ``compute``), 1 input or
 configuration error, 2 result computed but not certified, 3 verification
-grid failure.  Argument values are checked as they are parsed, so a bad
-value exits 1 before any matrix is built.  Output artifacts are byte-stable
-for a fixed configuration: no timestamps, floats serialized with 17
-significant digits in CSV and shortest round-trip form in JSON.
+grid failure.  Argument values are checked as they are parsed, by the
+library's own checks, so a bad value exits 1 before any matrix is built.
+Output artifacts are byte-stable for a fixed configuration: no timestamps,
+floats serialized with 17 significant digits in CSV and shortest round-trip
+form in JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FracpowError
+from .errors import FracpowError, check_alpha, check_rhs, check_shifts
 from .error_control import ErrorBudget, error_coefficient, fracpow_action, plan_action
 from .oracle import absolute_error, hpd_eigendecomposition
 from .quadrature import FAMILIES, _family_name
@@ -72,11 +73,10 @@ def _load_rhs(path: str, n: int) -> np.ndarray:
     # np.loadtxt warns when no line holds data; such a file is an empty vector.
     has_data = any(line.partition("#")[0].strip() for line in lines)
     b = np.loadtxt(lines, dtype=np.float64, ndmin=1) if has_data else np.empty(0)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side in {path!r} has shape {b.shape}, expected ({n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError(f"right-hand side in {path!r} must be finite")
-    return b
+    try:
+        return check_rhs(b, n)
+    except ValueError as exc:
+        raise ValueError(f"{path!r}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -263,26 +263,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _number(text: str, accept, expected: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (np.isfinite(value) and accept(value)):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return value
+def _checked_by(check):
+    """Argument type for a number that the library's ``check`` accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
-def _alpha(text: str) -> float:
-    return _number(text, lambda a: 0.0 < a < 1.0, "a power in (0, 1)")
-
-
-def _tolerance(text: str) -> float:
-    return _number(text, lambda e: e > 0.0, "a positive finite tolerance")
-
-
-def _shift(text: str) -> float:
-    return _number(text, lambda s: s >= 0.0, "a non-negative finite shift")
+_alpha = _checked_by(check_alpha)
+_tolerance = _checked_by(ErrorBudget)
+_shift = _checked_by(check_shifts)
 
 
 def _family(text: str) -> str:

@@ -7,7 +7,9 @@ Each rule on an input that a caller supplies is written once, in a check
 below that every public entry point taking that input calls: the
 right-hand side (:func:`check_rhs`), the power alpha (:func:`check_alpha`),
 the shifts (:func:`check_shifts`) and the quadrature weights
-(:func:`check_weights`).  They raise :class:`ValueError`.
+(:func:`check_weights`).  They raise :class:`ValueError`.  The CLI checks
+its right-hand side file, ``--alpha`` and ``--shifts`` with the same
+functions, and ``--eps`` with :class:`~fracpow.error_control.ErrorBudget`.
 """
 
 from __future__ import annotations

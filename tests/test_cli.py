@@ -11,7 +11,8 @@ import pytest
 
 import fracpow.cli as cli
 from fracpow.cli import build_matrix, main
-from fracpow.sparse import build_laplacian_1d, write_matrix_market
+from fracpow.error_control import ErrorBudget, fracpow_action
+from fracpow.sparse import HermitianSparseMatrix, build_laplacian_1d, write_matrix_market
 
 
 def run_cli(args):
@@ -160,6 +161,34 @@ class TestCompute:
         assert code == 1
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_complex_matrix_market_output(self, tmp_path, fmt):
+        # y is written as [re, im] pairs in JSON and as re,im rows in CSV,
+        # each number round-tripping to the library's result.
+        dense = 4.0 * np.eye(5, dtype=complex)
+        dense[np.arange(1, 5), np.arange(4)] = 1.0 + 1.0j
+        dense += np.triu(dense.conj().T, 1)
+        A = HermitianSparseMatrix.from_dense(dense)
+        path = tmp_path / "h.mtx"
+        write_matrix_market(A, path)
+        out = tmp_path / f"y.{fmt}"
+        code = run_cli(
+            ["compute", "--matrix", f"mm:{path}", "--alpha", "0.5", "--eps", "1e-8",
+             "--family", "gj2", "--format", fmt, "--out", str(out)]
+        )
+        assert code == 0
+        expected = fracpow_action(A, np.ones(5), 0.5, ErrorBudget(1e-8), "gj2").y
+        assert np.iscomplexobj(expected)
+        if fmt == "json":
+            pairs = json.loads(out.read_text())["y"]
+        else:
+            rows = list(csv.reader(io.StringIO(out.read_text())))
+            assert rows[0] == ["re", "im"]
+            pairs = [[float(v) for v in row] for row in rows[1:]]
+        pairs = np.array(pairs)
+        assert pairs.shape == (5, 2)
+        np.testing.assert_array_equal(pairs[:, 0] + 1j * pairs[:, 1], expected)
+
     def test_rhs_override(self, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n0.0\n")
@@ -281,7 +310,7 @@ class TestNonFiniteRhs:
         out = tmp_path / "out.csv"
         code = run_cli([*command, "--matrix", "lap1d:10", "--rhs", str(rhs), "--out", str(out)])
         assert code == 1
-        assert f"right-hand side in {str(rhs)!r} must be finite" in capsys.readouterr().err
+        assert f"{str(rhs)!r}: right-hand side must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -301,7 +330,7 @@ class TestEmptyRhs:
         code = run_cli([*command, "--matrix", "lap1d:5", "--rhs", str(rhs)])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"right-hand side in {str(rhs)!r} has shape (0,), expected (5,)" in err
+        assert f"{str(rhs)!r}: right-hand side has shape (0,), expected (5,)" in err
         assert "Warning" not in err
 
 
@@ -440,8 +469,17 @@ class TestParsing:
             ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "nan"],
             ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-6", "--family", "x"],
             ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-6", "--format", "yaml"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "half", "--eps", "1e-6"],
+            ["compute", "--matrix", "lap1d:4", "--alpha", "0.5", "--eps", "1e-6x"],
+            ["bound-trace", "--matrix", "lap1d:4", "--shifts", "1,two"],
+            ["bound-trace", "--matrix", "lap1d:4", "--eps", ""],
+            ["verify", "--alpha", "0.5,x"],
         ],
-        ids=["empty-matrix", "alpha", "eps-zero", "eps-nan", "family", "format"],
+        ids=[
+            "empty-matrix", "alpha", "eps-zero", "eps-nan", "family", "format",
+            "alpha-not-a-number", "eps-not-a-number", "shift-not-a-number",
+            "trace-eps-empty", "alpha-list-not-a-number",
+        ],
     )
     def test_invalid_value_exits_1(self, argv, capsys):
         assert run_cli(argv) == 1

@@ -77,6 +77,12 @@ class TestResidualThresholds:
         tau = residual_thresholds(rule, budget, lambda_max=shifts[3])[3]
         assert tau == pytest.approx(2e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("lambda_max", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_non_positive_lambda_max(self, lambda_max):
+        rule = self._rule([1.0], [1.0])
+        with pytest.raises(ValueError, match="lambda_max must be positive"):
+            residual_thresholds(rule, ErrorBudget(1e-6), lambda_max)
+
     def test_all_unity(self):
         rule = self._rule(np.array([0.0]), np.array([1.0]))
         tau = residual_thresholds(rule, ErrorBudget(2.0), lambda_max=1.0)[0]

@@ -152,6 +152,12 @@ class TestRuleType:
             ShiftedQuadratureRule(0.5, "de", shifts, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_rule_rejects_zero_nodes(family):
+    with pytest.raises(ValueError, match="node count"):
+        build_rule(family, 0.5, 0, SpectralBounds(0.5, 2.0))
+
+
 class TestGJ1:
     def test_alpha_half_single_node_closed_form(self):
         rule = build_rule("gj1", 0.5, 1)
@@ -228,6 +234,11 @@ class TestDE:
     def test_requires_bounds(self):
         with pytest.raises(ValueError):
             build_rule("de", 0.5, 4)
+
+    @pytest.mark.parametrize("budget", [0.0, np.inf], ids=["zero", "inf"])
+    def test_rejects_truncation_budget(self, budget):
+        with pytest.raises(QuadratureConstructionError, match="positive and finite"):
+            build_rule("de", 0.5, 9, SpectralBounds(0.5, 2.0), truncation_budget=budget)
 
     def test_unreachable_truncation_budget_raises(self):
         # Pushing the window far enough to meet this budget would overflow

@@ -54,6 +54,10 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             ShiftedSolveRequest([-1.0], [1e-8])
 
+    def test_rejects_empty_shifts(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ShiftedSolveRequest([], 1.0)
+
     def test_rejects_duplicate_shifts(self):
         with pytest.raises(ValueError):
             ShiftedSolveRequest([1.0, 1.0], [1e-8])

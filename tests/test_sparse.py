@@ -76,8 +76,56 @@ class TestHermitianSparseMatrix:
         assert A.nnz == 2
 
     def test_rejects_complex_diagonal(self):
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MatrixFormatError, match="not Hermitian"):
             HermitianSparseMatrix.from_coo(1, [0], [0], [1.0 + 0.5j])
+
+    @pytest.mark.parametrize(
+        ("n", "offsets", "cols", "vals"),
+        [
+            (0, [0], [], []),
+            (2, [0, 2], [0, 1], [1.0, 1.0]),
+            (2, [1, 1, 2], [0, 1], [1.0, 1.0]),
+            (3, [0, 2, 1, 2], [0, 1], [1.0, 1.0]),
+            (2, [0, -1, 0], [], []),
+            (2, [0, 1, 1], [0, 1], [1.0, 1.0]),
+            (2, [0, 1, 3], [0, 1], [1.0, 1.0]),
+            (2, [0, 1, 2], [0, 1], [1.0]),
+            (2, [0, 1, 2], [0, 2], [1.0, 1.0]),
+            (2, [0, 1, 2], [-1, 1], [1.0, 1.0]),
+            (2, [0, 2, 4], [1, 0, 0, 1], [1.0, 1.0, 1.0, 1.0]),
+            (2, [0, 2, 3], [0, 0, 1], [1.0, 1.0, 1.0]),
+        ],
+        ids=[
+            "n-zero", "offsets-short", "offsets-start", "offsets-decreasing",
+            "offsets-decreasing-empty", "offsets-end-below-nnz", "offsets-end-above-nnz",
+            "values-length", "column-high", "column-negative", "columns-unsorted",
+            "columns-duplicate",
+        ],
+    )
+    def test_rejects_malformed_csr(self, n, offsets, cols, vals):
+        with pytest.raises(ValueError):
+            HermitianSparseMatrix(n, offsets, cols, vals)
+
+    def test_integer_values_become_float64(self):
+        A = HermitianSparseMatrix(2, [0, 1, 2], [0, 1], [2, 3])
+        assert A.values.dtype == np.float64
+        np.testing.assert_array_equal(A.to_dense(), [[2.0, 0.0], [0.0, 3.0]])
+
+    def test_storage_is_shared_with_the_csr(self):
+        A = build_laplacian_2d(4, 3)
+        assert A.col_indices.dtype == A.row_offsets.dtype == np.int64
+        assert np.shares_memory(A._csr.indices, A.col_indices)
+        assert np.shares_memory(A._csr.indptr, A.row_offsets)
+        assert np.shares_memory(A._csr.data, A.values)
+
+    @pytest.mark.parametrize("dense", [np.ones((2, 3)), np.ones(3)], ids=["rectangular", "vector"])
+    def test_from_dense_rejects_non_square(self, dense):
+        with pytest.raises(ValueError, match="square"):
+            HermitianSparseMatrix.from_dense(dense)
+
+    def test_matvec_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="does not match"):
+            build_laplacian_1d(3).matvec(np.ones(4))
 
     def test_rejects_duplicate_entries(self):
         with pytest.raises(ValueError):
@@ -368,8 +416,9 @@ class TestMatrixMarket:
             read_matrix_market(io.StringIO(text))
 
     def test_rejects_upper_triangle_entry(self):
-        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n"
-        with pytest.raises(MatrixFormatError):
+        # Every diagonal entry is stored, so only the triangle check stands in the way.
+        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n1 2 1.0\n2 2 2.0\n"
+        with pytest.raises(MatrixFormatError, match=r"entry \(1, 2\) is not in the lower triangle"):
             read_matrix_market(io.StringIO(text))
 
     def test_rejects_empty_matrix(self):
@@ -390,10 +439,16 @@ class TestMatrixMarket:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_rejects_non_ascii_byte(self):
+    @pytest.mark.parametrize(
+        "stream",
+        [lambda text: io.BytesIO(text.encode("utf-8")), io.StringIO],
+        ids=["bytes", "text"],
+    )
+    def test_rejects_non_ascii_byte(self, stream):
+        # A text stream is held to the ASCII rule as its UTF-8 bytes.
         data = "%%MatrixMarket matrix coordinate real symmetric\n% café\n1 1 1\n1 1 2.0\n"
         with pytest.raises(MatrixFormatError, match="offset 53"):
-            read_matrix_market(io.BytesIO(data.encode("utf-8")))
+            read_matrix_market(stream(data))
 
     def test_rejects_rectangular(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
@@ -401,8 +456,47 @@ class TestMatrixMarket:
             read_matrix_market(io.StringIO(text))
 
     def test_rejects_index_out_of_range(self):
-        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n"
-        with pytest.raises(MatrixFormatError):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n3 1 1.0\n2 2 2.0\n"
+        with pytest.raises(MatrixFormatError, match=r"entry \(3, 1\) is not in the lower triangle for n = 2"):
+            read_matrix_market(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("%%MatrixMarket matrix array real symmetric\n2 2\n2.0\n-1.0\n2.0\n", "coordinate"),
+            (
+                "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 2\n2 1 1.0\n2 1 1.0\n",
+                "unsupported symmetry qualifier",
+            ),
+            ("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n", "expected 3 entries, found 0"),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n% only a comment\n",
+                "expected 3 entries, found 0",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n2 2 2.0\n",
+                "expected 3 entries, found 2",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 1 -1.0\n2 2 2.0\n",
+                "expected 2 entries, found 3",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 1 -1.0\n",
+                "only 1 of 2 diagonal entries",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2.0\n1 1 2.0\n2 2 2.0\n",
+                "duplicate entries",
+            ),
+        ],
+        ids=[
+            "array", "skew-symmetric", "no-entry-lines", "only-comments", "fewer-entries",
+            "more-entries", "missing-diagonal", "duplicate-entry",
+        ],
+    )
+    def test_rejects_malformed_file(self, text, message):
+        with pytest.raises(MatrixFormatError, match=message):
             read_matrix_market(io.StringIO(text))
 
     def test_rejects_bad_header(self):
@@ -494,6 +588,12 @@ class TestSpectralBounds:
     def test_indefinite_matrix_rejected(self):
         A = build_diagonal([-1.0, 1.0])
         with pytest.raises(SpectralBoundsError):
+            estimate_spectral_bounds(A)
+
+    def test_positive_diagonal_indefinite_matrix_rejected(self):
+        # Eigenvalues 3 and -1: the diagonal passes, the Lanczos bottom does not.
+        A = HermitianSparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SpectralBoundsError, match="non-positive Rayleigh quotient"):
             estimate_spectral_bounds(A)
 
     def test_encloses_random_hpd_spectra(self, rng):
