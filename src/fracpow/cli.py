@@ -172,7 +172,7 @@ def cmd_bound_trace(args: argparse.Namespace) -> int:
     for sigma in args.shifts:
         # A (sigma I + A)^{-1} b via the transfer w/(w+sigma) in (0, 1]; this
         # avoids forming the 1/lambda_min-amplified intermediate solve.
-        target = Q @ ((w / (w + sigma)) * (Q.T @ b))
+        target = Q @ ((w / (w + sigma)) * (Q.conj().T @ b))
         coefficient = error_coefficient(sigma, lambda_hi)
         records.append(
             (0, sigma, float(np.linalg.norm(target)), coefficient * float(np.linalg.norm(b)))
@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         b = np.ones(A.n)
         w, Q = hpd_eigendecomposition(A)
         bounds = estimate_spectral_bounds(A)
-        qtb = Q.T @ b
+        qtb = Q.conj().T @ b
         refs = {alpha: Q @ (w**alpha * qtb) for alpha in args.alpha}
         prepared[spec] = (A, b, bounds, refs)
 

@@ -2,10 +2,10 @@
 
 Everything here is a test fixture, not a production path.  The one entry
 point is :func:`hpd_eigendecomposition`, which checks the size cap of
-``ORACLE_SIZE_CAP`` rows before it densifies, accepts real symmetric values
-only, and rejects a matrix that is not positive definite.  The fractional
-action reference is the eigendecomposition definition
-``y_ref = Q diag(lambda^alpha) Q^T b``.
+``ORACLE_SIZE_CAP`` rows before it densifies and rejects a matrix that is
+not positive definite.  Real symmetric and complex Hermitian matrices are
+both accepted.  The fractional action reference is the eigendecomposition
+definition ``y_ref = Q diag(lambda^alpha) Q^H b``.
 """
 
 from __future__ import annotations
@@ -13,28 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixFormatError, SpectralBoundsError, check_alpha, check_rhs, check_shifts
-from .sparse import HERMITIAN_RTOL, HermitianSparseMatrix
+from .sparse import HermitianSparseMatrix
 
 #: Largest dimension the dense oracle accepts.
 ORACLE_SIZE_CAP = 1100
 
 
 def hpd_eigendecomposition(A: HermitianSparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition ``A = Q diag(w) Q^T`` of a real symmetric positive definite A.
+    """Full eigendecomposition ``A = Q diag(w) Q^H`` of a Hermitian positive definite A.
 
-    Returns eigenvalues ascending and orthonormal eigenvectors as columns.
-    The size cap is checked before ``A`` is densified; complex storage must
-    carry no imaginary part; the smallest eigenvalue must be positive.
+    Returns real eigenvalues ascending and orthonormal eigenvectors as
+    columns; ``Q`` is real for real storage and complex for complex storage.
+    The size cap is checked before ``A`` is densified; the smallest
+    eigenvalue must be positive.
     """
     if A.n > ORACLE_SIZE_CAP:
         raise MatrixFormatError(f"dense oracle is capped at n = {ORACLE_SIZE_CAP}, got n = {A.n}")
-    dense = A.to_dense()
-    if np.iscomplexobj(dense):
-        scale = float(np.abs(dense).max()) or 1.0
-        if float(np.abs(dense.imag).max()) > HERMITIAN_RTOL * scale:
-            raise MatrixFormatError("dense oracle supports real symmetric matrices only")
-        dense = dense.real
-    w, Q = np.linalg.eigh(dense)
+    w, Q = np.linalg.eigh(A.to_dense())
     if w[0] <= 0.0:
         raise SpectralBoundsError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e}"
@@ -46,13 +41,13 @@ def dense_fracpow_action(A: HermitianSparseMatrix, b: np.ndarray, alpha: float) 
     """Reference ``A^alpha b`` through the full eigendecomposition.
 
     Raises if any eigenvalue is non-positive; the fractional power of an
-    indefinite matrix is not real.  ``Q`` is real, so a complex ``b`` gives
-    a complex result.
+    indefinite matrix is not Hermitian.  A complex ``A`` or ``b`` gives a
+    complex result.
     """
     check_alpha(alpha)
     b = check_rhs(b, A.n)
     w, Q = hpd_eigendecomposition(A)
-    return Q @ (w**alpha * (Q.T @ b))
+    return Q @ (w**alpha * (Q.conj().T @ b))
 
 
 def dense_shifted_solve(A: HermitianSparseMatrix, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -60,7 +55,7 @@ def dense_shifted_solve(A: HermitianSparseMatrix, b: np.ndarray, sigma: float) -
     check_shifts(sigma)
     b = check_rhs(b, A.n)
     w, Q = hpd_eigendecomposition(A)
-    return Q @ ((Q.T @ b) / (w + sigma))
+    return Q @ ((Q.conj().T @ b) / (w + sigma))
 
 
 def absolute_error(y: np.ndarray, y_ref: np.ndarray) -> float:

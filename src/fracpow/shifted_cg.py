@@ -35,10 +35,11 @@ over fixed-size tiles to the span of rows from the first active shift to
 the last, so the solve holds two m x n arrays, ``R`` (``_BLOCK`` x n) and
 one tile.  A shift that stops keeps its checked iterate in ``X`` and the
 identity coefficients ``a = 0``, ``c = 1``, ``D = E = 0``, so a flush whose
-span covers it leaves its row as it is.  A shift that is checked or
-reported between flushes is formed alone from its coefficients.  The
-solutions are returned in ``X``; each row is the iterate whose residual was
-checked when its shift stopped.
+span covers it leaves its row as it is.  Rows are formed only by a flush
+and, alone from its coefficients, for a shift checked between flushes.
+The solutions are returned in ``X``; each row is the iterate whose residual
+was checked when its shift stopped, or the zero iterate where that residual
+is larger than ``||b||``.
 """
 
 from __future__ import annotations
@@ -105,8 +106,11 @@ class ShiftedSolveReport:
     """Per-shift convergence record for one multi-shift solve.
 
     ``final_residual_norms`` are explicitly recomputed residuals (except for
-    the untouched zero iterate, whose residual is exactly ``||b||``), so
+    the zero iterate, whose residual is exactly ``||b||``), so
     ``converged[k]`` implies ``final_residual_norms[k] <= thresholds[k]``.
+    A shift that stops unconverged with an explicit residual above ``||b||``
+    returns the zero iterate instead, with residual ``||b||``; its
+    ``iterations_used`` is still the iteration at which it stopped.
     ``total_matvecs`` counts joint iterations (one product each); explicit
     verification products are tallied separately in ``verification_matvecs``.
     """
@@ -182,8 +186,6 @@ def shifted_cg_solve(
     A: HermitianSparseMatrix,
     b: np.ndarray,
     request: ShiftedSolveRequest,
-    *,
-    callback=None,
 ) -> tuple[np.ndarray, ShiftedSolveReport]:
     """Solve ``(sigma_k I + A) x_k = b`` for every shift in the request.
 
@@ -201,14 +203,11 @@ def shifted_cg_solve(
     it fails with a gap ``||res - zeta_k r||`` at least its threshold
     (stagnation; a smaller gap re-checks it at half the trigger), or at
     ``max_iterations``, where every active shift is checked once; it keeps
-    the iterate whose residual was checked, and identity coefficients keep
-    a later flush from moving it.
-    ``callback(iteration, seed_residual, zetas, solutions)`` is invoked
-    after each joint iteration with copies of the collinearity factors and
-    iterates (entries for frozen shifts hold their last active values);
-    forming them costs O(m n _BLOCK) per call and does not change the
-    solve.  The tracked residual norm of shift ``k`` at that iteration is
-    ``zetas[k] * ||seed_residual||``.
+    the iterate whose residual was checked, or the zero iterate if that
+    residual exceeds ``||b||``, and identity coefficients keep a later flush
+    from moving it.  A solve capped at ``max_iterations = i`` thus returns
+    every shift still active at ``i`` as its iterate ``i``, unless that
+    iterate's residual exceeds ``||b||``.
     """
     b = check_rhs(b, A.n)
     shifts = request.shifts
@@ -267,12 +266,6 @@ def shifted_cg_solve(
     R = np.zeros(shapes["R"], dtype=dtype)
     work = np.empty(shapes["work"], dtype=dtype)
     t = 0
-
-    def iterate(k: int) -> np.ndarray:
-        x = X[k] + a[k] * P[k]
-        x += D[k, :t] @ R[:t, :n]
-        return x
-
     r = b
     p = b.copy()
     tmp = np.empty(n, dtype=dtype)
@@ -328,7 +321,8 @@ def shifted_cg_solve(
         for j in candidates:
             k = rows[j]
             threshold = thresholds[k]
-            x = iterate(k)
+            x = X[k] + a[k] * P[k]
+            x += D[k, :t] @ R[:t, :n]
             res = b - shifts[k] * x - A.matvec(x)
             explicit = float(np.linalg.norm(res))
             verification_matvecs += 1
@@ -347,6 +341,8 @@ def shifted_cg_solve(
                     "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
                     k, explicit, gap, threshold,
                 )
+            if explicit > bnorm:  # the zero iterate's residual b is smaller
+                x, explicit = 0.0, bnorm
             X[k] = x
             a[k], c[k], D[k], E[k] = 0.0, 1.0, 0.0, 0.0
             final_res[k] = explicit
@@ -355,11 +351,6 @@ def shifted_cg_solve(
         if candidates.size:
             rows, index = _active_rows(active)
 
-        if callback is not None:
-            solutions = X.copy()
-            for k in rows:
-                solutions[k] = iterate(k)
-            callback(iterations, r, zeta.copy(), solutions)
         if not rows.size:
             break
         if t == s:

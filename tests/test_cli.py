@@ -189,6 +189,25 @@ class TestCompute:
         assert pairs.shape == (5, 2)
         np.testing.assert_array_equal(pairs[:, 0] + 1j * pairs[:, 1], expected)
 
+    def test_complex_matrix_market_oracle_commands(self, tmp_path, capsys):
+        # verify and bound-trace take the complex Hermitian file that the
+        # compute test above writes; the dense oracle is not real-only.
+        path = tmp_path / "h.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex hermitian\n3 3 5\n"
+            "1 1 4 0\n2 1 1 1\n2 2 4 0\n3 2 1 -1\n3 3 4 0\n"
+        )
+        assert run_cli(["verify", "--matrix", f"mm:{path}", "--alpha", "0.5", "--eps", "1e-6"]) == 0
+        assert capsys.readouterr().out.endswith("3/3 cells passed\n")
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            ["bound-trace", "--matrix", f"mm:{path}", "--shifts", "1", "--eps", "1e-10",
+             "--out", str(out)]
+        ) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert rows[0] == ["iteration", "shift", "measured_error", "error_bound"]
+        assert len(rows) > 2
+
     def test_rhs_override(self, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n0.0\n")

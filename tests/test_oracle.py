@@ -12,7 +12,12 @@ from fracpow.oracle import (
     dense_shifted_solve,
     hpd_eigendecomposition,
 )
-from fracpow.sparse import HermitianSparseMatrix, build_diagonal, build_laplacian_1d
+from fracpow.sparse import (
+    HermitianSparseMatrix,
+    build_diagonal,
+    build_laplacian_1d,
+    estimate_spectral_bounds,
+)
 
 from conftest import random_hpd
 
@@ -34,17 +39,24 @@ class TestHpdEigendecomposition:
         assert w.shape == (ORACLE_SIZE_CAP,)
         assert Q.shape == (ORACLE_SIZE_CAP, ORACLE_SIZE_CAP)
 
-    def test_real_storage_of_complex(self):
-        A = HermitianSparseMatrix.from_dense(np.eye(2).astype(complex))
+    def test_real_values_in_complex_storage(self):
+        # Real values stored as complex give the real eigenvalues and a
+        # unitary Q that reproduces the matrix.
+        A = HermitianSparseMatrix.from_dense(np.diag([1.0, 3.0]).astype(complex))
         w, Q = hpd_eigendecomposition(A)
         assert not np.iscomplexobj(w)
-        assert not np.iscomplexobj(Q)
+        np.testing.assert_allclose(w, [1.0, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(Q @ np.diag(w) @ Q.conj().T, A.to_dense(), atol=1e-15)
 
-    def test_rejects_true_complex(self):
+    def test_true_complex_hermitian(self):
+        # [[2, 1+i], [1-i, 2]] has eigenvalues 2 -+ sqrt(2) and complex
+        # eigenvectors; A = Q diag(w) Q^H with Q unitary.
         dense = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 2.0]])
-        A = HermitianSparseMatrix.from_dense(dense)
-        with pytest.raises(MatrixFormatError):
-            hpd_eigendecomposition(A)
+        w, Q = hpd_eigendecomposition(HermitianSparseMatrix.from_dense(dense))
+        np.testing.assert_allclose(w, [2.0 - np.sqrt(2.0), 2.0 + np.sqrt(2.0)], rtol=1e-15)
+        assert np.iscomplexobj(Q)
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(Q @ np.diag(w) @ Q.conj().T, dense, atol=1e-15)
 
     def test_diagonal_case(self):
         w, Q = hpd_eigendecomposition(build_diagonal([3.0, 1.0, 2.0]))
@@ -88,6 +100,18 @@ class TestDenseFracpowAction:
         np.testing.assert_allclose(got, (1 + 1j) * dense_fracpow_action(A, b, 0.5), rtol=1e-14)
         result = fracpow_action(A, (1 + 1j) * b, 0.5, ErrorBudget(1e-6))
         assert absolute_error(result.y, got) <= 1e-6
+
+    def test_complex_hermitian_square_root(self):
+        # (A^(1/2))^2 b = A b for a complex Hermitian A and a complex b.
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        A = HermitianSparseMatrix.from_dense(G @ G.conj().T / 30 + 0.1 * np.eye(30))
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        twice = dense_fracpow_action(A, dense_fracpow_action(A, b, 0.5), 0.5)
+        Ab = A.matvec(b)
+        assert np.linalg.norm(twice - Ab) <= 1e-12 * np.linalg.norm(Ab)
+        x = dense_shifted_solve(A, b, 0.7)
+        assert np.linalg.norm(b - 0.7 * x - A.matvec(x)) <= 1e-12 * np.linalg.norm(b)
 
     def test_cross_oracle_extended_precision(self):
         # Second, independent reference: per-eigenvalue powers computed as
@@ -143,6 +167,30 @@ class TestDenseShiftedSolve:
         A = build_laplacian_1d(4)
         with pytest.raises(ValueError):
             dense_shifted_solve(A, np.ones(4), -1.0)
+
+
+class TestComplexHermitianAccuracy:
+    """Every family certifies a complex Hermitian action within epsilon of
+    the dense oracle."""
+
+    @pytest.fixture(scope="class", params=[40, 200], ids=lambda n: f"n={n}")
+    def problem(self, request):
+        n = request.param
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = HermitianSparseMatrix.from_dense(G @ G.conj().T / n + 0.05 * np.eye(n))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return A, b, estimate_spectral_bounds(A)
+
+    @pytest.mark.parametrize("family", ["gj1", "gj2", "de"])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-8])
+    def test_certified_within_epsilon(self, problem, family, alpha, epsilon):
+        A, b, bounds = problem
+        result = fracpow_action(A, b, alpha, ErrorBudget(epsilon), family, bounds=bounds)
+        assert np.iscomplexobj(result.y)
+        assert result.certified
+        assert absolute_error(result.y, dense_fracpow_action(A, b, alpha)) <= epsilon
 
 
 class TestAbsoluteError:

@@ -11,6 +11,7 @@ import fracpow.error_control
 import fracpow.shifted_cg
 from fracpow.error_control import ErrorBudget, fracpow_action, plan_action
 from fracpow.errors import SolverBreakdownError, SolverMemoryError
+from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.shifted_cg import (
     ShiftedSolveReport,
     ShiftedSolveRequest,
@@ -29,24 +30,22 @@ from fracpow.sparse import (
 from conftest import random_hermitian
 
 
-def solve_with_history(A, b, request):
-    """Solve, and rebuild from the callback the ``(iteration, shift_index,
-    tracked_norm)`` row of every shift still iterating at each iteration."""
-    seen = []
+def capped_rows(A, b, shifts, iterations):
+    """Rows of a solve capped at ``iterations``: every shift's iterate there."""
+    X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest(shifts, 1e-300, iterations))
+    assert np.all(rep.iterations_used == iterations)
+    return X
 
-    def keep(i, r, zeta, X):
-        seen.append((i, zeta * np.sqrt(np.vdot(r, r).real)))
 
-    X, rep = shifted_cg_solve(A, b, request, callback=keep)
-    hist = np.array(
-        [
-            (i, k, tracked[k])
-            for i, tracked in seen
-            for k in range(tracked.size)
-            if i <= rep.iterations_used[k]
-        ]
-    )
-    return X, rep, hist
+def plain_cg_history(A, b, sigma, iterations):
+    """Iterates and recurrence residuals of plain CG on ``(sigma I + A) x = b``, by iteration."""
+    xs, rs = {}, {}
+
+    def keep(i, x, r):
+        xs[i], rs[i] = x.copy(), r.copy()
+
+    single_shift_cg(A, b, sigma, tol=1e-300, max_iterations=iterations, callback=keep)
+    return xs, rs
 
 
 class TestRequestValidation:
@@ -127,79 +126,58 @@ class TestExactCases:
 
 
 class TestEquivalenceWithPlainCG:
+    # A solve capped at i joint iterations returns every shift's iterate i,
+    # so capping at each i in turn compares the multi-shift recurrences with
+    # independent plain CG runs iteration by iteration.
+
     def test_iterates_match_per_shift(self, rng):
-        # The multi-shift recurrences must reproduce what independent plain
-        # CG runs produce on each shifted system, iteration by iteration.
         A = build_laplacian_1d(50)
         b = rng.standard_normal(50)
         shifts = np.array([0.0, 0.37, 1.9, 4.4, 9.6])
         iters = 30
+        plain = [plain_cg_history(A, b, sigma, iters)[0] for sigma in shifts]
+        for i in range(1, iters + 1):
+            X = capped_rows(A, b, shifts, i)
+            for k in range(shifts.size):
+                ref = plain[k][i]
+                assert np.linalg.norm(X[k] - ref) <= 1e-8 * np.linalg.norm(ref)
 
-        multi: dict[int, dict[int, np.ndarray]] = {}
-
-        def grab(i, r, zeta, X):
-            multi[i] = {k: X[k].copy() for k in range(len(shifts))}
-
-        req = ShiftedSolveRequest(shifts, 1e-300, iters)
-        shifted_cg_solve(A, b, req, callback=grab)
-
-        for k, sigma in enumerate(shifts):
-            plain: dict[int, np.ndarray] = {}
-
-            def keep(i, x, r):
-                plain[i] = x.copy()
-
-            single_shift_cg(A, b, sigma, tol=1e-300, max_iterations=iters, callback=keep)
-            for i in range(1, iters + 1):
-                ref = plain[i]
-                scale = np.linalg.norm(ref)
-                assert np.linalg.norm(multi[i][k] - ref) <= 1e-8 * scale
-
-    def test_residual_collinearity(self, rng):
-        # Each shifted system's CG residual stays a scalar multiple (the
-        # tracked factor) of the seed residual.  Compare against the plain
-        # CG recurrence residual per system: the explicit residual would
-        # bottom out at the 1e-15 rounding floor and mask the property.
+    def test_residuals_match_per_shift(self, rng):
+        # Each returned row's explicit residual is the plain CG recurrence
+        # residual of its shifted system.  Below the rounding floor of the
+        # explicit residual (about 1e-15 ||b||) the two part, so the
+        # tolerance has an absolute floor far above it.
         A = build_laplacian_1d(40)
         b = rng.standard_normal(40)
         shifts = np.array([0.1, 1.2, 5.0])
         iters = 25
-        seeds: dict[int, np.ndarray] = {}
-        factors: dict[int, np.ndarray] = {}
+        plain = [plain_cg_history(A, b, sigma, iters)[1] for sigma in shifts]
+        for i in range(1, iters + 1):
+            X = capped_rows(A, b, shifts, i)
+            for k, sigma in enumerate(shifts):
+                ref = plain[k][i]
+                res = b - sigma * X[k] - A.matvec(X[k])
+                assert np.linalg.norm(res - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
 
-        def grab(i, r, zeta, X):
-            seeds[i] = r.copy()
-            factors[i] = zeta.copy()
-
-        req = ShiftedSolveRequest(shifts, 1e-300, iters)
-        shifted_cg_solve(A, b, req, callback=grab)
-
-        for k, sigma in enumerate(shifts):
-            plain: dict[int, np.ndarray] = {}
-
-            def keep(i, x, r):
-                plain[i] = r.copy()
-
-            single_shift_cg(A, b, sigma, tol=1e-300, max_iterations=iters, callback=keep)
-            for i in range(1, iters + 1):
-                predicted = factors[i][k] * seeds[i]
-                denom = max(np.linalg.norm(plain[i]), 1e-300)
-                assert np.linalg.norm(plain[i] - predicted) <= 1e-8 * denom
-
-    def test_collinearity_factors_in_unit_interval(self, rng):
+    def test_residuals_collinear_and_shrinking_with_the_shift(self, rng):
+        # Every row's residual is zeta times the seed's (the smallest shift's)
+        # with 0 < zeta <= 1, and a larger shift has the smaller factor, up to
+        # the explicit residual's rounding floor.
         A = build_laplacian_1d(30)
         b = rng.standard_normal(30)
-        zetas = []
-
-        def grab(i, r, zeta, X):
-            zetas.append(zeta.copy())
-
-        req = ShiftedSolveRequest([0.0, 0.5, 2.0, 50.0], 1e-300, 20)
-        shifted_cg_solve(A, b, req, callback=grab)
-        for z in zetas:
-            assert z[0] == 1.0  # seed shift stays exactly collinear
-            assert np.all(z > 0.0) and np.all(z <= 1.0)
-            assert np.all(np.diff(z) <= 1e-15)  # larger shift, smaller factor
+        shifts = np.array([0.0, 0.5, 2.0, 50.0])
+        floor = 1e-12 * np.linalg.norm(b)
+        for i in range(1, 21):
+            X = capped_rows(A, b, shifts, i)
+            res = b - shifts[:, None] * X - np.array([A.matvec(x) for x in X])
+            seed = res[0]
+            zeta = res @ seed / np.vdot(seed, seed)
+            assert zeta[0] == pytest.approx(1.0, rel=1e-14)
+            norms = np.linalg.norm(res, axis=1)
+            apart = np.linalg.norm(res - zeta[:, None] * seed, axis=1)
+            assert np.all(apart <= 1e-8 * norms + floor)
+            assert np.all(zeta >= -floor) and np.all(zeta <= 1.0 + 1e-12)
+            assert np.all(np.diff(norms) <= floor)
 
 
 class TestConvergenceCertificates:
@@ -236,15 +214,6 @@ class TestConvergenceCertificates:
             x_ref = np.linalg.solve(dense + sigma * np.eye(40), b)
             np.testing.assert_allclose(X[k], x_ref, rtol=1e-8, atol=1e-14)
 
-    def test_history_recorded(self, rng):
-        A = build_laplacian_1d(20)
-        b = rng.standard_normal(20)
-        X, rep, hist = solve_with_history(A, b, ShiftedSolveRequest([0.5, 2.0], 1e-11))
-        assert hist.shape[1] == 3
-        assert np.all(hist[:, 0] >= 1)
-        assert set(np.unique(hist[:, 1])) <= {0.0, 1.0}
-        assert np.all(hist[:, 2] >= 0.0)
-
     def test_matvec_accounting(self, rng):
         A = build_laplacian_1d(30)
         b = rng.standard_normal(30)
@@ -264,38 +233,42 @@ class TestOutOfOrderFreezes:
     def solved(self, rng):
         A = build_laplacian_1d(80)
         b = rng.standard_normal(80)
-        seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS))
+        return A, b, X, rep
 
-        def grab(i, r, zeta, X):
-            seen[i] = (zeta.copy(), X.copy())
-
-        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS)
-        X, rep = shifted_cg_solve(A, b, req, callback=grab)
-        return A, b, X, rep, seen
+    @pytest.fixture
+    def capped(self, solved):
+        # The same solve capped at every iteration up to its last.
+        A, b, _, rep = solved
+        return {
+            cap: shifted_cg_solve(A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap))
+            for cap in range(1, rep.iterations_used.max() + 1)
+        }
 
     def test_freeze_order(self, solved):
-        _, _, _, rep, seen = solved
+        _, _, _, rep = solved
         used = rep.iterations_used
         assert rep.all_converged
         assert used[1] == 0
         assert 0 < used[2] < used[4] < used[3] < used[0]
-        assert sorted(seen) == list(range(1, used[0] + 1))
+        assert rep.total_matvecs == used[0]
 
-    def test_frozen_rows_stay_fixed_in_callback(self, solved):
-        _, _, X, rep, seen = solved
-        for k in self.ITERATED:
-            stop = rep.iterations_used[k]
-            zeta_stop, X_stop = seen[stop]
-            for i in range(stop, rep.iterations_used.max() + 1):
-                assert seen[i][0][k] == zeta_stop[k]
-                np.testing.assert_array_equal(seen[i][1][k], X_stop[k])
-            np.testing.assert_array_equal(X[k], X_stop[k])
-        for zeta, X_seen in seen.values():
-            assert zeta[1] == 1.0
-            np.testing.assert_array_equal(X_seen[1], 0.0)
+    def test_stopped_rows_stay_fixed(self, solved, capped):
+        # A cap at or after a shift's stop returns that shift's row, residual
+        # and stop iteration bit for bit; a cap before it stops the shift there.
+        _, _, X, rep = solved
+        for cap, (X_cap, rep_cap) in capped.items():
+            done = rep.iterations_used <= cap
+            np.testing.assert_array_equal(X_cap[done], X[done])
+            for name in ("final_residual_norms", "iterations_used"):
+                np.testing.assert_array_equal(
+                    getattr(rep_cap, name)[done], getattr(rep, name)[done], err_msg=name
+                )
+            np.testing.assert_array_equal(rep_cap.iterations_used[~done], cap)
+            np.testing.assert_array_equal(X_cap[1], 0.0)
 
     def test_returned_rows_match_plain_cg(self, solved):
-        A, b, X, rep, _ = solved
+        A, b, X, rep = solved
         for k in self.ITERATED:
             x, iterations, _ = single_shift_cg(
                 A, b, self.SHIFTS[k], tol=1e-300, max_iterations=rep.iterations_used[k]
@@ -304,37 +277,25 @@ class TestOutOfOrderFreezes:
             assert np.linalg.norm(X[k] - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_trivially_done_row(self, solved):
-        _, b, X, rep, _ = solved
+        _, b, X, rep = solved
         np.testing.assert_array_equal(X[1], 0.0)
         assert rep.iterations_used[1] == 0
         assert rep.converged[1]
         assert rep.final_residual_norms[1] == np.linalg.norm(b)
 
-    def test_history_holds_request_indices(self, solved):
-        A, b, X, rep, _ = solved
-        X_again, rep_again, hist = solve_with_history(
-            A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS)
-        )
-        np.testing.assert_array_equal(X_again, X)
-        np.testing.assert_array_equal(rep_again.iterations_used, rep.iterations_used)
-        expected = {
-            (i, k) for k in self.ITERATED for i in range(1, rep.iterations_used[k] + 1)
-        }
-        got = [(int(i), int(k)) for i, k in hist[:, :2]]
-        assert len(got) == len(expected) and set(got) == expected
+    def test_capped_rows_hold_request_indices(self, solved, capped):
+        # Row k of the solve capped at i is shift k's plain CG iterate i, and
+        # its reported residual is the norm of plain CG's residual there, up
+        # to the explicit residual's rounding floor, far below the threshold.
+        A, b, _, rep = solved
         for k in self.ITERATED:
-            # The tracked norm of row k is shift k's CG residual norm.
-            plain: dict[int, float] = {}
-
-            def keep(i, x, r):
-                plain[i] = float(np.linalg.norm(r))
-
-            single_shift_cg(
-                A, b, self.SHIFTS[k], tol=1e-300,
-                max_iterations=rep.iterations_used[k], callback=keep,
-            )
-            for i, _, tracked in hist[hist[:, 1] == k]:
-                assert tracked == pytest.approx(plain[int(i)], rel=1e-8)
+            xs, rs = plain_cg_history(A, b, self.SHIFTS[k], rep.iterations_used[k])
+            for i in range(1, rep.iterations_used[k] + 1):
+                X_cap, rep_cap = capped[i]
+                assert np.linalg.norm(X_cap[k] - xs[i]) <= 1e-8 * np.linalg.norm(xs[i])
+                assert rep_cap.final_residual_norms[k] == pytest.approx(
+                    np.linalg.norm(rs[i]), rel=1e-8, abs=1e-3 * self.THRESHOLDS[k]
+                )
 
 
 class TestWindowEdges:
@@ -351,9 +312,8 @@ class TestWindowEdges:
     def problem(self, rng):
         return build_laplacian_1d(200), rng.standard_normal(200)
 
-    def solve(self, A, b, cap, **kwargs):
-        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap)
-        return shifted_cg_solve(A, b, req, **kwargs)
+    def solve(self, A, b, cap):
+        return shifted_cg_solve(A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap))
 
     def test_freezes_land_mid_window(self, problem):
         _, rep = self.solve(*problem, None)
@@ -393,19 +353,6 @@ class TestWindowEdges:
         np.testing.assert_array_equal(rep_b.converged, rep.converged)
         assert rep_b.verification_matvecs == rep.verification_matvecs
 
-    @pytest.mark.parametrize("cap", CAPS, ids=str)
-    def test_callback_leaves_solve_unchanged(self, problem, cap):
-        # The callback's iterates are formed from copies; the solve itself
-        # must not depend on whether anyone looks.
-        A, b = problem
-        X, rep = self.solve(A, b, cap)
-        X_cb, rep_cb = self.solve(A, b, cap, callback=lambda *args: None)
-        np.testing.assert_array_equal(X_cb, X)
-        for field in dataclasses.fields(ShiftedSolveReport):
-            np.testing.assert_array_equal(
-                getattr(rep_cb, field.name), getattr(rep, field.name), err_msg=field.name
-            )
-
 
 class TestIterationCap:
     # The cap stops every shift still iterating in the same block as the
@@ -420,16 +367,8 @@ class TestIterationCap:
         A = build_laplacian_2d(12, 10)
         return A, np.random.default_rng(7).standard_normal(A.n)
 
-    def solve(self, A, b, cap, **kwargs):
-        req = ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap)
-        return shifted_cg_solve(A, b, req, **kwargs)
-
-    @pytest.mark.parametrize("cap", CAPS, ids=str)
-    def test_callback_sees_the_returned_rows(self, problem, cap):
-        last = []
-        X, rep = self.solve(*problem, cap, callback=lambda i, r, zeta, sols: last.append(sols))
-        assert rep.iterations_used.max() == cap
-        np.testing.assert_array_equal(last[-1], X)
+    def solve(self, A, b, cap):
+        return shifted_cg_solve(A, b, ShiftedSolveRequest(self.SHIFTS, self.THRESHOLDS, cap))
 
     @pytest.mark.parametrize("cap", CAPS, ids=str)
     def test_active_rows_stop_at_the_cap(self, problem, cap):
@@ -550,6 +489,29 @@ class TestStagnation:
         assert result.report.verification_matvecs == checks
         assert result.report.converged.all()
         assert result.certified
+
+
+class TestZeroIterateFallback:
+    def test_stopped_shift_never_reports_more_than_b(self):
+        # On a diagonal with kappa = 1e8 the tiniest shifts of a de rule stop,
+        # capped or stagnated, with checked iterates whose residuals exceed
+        # ||b||, the zero iterate's.  They return the zero iterate instead and
+        # keep their stop iteration; the action's error falls from the 1.45
+        # that keeping those iterates gave.
+        A = build_diagonal(np.geomspace(1e-8, 1.0, 500))
+        b = np.random.default_rng(5).standard_normal(A.n)
+        result = fracpow_action(A, b, 0.2, ErrorBudget(1e-9), "de")
+        rep = result.report
+        bnorm = np.linalg.norm(b)
+        late = ~rep.converged
+        assert result.rule.m == 205 and rep.total_matvecs == 5000
+        assert np.count_nonzero(late) == 68
+        assert np.all(rep.final_residual_norms[late] <= bnorm)
+        zero = late & (rep.final_residual_norms == bnorm)
+        assert np.count_nonzero(zero) == 60
+        assert np.all(rep.iterations_used[zero] >= 4854)
+        assert not result.certified
+        assert absolute_error(result.y, dense_fracpow_action(A, b, 0.2)) < 1.45
 
 
 class TestActiveRows:
