@@ -417,15 +417,21 @@ def _priced_errors(
 
 def _priced_node_count(
     family: str, alpha: float, bounds: SpectralBounds, probe: ProbeSpec
-) -> int | None:
-    """The first ``m`` whose priced probe error meets the budget, if any up to the cap."""
-    m = 1
+) -> int:
+    """The first ``m`` whose priced probe error meets the budget; if none up to
+    the cap does, :class:`BudgetUnreachableError` names the smallest priced one."""
+    m, smallest = 1, (math.inf, 1)
     for errors in _priced_errors(family, alpha, bounds, probe.probe_values):
         passing = np.flatnonzero(errors <= probe.budget)
         if passing.size:
             return m + int(passing[0])
+        k = int(np.argmin(errors))
+        smallest = min(smallest, (float(errors[k]), m + k))
         m += errors.size
-    return None
+    raise BudgetUnreachableError(
+        f"no {family} rule with m <= {NODE_COUNT_CAP} is priced within scalar budget "
+        f"{probe.budget:.3e} (smallest priced error {smallest[0]:.3e} at m = {smallest[1]})"
+    )
 
 
 def select_node_count(
@@ -454,23 +460,24 @@ def select_node_count(
     rules, so their probe error at every ``m`` is first priced by one O(m)
     continued-fraction recurrence without a node (see
     :func:`_priced_errors`), and the search starts at the first priced count
-    ``m*`` that meets the budget, with ``u = 1``.  Pricing only picks where to
-    start: every decision is still a built rule's probe error.  Priced and
-    built errors agree to several digits above the rounding floor, so this
-    usually builds two rules, ``m*`` and a neighbour.  Otherwise (``de``, or
-    no priced count up to ``NODE_COUNT_CAP``, which happens near the
-    rounding floor) ``m0 = u = 4``, so the search doubles from 4 and then
-    bisects.  A ``gj`` build whose table an earlier build cached computes no
-    node; the DEBUG line counts these as ``cached``.
+    ``m*`` that meets the budget, with ``u = 1``.  Pricing picks where to
+    start, and every acceptance is still a built rule's probe error.  Priced
+    and built errors agree to several digits above the rounding floor, so
+    this usually builds two rules, ``m*`` and a neighbour.  ``de`` starts at
+    ``m0 = u = 4``, so its search doubles from 4 and then bisects.  A ``gj``
+    build whose table an earlier build cached computes no node; the DEBUG
+    line counts these as ``cached``.
 
     ``family`` is matched case-insensitively, as in :func:`build_rule`, and
     an unknown family raises :class:`ValueError` before any pricing.
 
-    :class:`BudgetUnreachableError` is raised when ``NODE_COUNT_CAP``
-    fails: the budget then lies below the family's rounding floor or beyond
-    its convergence at the cap, unless the error rose with ``m``, which points
-    at a rounding defect in the rule.  The message therefore reports the
-    smallest error seen and its ``m``.
+    :class:`BudgetUnreachableError` is raised before any build when no
+    ``gj1``/``gj2`` count up to ``NODE_COUNT_CAP`` is priced within the
+    budget, and otherwise when the built ``NODE_COUNT_CAP``-node rule fails:
+    the budget then lies below the family's rounding floor or beyond its
+    convergence at the cap, unless the error rose with ``m``, which points
+    at a rounding defect in the rule.  Each message reports the smallest
+    error seen and its ``m``.
     """
     family = _family_name(family)
     if math.isinf(probe.budget):
@@ -488,7 +495,7 @@ def select_node_count(
 
     # de is not a Gauss rule, so only gj1 and gj2 are priced.
     priced = None if family == "de" else _priced_node_count(family, alpha, bounds, probe)
-    m0, u = (min(4, NODE_COUNT_CAP), 4) if priced is None else (priced, 1)
+    m0, u = (4, 4) if priced is None else (priced, 1)
     # lo fails and hi passes; 0 and NODE_COUNT_CAP + 1 stand for "none yet".
     lo, hi, reach, m = 0, NODE_COUNT_CAP + 1, 0, m0
     while hi - lo > 1:

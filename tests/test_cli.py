@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracpow.cli as cli
+import fracpow.quadrature as quadrature
 from fracpow.cli import build_matrix, main
 from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.sparse import HermitianSparseMatrix, build_laplacian_1d, write_matrix_market
@@ -286,6 +287,22 @@ class TestThresholds:
         assert len(rows) == rule.m
         got = np.array([float(r[3]) for r in rows])
         np.testing.assert_array_equal(got, tau)
+
+    def test_unreachable_budget_exits_1_without_a_build(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(quadrature, "build_rule", no_build)
+        code = run_cli(
+            ["thresholds", "--matrix", "diag:1e-8,1e-6,1e-4,1e-2,1", "--alpha", "0.5",
+             "--eps", "1e-6", "--family", "gj1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "fracpow: error: no gj1 rule with m <= 16384 is priced within scalar budget "
+        )
 
     def test_json_format(self, capsys):
         code = run_cli(

@@ -10,6 +10,7 @@ from scipy.special import beta as beta_function
 from scipy.special import roots_jacobi
 
 import fracpow.quadrature as quadrature
+from fracpow.error_control import ErrorBudget, plan_action
 from fracpow.errors import BudgetUnreachableError, QuadratureConstructionError
 from fracpow.quadrature import (
     FAMILIES,
@@ -23,7 +24,7 @@ from fracpow.quadrature import (
     scalar_apply,
     select_node_count,
 )
-from fracpow.sparse import SpectralBounds
+from fracpow.sparse import SpectralBounds, build_diagonal, estimate_spectral_bounds
 
 
 class TestGaussJacobiNodes:
@@ -359,11 +360,10 @@ def search_on_errors(monkeypatch, error_of_m) -> tuple[int, list[int]]:
 
     monkeypatch.setattr(quadrature, "build_rule", fake_build)
     monkeypatch.setattr(quadrature, "probe_error", fake_probe_error)
-    # No priced start, so the synthetic errors drive the search from m = 4.
-    monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
+    # de is not priced, so the synthetic errors drive the search from m = 4.
     probe = ProbeSpec(np.array([1.0]), SYNTHETIC_BUDGET)
     try:
-        m = select_node_count("gj1", 0.5, SpectralBounds(0.1, 10.0), probe).m
+        m = select_node_count("de", 0.5, SpectralBounds(0.1, 10.0), probe).m
     finally:
         assert len(attempts) <= ATTEMPT_CEILING
     assert error_of_m(m) <= SYNTHETIC_BUDGET
@@ -409,7 +409,11 @@ class TestSelectNodeCount:
         monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
         bounds = SpectralBounds(1e-6, 1e6)
         probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
-        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* smallest .* at m = \d+"):
+        with pytest.raises(
+            BudgetUnreachableError,
+            match=r"no gj1 rule with m <= 64 is priced within scalar budget 1\.000e-12 "
+            r"\(smallest priced error \S+ at m = \d+\)",
+        ):
             select_node_count("gj1", 0.5, bounds, probe)
 
     def test_cap_default_is_large(self):
@@ -530,6 +534,17 @@ def rounding_floor(alpha: float, bounds: SpectralBounds) -> float:
     return 1e3 * np.finfo(float).eps * bounds.lambda_hi**alpha
 
 
+@functools.cache
+def kappa_1e8_diagonal():
+    """The diagonal geomspace(1e-8, 1, 500) and its estimated spectral bounds."""
+    A = build_diagonal(np.geomspace(1e-8, 1.0, 500))
+    return A, estimate_spectral_bounds(A)
+
+
+def no_build(*args, **kwargs):
+    raise AssertionError("a rule was built")
+
+
 class TestPricedSearch:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("family", ["gj1", "gj2"])
@@ -585,24 +600,32 @@ class TestPricedSearch:
         assert built[0] == expected + offset
         assert len(built) <= 2 * math.ceil(math.log2(abs(offset) + 1)) + 2
 
-    def test_no_priced_start_doubles_from_4(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_priced_node_count", lambda *args: None)
-        built = count_builds(monkeypatch)
-        bounds, probe = grid_probe("lap2d:32x32", 0.2, 1e-3)
-        assert select_node_count("gj2", 0.2, bounds, probe).m == 14
-        assert built == [4, 8, 16, 12, 14, 13]
-
-    def test_unpriceable_budget_raises_after_model_guided_builds(self, monkeypatch):
+    def test_unpriceable_budget_raises_before_any_build(self, monkeypatch):
         # test_cap_raises' budget lies below what any rule up to the cap
-        # reaches, so pricing finds no start and the search grows from 4.
+        # reaches, so pricing raises and no rule is built.
         monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)
         bounds = SpectralBounds(1e-6, 1e6)
-        probe = ProbeSpec(probe_values_from_bounds(bounds), 1e-12)
-        assert quadrature._priced_node_count("gj1", 0.5, bounds, probe) is None
+        values = probe_values_from_bounds(bounds)
+        priced = priced_errors("gj1", 0.5, bounds, values, 64)
         built = count_builds(monkeypatch)
-        with pytest.raises(BudgetUnreachableError, match=r"m <= 64 .* smallest .* at m = \d+"):
-            select_node_count("gj1", 0.5, bounds, probe)
-        assert built[0] == 4 and built[-1] == 64
+        with pytest.raises(BudgetUnreachableError) as raised:
+            select_node_count("gj1", 0.5, bounds, ProbeSpec(values, 1e-12))
+        assert built == []
+        k = int(np.argmin(priced))
+        assert f"(smallest priced error {priced[k]:.3e} at m = {k + 1})" in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "alpha,eps", [(0.2, 1e-3), (0.2, 1e-6), (0.2, 1e-9), (0.5, 1e-6), (0.5, 1e-9), (0.8, 1e-9)]
+    )
+    def test_unreachable_gj1_cells_raise_without_a_build(self, monkeypatch, alpha, eps):
+        # No gj1 count up to the cap is priced within these budgets on the
+        # kappa = 1e8 diagonal with b = ones.  Building from 4 to the cap
+        # instead took 13 builds and about 10 s per cell to raise.
+        A, bounds = kappa_1e8_diagonal()
+        quadrature._cayley_table.cache_clear()
+        monkeypatch.setattr(quadrature, "build_rule", no_build)
+        with pytest.raises(BudgetUnreachableError, match="gj1 rule with m <= 16384 is priced"):
+            plan_action(A, np.ones(A.n), alpha, ErrorBudget(eps), "gj1", bounds=bounds)
 
     def test_failing_priced_start_gallops_up_to_cap_and_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "NODE_COUNT_CAP", 64)

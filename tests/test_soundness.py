@@ -1,12 +1,14 @@
 """Soundness bank: ``certified=True`` must mean an oracle error of at most epsilon.
 
-The matrices are the two known counterexamples of ROADMAP.md.  Each cell
-runs the whole pipeline, spectral bounds included, and asserts that a
-certified result is within epsilon of the dense oracle; an uncertified
-result or a typed failure passes.  Cells that certify an error above
-epsilon today are strict expected failures that name the ROADMAP item
-whose fix removes the mark, so such a fix turns the suite red until the
-mark goes.
+The matrices are the three known counterexamples of ROADMAP.md (items 1
+and 2, and item 1's diagonal with kappa = 1e13) and one random sparse
+complex Hermitian matrix, with its bottom and then its top eigenvector as
+the right-hand side.  Each cell runs the whole pipeline, spectral bounds
+included, and asserts that a certified result is within epsilon of the
+dense oracle; an uncertified result or a typed failure passes.  Cells that
+certify an error above epsilon today are strict expected failures that
+name the ROADMAP item whose fix removes the mark, so such a fix turns the
+suite red until the mark goes.
 """
 
 import functools
@@ -18,7 +20,7 @@ import scipy.sparse
 from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import FracpowError
 from fracpow.oracle import absolute_error, dense_fracpow_action
-from fracpow.sparse import HermitianSparseMatrix, lanczos_start_vector
+from fracpow.sparse import HermitianSparseMatrix, build_diagonal, lanczos_start_vector
 
 
 @functools.cache
@@ -55,7 +57,46 @@ def random_sparse_spd():
     return HermitianSparseMatrix.from_dense(dense), V[:, -1]
 
 
-MATRICES = {"item1": hidden_bottom_eigenvector, "item2": random_sparse_spd}
+@functools.cache
+def floor_above_lambda_min():
+    """Item 1's kappa > 1e12 case: the diagonal geomspace(1e-13, 1, 300), where
+    the 1e-12 lambda_hi floor on lambda_lo lies above lambda_min, and b = e_0,
+    the bottom eigenvector."""
+    n = 300
+    return build_diagonal(np.geomspace(1e-13, 1.0, n)), np.eye(n)[0]
+
+
+@functools.cache
+def random_sparse_complex_hermitian():
+    """A random sparse complex Hermitian matrix with kappa = 1e4 on n = 300,
+    stored with too many diagonals for DIA, and its eigenvectors."""
+    n = 300
+    rng = np.random.default_rng(11)
+    R = scipy.sparse.random(n, n, density=0.01, random_state=5, format="csr")
+    R.data = rng.standard_normal(R.nnz) + 1j * rng.standard_normal(R.nnz)
+    S = (R + R.conj().T).toarray()
+    lo, hi = np.linalg.eigvalsh(S)[[0, -1]]
+    dense = S + (hi - 1e4 * lo) / (1e4 - 1.0) * np.eye(n)
+    dense = (dense + dense.conj().T) / 2.0
+    _, V = np.linalg.eigh(dense)
+    A = HermitianSparseMatrix.from_dense(dense)
+    assert A._product_operator.format == "csr"
+    return A, V
+
+
+def complex_hermitian_with(column: int):
+    """The complex Hermitian matrix and its eigenvector ``column``, the right-hand side."""
+    A, V = random_sparse_complex_hermitian()
+    return A, V[:, column]
+
+
+MATRICES = {
+    "item1": hidden_bottom_eigenvector,
+    "item2": random_sparse_spd,
+    "item1-kappa1e13": floor_above_lambda_min,
+    "complex-bottom": functools.partial(complex_hermitian_with, 0),
+    "complex-top": functools.partial(complex_hermitian_with, -1),
+}
 
 
 def unsound(item: str, note: str):
@@ -64,6 +105,7 @@ def unsound(item: str, note: str):
 
 ITEM1 = "lambda_lo misses the hidden bottom eigenvalue; the gj rules certify far over eps"
 ITEM2 = "de's rule passes its probes but not the interval's top end"
+ITEM1_FLOOR = "the 1e-12 lambda_hi floor puts lambda_lo above lambda_min; gj2 certifies 34.5 eps"
 
 CELLS = [
     *(
@@ -75,6 +117,13 @@ CELLS = [
     pytest.param("item2", "de", 0.5, 1e-3, marks=unsound("2", ITEM2)),
     pytest.param("item2", "gj1", 0.5, 1e-3),
     pytest.param("item2", "gj2", 0.5, 1e-3),
+    pytest.param("item1-kappa1e13", "gj2", 0.2, 1e-6, marks=unsound("1", ITEM1_FLOOR)),
+    pytest.param("item1-kappa1e13", "de", 0.2, 1e-6),
+    *(
+        pytest.param(matrix, family, 0.5, 1e-6)
+        for matrix in ("complex-bottom", "complex-top")
+        for family in ("gj1", "gj2", "de")
+    ),
 ]
 
 
