@@ -135,14 +135,22 @@ def cmd_compute(args: argparse.Namespace) -> int:
     else:
         _emit_table(["y"], [(v,) for v in result.y], "csv", args.out)
     report = result.report
+    certificate = result.certificate
     print(
         f"m={result.rule.m} matvecs={report.total_matvecs} "
         f"verification_matvecs={report.verification_matvecs} "
-        f"error_bound_sum={result.error_bound_sum:.3e} "
-        f"certified={'yes' if result.certified else 'no'}",
+        f"error_bound_sum={certificate.solve.value:.3e} {_certified(certificate)} "
+        f"assumptions={','.join(certificate.assumptions)}",
         file=sys.stderr,
     )
     return 0 if result.certified else 2
+
+
+def _certified(certificate) -> str:
+    """``certified=yes``, or ``certified=no`` and the terms that failed."""
+    if certificate.certified:
+        return "certified=yes"
+    return f"certified=no failing={','.join(certificate.failing)}"
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
@@ -196,18 +204,13 @@ def cmd_bound_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_cell(A, b, bounds, y_ref, alpha, budget, family):
-    result = fracpow_action(A, b, alpha, budget, family, bounds=bounds)
-    error = absolute_error(result.y, y_ref)
-    return result.rule.m, error, error <= budget.epsilon
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the verification grid: pipeline vs dense oracle per cell.
 
-    Writes one row per cell (matrix, alpha, eps, family, m, error, pass) in
-    deterministic grid order; exit 0 iff every cell's error is at most its
-    epsilon, else 3 with failing cells listed.
+    Writes one row per cell (matrix, alpha, eps, family, m, error, pass,
+    certified, failing) in deterministic grid order; exit 0 iff every cell's
+    error is at most its epsilon, else 3 with failing cells listed.  An
+    uncertified cell that passes does not change the exit code.
     """
     matrices = args.matrix if args.matrix is not None else list(VERIFY_MATRICES)
     budgets = {eps: ErrorBudget(eps) for eps in args.eps}
@@ -231,22 +234,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     records = []
     failures = []
+    certified = 0
     for spec, alpha, epsilon, family in cells:
         A, b, bounds, refs = prepared[spec]
-        m, error, passed = _verify_cell(
-            A, b, bounds, refs[alpha], alpha, budgets[epsilon], family
-        )
-        records.append((spec, alpha, epsilon, family, m, error, passed))
+        result = fracpow_action(A, b, alpha, budgets[epsilon], family, bounds=bounds)
+        certificate = result.certificate
+        m = result.rule.m
+        error = absolute_error(result.y, refs[alpha])
+        passed = error <= epsilon
+        certified += certificate.certified
+        failing = ",".join(certificate.failing)
+        records.append((spec, alpha, epsilon, family, m, error, passed, certificate.certified, failing))
         print(
             f"{spec:<12} alpha={alpha:<4g} eps={epsilon:<6g} {family:<4} "
-            f"m={m:<6d} error={error:.3e} {'PASS' if passed else 'FAIL'}"
+            f"m={m:<6d} error={error:.3e} {'PASS' if passed else 'FAIL'} {_certified(certificate)}"
         )
         if not passed:
             failures.append(f"{spec} alpha={alpha:g} eps={epsilon:g} {family}")
     if args.out is not None:
-        header = ["matrix", "alpha", "eps", "family", "m", "error", "pass"]
+        header = ["matrix", "alpha", "eps", "family", "m", "error", "pass", "certified", "failing"]
         _emit_table(header, records, args.format, args.out)
-    print(f"{len(cells) - len(failures)}/{len(cells)} cells passed")
+    print(f"{len(cells) - len(failures)}/{len(cells)} cells passed, {certified}/{len(cells)} certified")
     if failures:
         print("failed cells:", file=sys.stderr)
         for item in failures:

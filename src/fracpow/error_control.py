@@ -16,13 +16,14 @@ Any upper bound substituted for ``lambda_max`` only tightens ``tau_k``, so a
 certified overestimate keeps the certificate valid.  The sum of the per-node
 error bounds ``omega_k * ||r_k|| / (1 + sigma_k / lambda_max)`` at the final
 explicit residuals, plus the probed quadrature error, bounds the total error
-of the assembled result.
+of the assembled result; :func:`certify` writes that inequality down term by
+term, and it alone decides whether a result is certified.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from .quadrature import (
     select_node_count,
 )
 from .shifted_cg import ShiftedSolveReport, ShiftedSolveRequest, shifted_cg_solve
-from .sparse import HermitianSparseMatrix, SpectralBounds, estimate_spectral_bounds
+from .sparse import LAMBDA_LO_FLOOR, HermitianSparseMatrix, SpectralBounds, estimate_spectral_bounds
 
 #: Requested tolerances below ``TOLERANCE_FLOOR_FACTOR * eps_machine * ||b|| *
 #: lambda_hi^alpha`` are rejected as unattainable in double precision.
@@ -135,19 +136,55 @@ def node_error_bound(residual_norm, sigma, lambda_max: float, omega):
     return float(bound) if bound.ndim == 0 else bound
 
 
+class Term(NamedTuple):
+    """One term of a :class:`Certificate`: how it was obtained, its value
+    against its budget, and whether it holds."""
+
+    method: str
+    value: float = 0.0
+    budget: float = 0.0
+    holds: bool = True
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Ledger of ``||y - A^alpha b||_2 <= e_Q ||b|| + sum_k omega_k ||r_k|| / (1 + sigma_k / lambda_max)``.
+
+    One :class:`Term` per part of the bound, each named by its method:
+
+    - ``interval`` (``estimated``; ``floored`` at ``LAMBDA_LO_FLOOR *
+      lambda_hi``; or ``given`` by the caller and trusted): no share of epsilon;
+    - ``quadrature`` (``probes``): the scalar error ``e_Q`` at the probes
+      against the probe budget, both per unit ``||b||``;
+    - ``solve`` (``per-node``): the sum of ``node_bounds`` against the solve
+      share of epsilon; it holds when every node's explicit final residual
+      met its threshold;
+    - ``rounding`` (``uncounted``): the rounding of the assembly.
+
+    ``failing`` names the terms that do not hold, ``assumptions`` the
+    ``term:method`` pairs that no term checks.  With nothing failing the
+    error is at most epsilon if the assumptions hold.
+    """
+
+    interval: Term
+    quadrature: Term
+    solve: Term
+    rounding: Term
+    failing: tuple[str, ...]
+    assumptions: tuple[str, ...]
+    node_bounds: np.ndarray = field(repr=False)
+
+    @property
+    def certified(self) -> bool:
+        return not self.failing
+
+
 @dataclass(frozen=True)
 class ActionResult:
     """Outcome of one fractional-power action ``y ~= A^alpha b``.
 
-    ``certified`` is true when the selected rule met its scalar probe budget
-    and every node's explicit final residual met the certificate threshold,
-    in which case ``||y - A^alpha b||_2 <= epsilon`` up to rounding in the
-    assembly, provided that the spectrum of ``A`` lies in ``bounds`` (whose
-    ``lambda_lo`` is a Lanczos estimate, and which are used as given when
-    the caller passes them) and that the rule's scalar error stays within
-    the quadrature half between the 11 probes, where it is not checked
-    (ROADMAP.md items 1, 2 and 6).  The solver ran against the certificate
-    thresholds, which ``report.thresholds`` holds.
+    ``certificate`` is the ledger :func:`certify` wrote for it.  The solver
+    ran against the certificate thresholds, which ``report.thresholds`` holds.
     """
 
     y: np.ndarray
@@ -155,10 +192,11 @@ class ActionResult:
     bounds: SpectralBounds
     budget: ErrorBudget
     report: ShiftedSolveReport
-    node_error_bounds: np.ndarray
-    error_bound_sum: float
-    scalar_probe_error: float
-    certified: bool
+    certificate: Certificate
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate.certified
 
     def to_json_dict(self) -> dict:
         """Diagnostic summary as plain JSON-ready types (solution excluded)."""
@@ -179,7 +217,7 @@ class ActionResult:
                 }
                 for k in range(self.rule.m)
             ],
-            "error_bound_sum": self.error_bound_sum,
+            "error_bound_sum": self.certificate.solve.value,
             "certified": self.certified,
         }
 
@@ -225,6 +263,44 @@ def plan_action(
     return ActionPlan(bounds, probe, rule, residual_thresholds(rule, budget, bounds.lambda_hi))
 
 
+def certify(
+    plan: ActionPlan, report: ShiftedSolveReport, budget: ErrorBudget, *, bounds_given: bool
+) -> Certificate:
+    """The :class:`Certificate` of a solve run against ``plan``.
+
+    ``bounds_given`` says whether the plan's bounds came from the caller.
+    """
+    bounds, probe, rule, thresholds = plan
+    if bounds_given:
+        interval = "given"
+    elif bounds.lambda_lo == LAMBDA_LO_FLOOR * bounds.lambda_hi:
+        interval = "floored"
+    else:
+        interval = "estimated"
+    quad_err = probe_error(rule, probe.probe_values)
+    node_bounds = node_error_bound(
+        report.final_residual_norms, rule.shifts, bounds.lambda_hi, rule.weights
+    )
+    terms = {
+        "interval": Term(interval),
+        "quadrature": Term("probes", quad_err, probe.budget, bool(quad_err <= probe.budget)),
+        "solve": Term(
+            "per-node",
+            float(node_bounds.sum()),
+            budget.solve_share * budget.epsilon,
+            bool(np.all(report.final_residual_norms <= thresholds)),
+        ),
+        "rounding": Term("uncounted"),
+    }
+    return Certificate(
+        **terms,
+        failing=tuple(name for name, term in terms.items() if not term.holds),
+        # The solve term alone is checked on the result itself.
+        assumptions=tuple(f"{name}:{term.method}" for name, term in terms.items() if name != "solve"),
+        node_bounds=node_bounds,
+    )
+
+
 def fracpow_action(
     A: HermitianSparseMatrix,
     b: np.ndarray,
@@ -238,29 +314,13 @@ def fracpow_action(
 
     Plan with :func:`plan_action`, solve the shifted systems with
     multi-shift CG against the plan's thresholds, assemble
-    ``y = A @ (sum_k omega_k x_k)`` with one final product and certify
-    against the same thresholds and probe; on ``b = 0`` that gives
-    ``y = 0``, no CG iteration and ``certified=True``.
+    ``y = A @ (sum_k omega_k x_k)`` with one final product and
+    :func:`certify` the result against the same plan; on ``b = 0`` that
+    gives ``y = 0``, no CG iteration and ``certified=True``.
     """
-    bounds, probe, rule, thresholds = plan_action(A, b, alpha, budget, family, bounds=bounds)
-    solutions, report = shifted_cg_solve(A, b, ShiftedSolveRequest(rule.shifts, thresholds))
+    plan = plan_action(A, b, alpha, budget, family, bounds=bounds)
+    rule = plan.rule
+    solutions, report = shifted_cg_solve(A, b, ShiftedSolveRequest(rule.shifts, plan.thresholds))
     y = A.matvec(rule.weights @ solutions)
-
-    node_bounds = node_error_bound(
-        report.final_residual_norms, rule.shifts, bounds.lambda_hi, rule.weights
-    )
-    scalar_err = probe_error(rule, probe.probe_values)
-    certified = bool(
-        np.all(report.final_residual_norms <= thresholds) and scalar_err <= probe.budget
-    )
-    return ActionResult(
-        y=y,
-        rule=rule,
-        bounds=bounds,
-        budget=budget,
-        report=report,
-        node_error_bounds=node_bounds,
-        error_bound_sum=float(node_bounds.sum()),
-        scalar_probe_error=scalar_err,
-        certified=certified,
-    )
+    certificate = certify(plan, report, budget, bounds_given=bounds is not None)
+    return ActionResult(y, rule, plan.bounds, budget, report, certificate)

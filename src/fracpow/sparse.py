@@ -41,6 +41,9 @@ HERMITIAN_RTOL = 1e-13
 # steps.
 LANCZOS_INITIAL_STEPS = 50
 
+# Estimated ``lambda_lo`` never falls below this fraction of ``lambda_hi``.
+LAMBDA_LO_FLOOR = 1e-12
+
 
 def _is_complex(values: np.ndarray) -> bool:
     return np.issubdtype(values.dtype, np.complexfloating)
@@ -467,7 +470,7 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     tightens downstream stopping thresholds, so this direction is safe.
 
     ``lambda_lo`` is the bottom Ritz value of :func:`_lanczos_bottom` minus
-    its residual, floored at ``1e-12 * lambda_hi``.  A Ritz value minus its
+    its residual, floored at ``LAMBDA_LO_FLOOR * lambda_hi``.  A Ritz value minus its
     residual bounds the distance to *some* eigenvalue, not to the smallest
     one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
     a guaranteed lower bound, whatever the start vector.  Underestimating it
@@ -500,5 +503,5 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
             "matrix is not positive definite"
         )
     pad = 64.0 * np.finfo(float).eps * max(gersh, 1.0)
-    lambda_lo = max(t_lo - r_lo - pad, 1e-12 * gersh)
+    lambda_lo = max(t_lo - r_lo - pad, LAMBDA_LO_FLOOR * gersh)
     return SpectralBounds(lambda_lo, gersh)

@@ -41,6 +41,14 @@ from conftest import random_hpd
 GRID_ALPHAS = (0.2, 0.5)
 GRID_EPSILONS = (1e-3, 1e-6, 1e-9)
 GRID_FAMILIES = ("gj1", "gj2", "de")
+# Cells whose smallest-shift nodes stagnate above their thresholds (ROADMAP
+# item 3): within epsilon, but their certificate fails on the solve term.
+UNCERTIFIED_CELLS = {
+    ("lap1d:1000", 0.2, 1e-9, "gj1"),
+    ("lap1d:1000", 0.2, 1e-9, "gj2"),
+    ("lap1d:1000", 0.2, 1e-9, "de"),
+    ("lap1d:1000", 0.5, 1e-9, "gj1"),
+}
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -77,8 +85,12 @@ def test_criterion_1_full_grid_error(grid_setup):
                             f"{name} alpha={alpha} eps={epsilon} {family}: "
                             f"error {err:.3e}"
                         )
+                    cell = (name, alpha, epsilon, family)
+                    expected = ("solve",) if cell in UNCERTIFIED_CELLS else ()
+                    if result.certificate.failing != expected:
+                        failures.append(f"{cell}: failing {result.certificate.failing}")
     ok = not failures
-    report(1, "36-cell grid, error <= eps", ok)
+    report(1, "36-cell grid, error <= eps, failing terms as known", ok)
     assert ok, failures
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracpow.cli as cli
+import fracpow.error_control as error_control
 import fracpow.quadrature as quadrature
 from fracpow.cli import build_matrix, main
 from fracpow.error_control import ErrorBudget, fracpow_action
@@ -199,7 +201,7 @@ class TestCompute:
             "1 1 4 0\n2 1 1 1\n2 2 4 0\n3 2 1 -1\n3 3 4 0\n"
         )
         assert run_cli(["verify", "--matrix", f"mm:{path}", "--alpha", "0.5", "--eps", "1e-6"]) == 0
-        assert capsys.readouterr().out.endswith("3/3 cells passed\n")
+        assert capsys.readouterr().out.endswith("3/3 cells passed, 3/3 certified\n")
         out = tmp_path / "trace.csv"
         assert run_cli(
             ["bound-trace", "--matrix", f"mm:{path}", "--shifts", "1", "--eps", "1e-10",
@@ -247,7 +249,7 @@ class TestCompute:
              "--family", "gj2", "--out", str(tmp_path / "run.json")]
         )
         assert code == 2
-        assert "certified=no" in capsys.readouterr().err
+        assert "certified=no failing=solve" in capsys.readouterr().err
 
 
 class TestThresholds:
@@ -422,10 +424,12 @@ class TestVerify:
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(out.read_text())))
-        assert rows[0] == ["matrix", "alpha", "eps", "family", "m", "error", "pass"]
+        assert rows[0] == [
+            "matrix", "alpha", "eps", "family", "m", "error", "pass", "certified", "failing"
+        ]
         assert len(rows) == 2
-        assert rows[1][6] == "true"
-        assert "1/1 cells passed" in capsys.readouterr().out
+        assert rows[1][6:] == ["true", "true", ""]
+        assert "1/1 cells passed, 1/1 certified" in capsys.readouterr().out
 
     def test_small_grid_all_families(self, capsys):
         code = run_cli(
@@ -436,17 +440,29 @@ class TestVerify:
         assert "6/6 cells passed" in capsys.readouterr().out
 
     def test_failing_cell_exits_3(self, capsys, monkeypatch):
-        def fake_cell(A, b, bounds, y_ref, alpha, budget, family):
-            return 5, budget.epsilon * 10.0, False
-
-        monkeypatch.setattr(cli, "_verify_cell", fake_cell)
+        monkeypatch.setattr(cli, "absolute_error", lambda y, y_ref: 1e-4)
         code = run_cli(
             ["verify", "--matrix", "diag:1,2", "--alpha", "0.5", "--eps", "1e-5",
              "--family", "gj1"]
         )
         assert code == 3
         captured = capsys.readouterr()
+        assert "FAIL certified=yes" in captured.out
+        assert "0/1 cells passed, 1/1 certified" in captured.out
         assert "failed cells:" in captured.err
+
+    def test_uncertified_cell_names_its_term_and_exits_0(self, tmp_path, capsys, monkeypatch):
+        # Only an error over epsilon fails the grid; an uncertified cell within it does not.
+        monkeypatch.setattr(error_control, "probe_error", lambda rule, values: math.inf)
+        out = tmp_path / "report.json"
+        code = run_cli(
+            ["verify", "--matrix", "diag:1,2", "--alpha", "0.5", "--eps", "1e-5",
+             "--family", "gj1", "--format", "json", "--out", str(out)]
+        )
+        assert code == 0
+        assert "PASS certified=no failing=quadrature" in capsys.readouterr().out
+        (row,) = json.loads(out.read_text())
+        assert (row["pass"], row["certified"], row["failing"]) == (True, False, "quadrature")
 
     def test_oversize_matrix_exits_1_before_bounds(self, capsys, monkeypatch):
         def no_bounds(*args, **kwargs):
@@ -731,14 +747,14 @@ iteration,shift,measured_error,error_bound
     "verify-csv": (
         ["verify", "--matrix", "diag:1,2,3", "--matrix", "lap1d:40", "--alpha", "0.5", "--eps", "1e-6", "--family", "gj1"],
         """\
-matrix,alpha,eps,family,m,error,pass
-"diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341530656859e-08,true
-lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464587791261e-07,true
+matrix,alpha,eps,family,m,error,pass,certified,failing
+"diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341530656859e-08,true,true,
+lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464587791261e-07,true,true,
 """,
         """\
-diag:1,2,3   alpha=0.5  eps=1e-06  gj1  m=7      error=3.407e-08 PASS
-lap1d:40     alpha=0.5  eps=1e-06  gj1  m=48     error=3.515e-07 PASS
-2/2 cells passed
+diag:1,2,3   alpha=0.5  eps=1e-06  gj1  m=7      error=3.407e-08 PASS certified=yes
+lap1d:40     alpha=0.5  eps=1e-06  gj1  m=48     error=3.515e-07 PASS certified=yes
+2/2 cells passed, 2/2 certified
 """,
         "",
     ),
@@ -753,13 +769,15 @@ lap1d:40     alpha=0.5  eps=1e-06  gj1  m=48     error=3.515e-07 PASS
     "family": "gj2",
     "m": 3,
     "error": 1.2445436520155465e-05,
-    "pass": true
+    "pass": true,
+    "certified": true,
+    "failing": ""
   }
 ]
 """,
         """\
-diag:1,2,3   alpha=0.2  eps=0.0001 gj2  m=3      error=1.245e-05 PASS
-1/1 cells passed
+diag:1,2,3   alpha=0.2  eps=0.0001 gj2  m=3      error=1.245e-05 PASS certified=yes
+1/1 cells passed, 1/1 certified
 """,
         "",
     ),
@@ -773,7 +791,7 @@ y
 """,
         "",
         """\
-m=45 matvecs=3 verification_matvecs=38 error_bound_sum=1.552e-10 certified=yes
+m=45 matvecs=3 verification_matvecs=38 error_bound_sum=1.552e-10 certified=yes assumptions=interval:estimated,quadrature:probes,rounding:uncounted
 """,
     ),
 }

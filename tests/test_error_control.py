@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+import fracpow.error_control as error_control
 from fracpow.error_control import (
     ActionResult,
     ErrorBudget,
+    certify,
     check_tolerance,
     error_coefficient,
     fracpow_action,
@@ -18,6 +22,7 @@ from fracpow.error_control import (
 from fracpow.errors import QuadratureConstructionError, ToleranceFloorError
 from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
+from fracpow.shifted_cg import ShiftedSolveRequest, shifted_cg_solve
 from fracpow.sparse import SpectralBounds, build_diagonal, build_laplacian_1d, build_laplacian_2d
 
 
@@ -189,7 +194,7 @@ class TestFracpowAction:
         np.testing.assert_array_equal(result.y, np.zeros(6))
         assert result.certified
         assert result.report.total_matvecs == 0
-        assert result.error_bound_sum == 0.0
+        assert result.certificate.solve.value == 0.0
 
     def test_zero_rhs_validates_like_any_rhs(self):
         A = build_laplacian_1d(6)
@@ -281,8 +286,10 @@ class TestFracpowAction:
             result.bounds.lambda_hi,
             result.rule.weights,
         )
-        assert result.error_bound_sum == pytest.approx(recomputed.sum(), rel=1e-15)
-        assert result.error_bound_sum <= 0.5 * 1e-7
+        solve = result.certificate.solve
+        np.testing.assert_array_equal(result.certificate.node_bounds, recomputed)
+        assert solve.value == pytest.approx(recomputed.sum(), rel=1e-15)
+        assert solve.value <= solve.budget == 0.5 * 1e-7
 
     def test_scalar_probe_helper(self):
         bounds = SpectralBounds(0.5, 2.0)
@@ -290,6 +297,50 @@ class TestFracpowAction:
         assert probe.budget == pytest.approx(5e-8)
         assert probe.probe_values[0] == pytest.approx(0.5)
         assert probe.probe_values[-1] == pytest.approx(2.0)
+
+
+class TestCertificate:
+    TERMS = ("interval", "quadrature", "solve", "rounding")
+
+    def test_failed_per_node_test_fails_the_solve(self):
+        A = build_laplacian_1d(40)
+        b = np.ones(A.n)
+        budget = ErrorBudget(1e-7)
+        plan = plan_action(A, b, 0.3, budget, "gj2")
+        _, report = shifted_cg_solve(A, b, ShiftedSolveRequest(plan.rule.shifts, plan.thresholds))
+        assert certify(plan, report, budget, bounds_given=False).failing == ()
+        # One node's residual just over its threshold, the rest far below theirs.
+        residuals = report.final_residual_norms.copy()
+        residuals[0] = 2.0 * plan.thresholds[0]
+        stalled = dataclasses.replace(report, final_residual_norms=residuals)
+        certificate = certify(plan, stalled, budget, bounds_given=False)
+        assert certificate.failing == ("solve",)
+        assert not certificate.certified
+        assert certificate.solve.method == "per-node"
+
+    def test_probe_error_over_budget_fails_the_quadrature(self, monkeypatch):
+        monkeypatch.setattr(error_control, "probe_error", lambda rule, values: math.inf)
+        A = build_laplacian_1d(40)
+        result = fracpow_action(A, np.ones(A.n), 0.3, ErrorBudget(1e-7), "de")
+        assert result.certificate.failing == ("quadrature",)
+        assert result.certificate.quadrature.method == "probes"
+        assert not result.certified
+
+    @pytest.mark.parametrize("family", ["gj1", "gj2", "de"])
+    def test_zero_rhs_holds_on_every_term(self, family):
+        A = build_laplacian_1d(6)
+        certificate = fracpow_action(A, np.zeros(6), 0.5, ErrorBudget(1e-8), family).certificate
+        assert all(getattr(certificate, name).holds for name in self.TERMS)
+        assert certificate.failing == ()
+        assert certificate.solve.value == 0.0
+
+    def test_given_bounds_are_an_assumption(self):
+        A = build_diagonal([1.0, 2.0, 3.0])
+        certificate = fracpow_action(
+            A, np.ones(3), 0.5, ErrorBudget(1e-8), "gj2", bounds=SpectralBounds(1.0, 3.0)
+        ).certificate
+        assert certificate.interval.method == "given"
+        assert certificate.assumptions == ("interval:given", "quadrature:probes", "rounding:uncounted")
 
 
 class TestPlanAction:

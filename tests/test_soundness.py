@@ -5,7 +5,9 @@ and 2, and item 1's diagonal with kappa = 1e13) and one random sparse
 complex Hermitian matrix, with its bottom and then its top eigenvector as
 the right-hand side.  Each cell runs the whole pipeline, spectral bounds
 included, and asserts that a certified result is within epsilon of the
-dense oracle; an uncertified result or a typed failure passes.  Cells that
+dense oracle; an uncertified result or a typed failure passes.  Each cell
+also checks the interval its certificate reports: ``floored`` on the kappa =
+1e13 diagonal, whose ``lambda_lo`` sits at the floor, ``estimated`` elsewhere.  Cells that
 certify an error above epsilon today are strict expected failures that
 name the ROADMAP item whose fix removes the mark, so such a fix turns the
 suite red until the mark goes.
@@ -134,5 +136,7 @@ def test_certified_means_within_epsilon(matrix, family, alpha, epsilon):
         result = fracpow_action(A, b, alpha, ErrorBudget(epsilon), family)
     except FracpowError:
         return
+    floored = matrix == "item1-kappa1e13"
+    assert result.certificate.interval.method == ("floored" if floored else "estimated")
     if result.certified:
         assert absolute_error(result.y, dense_fracpow_action(A, b, alpha)) <= epsilon
