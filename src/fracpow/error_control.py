@@ -32,12 +32,13 @@ from .errors import ToleranceFloorError, check_alpha, check_rhs, check_shifts, c
 from .quadrature import (
     ProbeSpec,
     ShiftedQuadratureRule,
+    _family_name,
     probe_error,
     probe_values_from_bounds,
     select_node_count,
 )
 from .shifted_cg import ShiftedSolveReport, ShiftedSolveRequest, shifted_cg_solve
-from .sparse import LAMBDA_LO_FLOOR, HermitianSparseMatrix, SpectralBounds, estimate_spectral_bounds
+from .sparse import HermitianSparseMatrix, SpectralBounds, estimate_spectral_bounds
 
 #: Requested tolerances below ``TOLERANCE_FLOOR_FACTOR * eps_machine * ||b|| *
 #: lambda_hi^alpha`` are rejected as unattainable in double precision.
@@ -152,8 +153,8 @@ class Certificate:
 
     One :class:`Term` per part of the bound, each named by its method:
 
-    - ``interval`` (``estimated``; ``floored`` at ``LAMBDA_LO_FLOOR *
-      lambda_hi``; or ``given`` by the caller and trusted): no share of epsilon;
+    - ``interval`` (the bounds' own :attr:`~fracpow.sparse.SpectralBounds.method`:
+      ``estimated``, ``floored`` or ``given``): no share of epsilon;
     - ``quadrature`` (``probes``): the scalar error ``e_Q`` at the probes
       against the probe budget, both per unit ``||b||``;
     - ``solve`` (``per-node``): the sum of ``node_bounds`` against the solve
@@ -162,17 +163,25 @@ class Certificate:
     - ``rounding`` (``uncounted``): the rounding of the assembly.
 
     ``failing`` names the terms that do not hold, ``assumptions`` the
-    ``term:method`` pairs that no term checks.  With nothing failing the
-    error is at most epsilon if the assumptions hold.
+    ``term:method`` pairs that no term checks; both are read off the terms.
+    With nothing failing the error is at most epsilon if the assumptions hold.
     """
 
     interval: Term
     quadrature: Term
     solve: Term
     rounding: Term
-    failing: tuple[str, ...]
-    assumptions: tuple[str, ...]
     node_bounds: np.ndarray = field(repr=False)
+    TERMS: ClassVar[tuple[str, ...]] = ("interval", "quadrature", "solve", "rounding")
+
+    @property
+    def failing(self) -> tuple[str, ...]:
+        return tuple(name for name in self.TERMS if not getattr(self, name).holds)
+
+    @property
+    def assumptions(self) -> tuple[str, ...]:
+        # The solve term alone is checked on the result itself.
+        return tuple(f"{name}:{getattr(self, name).method}" for name in self.TERMS if name != "solve")
 
     @property
     def certified(self) -> bool:
@@ -242,16 +251,18 @@ def plan_action(
 ) -> ActionPlan:
     """Spectral bounds, probe, rule and per-node thresholds for ``A^alpha b``.
 
-    Pipeline: estimate spectral bounds (unless ``bounds`` are given), check
-    the tolerance floor, pick a rule whose scalar probe error fits the
-    quadrature half of ``epsilon`` while one node fewer does not (probing
-    ``epsilon / (2 ||b||)`` on eleven log-spaced samples of the bound
-    interval, see :func:`select_node_count`), and set per-node residual
-    thresholds that fit the solve half.  Every rule is exact on ``b = 0``,
+    Pipeline: check alpha and the family before any product, estimate
+    spectral bounds (unless ``bounds`` are given), check the tolerance
+    floor, pick a rule whose scalar probe error fits the quadrature half of
+    ``epsilon`` while one node fewer does not (probing ``epsilon / (2
+    ||b||)`` on eleven log-spaced samples of the bound interval, see
+    :func:`select_node_count`), and set per-node residual thresholds that
+    fit the solve half.  Every rule is exact on ``b = 0``,
     so there the probe budget is infinite and :func:`select_node_count`
     returns the 1-node rule of ``family``.
     """
     check_alpha(alpha)
+    family = _family_name(family)
     b = check_rhs(b, A.n)
     bnorm = float(np.linalg.norm(b))
     if bounds is None:
@@ -263,40 +274,26 @@ def plan_action(
     return ActionPlan(bounds, probe, rule, residual_thresholds(rule, budget, bounds.lambda_hi))
 
 
-def certify(
-    plan: ActionPlan, report: ShiftedSolveReport, budget: ErrorBudget, *, bounds_given: bool
-) -> Certificate:
+def certify(plan: ActionPlan, report: ShiftedSolveReport, budget: ErrorBudget) -> Certificate:
     """The :class:`Certificate` of a solve run against ``plan``.
 
-    ``bounds_given`` says whether the plan's bounds came from the caller.
+    The interval term is the method the plan's bounds carry.
     """
     bounds, probe, rule, thresholds = plan
-    if bounds_given:
-        interval = "given"
-    elif bounds.lambda_lo == LAMBDA_LO_FLOOR * bounds.lambda_hi:
-        interval = "floored"
-    else:
-        interval = "estimated"
     quad_err = probe_error(rule, probe.probe_values)
     node_bounds = node_error_bound(
         report.final_residual_norms, rule.shifts, bounds.lambda_hi, rule.weights
     )
-    terms = {
-        "interval": Term(interval),
-        "quadrature": Term("probes", quad_err, probe.budget, bool(quad_err <= probe.budget)),
-        "solve": Term(
+    return Certificate(
+        interval=Term(bounds.method),
+        quadrature=Term("probes", quad_err, probe.budget, bool(quad_err <= probe.budget)),
+        solve=Term(
             "per-node",
             float(node_bounds.sum()),
             budget.solve_share * budget.epsilon,
             bool(np.all(report.final_residual_norms <= thresholds)),
         ),
-        "rounding": Term("uncounted"),
-    }
-    return Certificate(
-        **terms,
-        failing=tuple(name for name, term in terms.items() if not term.holds),
-        # The solve term alone is checked on the result itself.
-        assumptions=tuple(f"{name}:{term.method}" for name, term in terms.items() if name != "solve"),
+        rounding=Term("uncounted"),
         node_bounds=node_bounds,
     )
 
@@ -322,5 +319,5 @@ def fracpow_action(
     rule = plan.rule
     solutions, report = shifted_cg_solve(A, b, ShiftedSolveRequest(rule.shifts, plan.thresholds))
     y = A.matvec(rule.weights @ solutions)
-    certificate = certify(plan, report, budget, bounds_given=bounds is not None)
+    certificate = certify(plan, report, budget)
     return ActionResult(y, rule, plan.bounds, budget, report, certificate)

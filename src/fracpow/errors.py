@@ -6,9 +6,10 @@ reports any of them on stderr and exits 1.
 Each rule on an input that a caller supplies is written once, in a check
 below that every public entry point taking that input calls: the
 right-hand side (:func:`check_rhs`), the power alpha (:func:`check_alpha`),
-the shifts (:func:`check_shifts`) and the quadrature weights
-(:func:`check_weights`).  They raise :class:`ValueError`.  The CLI checks
-its right-hand side file, ``--alpha`` and ``--shifts`` with the same
+the shifts (:func:`check_shifts`), the quadrature weights
+(:func:`check_weights`) and the solvers' iteration cap
+(:func:`check_iteration_cap`).  They raise :class:`ValueError`.  The CLI
+checks its right-hand side file, ``--alpha`` and ``--shifts`` with the same
 functions, and ``--eps`` with :class:`~fracpow.error_control.ErrorBudget`.
 """
 
@@ -26,7 +27,8 @@ class MatrixFormatError(FracpowError):
 
 
 class SpectralBoundsError(FracpowError):
-    """A positive spectral interval could not be certified."""
+    """The matrix is not positive definite: a diagonal entry, a Ritz value or
+    the oracle's smallest eigenvalue is not positive."""
 
 
 class BudgetUnreachableError(FracpowError):
@@ -77,3 +79,11 @@ def check_weights(weights) -> None:
     weights = np.asarray(weights, dtype=np.float64)
     if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
         raise ValueError("weights must be positive and finite")
+
+
+def check_iteration_cap(max_iterations) -> None:
+    """:class:`ValueError` unless the iteration cap is ``None`` or an integer >= 1 (numpy integers too)."""
+    if max_iterations is not None and not (
+        isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1
+    ):
+        raise ValueError(f"max_iterations must be None or an integer >= 1, got {max_iterations!r}")

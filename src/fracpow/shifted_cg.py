@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverBreakdownError, SolverMemoryError, check_rhs, check_shifts
+from .errors import SolverBreakdownError, SolverMemoryError, check_iteration_cap, check_rhs, check_shifts
 from .sparse import HermitianSparseMatrix
 
 logger = logging.getLogger(__name__)
@@ -97,8 +97,7 @@ class ShiftedSolveRequest:
             raise ValueError("shifts must be distinct")
         if np.any(thresholds <= 0.0) or np.any(np.isnan(thresholds)):
             raise ValueError("thresholds must be positive")
-        if self.max_iterations is not None and int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be positive")
+        check_iteration_cap(self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -391,6 +390,7 @@ def single_shift_cg(
     """
     b = check_rhs(b, A.n)
     check_shifts(sigma)
+    check_iteration_cap(max_iterations)
     max_iterations = 10 * A.n if max_iterations is None else int(max_iterations)
     x = np.zeros_like(b, dtype=np.promote_types(b.dtype, A.values.dtype))
     r = b.astype(x.dtype, copy=True)

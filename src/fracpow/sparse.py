@@ -23,6 +23,7 @@ import io
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.io
@@ -190,14 +191,18 @@ class HermitianSparseMatrix:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Spectral interval ``0 < lambda_lo <= lambda_hi``.
+    """Spectral interval ``0 < lambda_lo <= lambda_hi`` and how it was made.
 
-    From :func:`estimate_spectral_bounds`, ``lambda_hi`` is the guaranteed
-    Gershgorin bound and ``lambda_lo`` a Lanczos estimate of the bottom.
+    ``method`` is ``given`` for an interval a caller builds.
+    :func:`estimate_spectral_bounds` sets ``estimated`` (``lambda_hi`` the
+    Gershgorin bound, ``lambda_lo`` a Lanczos estimate of the bottom) or
+    ``floored`` (that estimate fell to ``LAMBDA_LO_FLOOR * lambda_hi``).
     """
 
     lambda_lo: float
     lambda_hi: float
+    method: str = "given"
+    METHODS: ClassVar[tuple[str, ...]] = ("estimated", "floored", "given")
 
     def __post_init__(self) -> None:
         lo = float(self.lambda_lo)
@@ -206,6 +211,8 @@ class SpectralBounds:
         object.__setattr__(self, "lambda_hi", hi)
         if not (0.0 < lo <= hi) or not np.isfinite(hi):
             raise ValueError(f"need 0 < lambda_lo <= lambda_hi, got ({lo}, {hi})")
+        if self.method not in self.METHODS:
+            raise ValueError(f"unknown interval method {self.method!r}, expected one of {self.METHODS}")
 
 
 def _laplacian_1d_csr(n: int) -> scipy.sparse.csr_array:
@@ -470,7 +477,8 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     tightens downstream stopping thresholds, so this direction is safe.
 
     ``lambda_lo`` is the bottom Ritz value of :func:`_lanczos_bottom` minus
-    its residual, floored at ``LAMBDA_LO_FLOOR * lambda_hi``.  A Ritz value minus its
+    its residual (method ``estimated``), or ``LAMBDA_LO_FLOOR * lambda_hi``
+    where that is no larger (method ``floored``).  A Ritz value minus its
     residual bounds the distance to *some* eigenvalue, not to the smallest
     one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
     a guaranteed lower bound, whatever the start vector.  Underestimating it
@@ -502,6 +510,8 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
             f"Lanczos found a non-positive Rayleigh quotient ({t_lo:.3e}): "
             "matrix is not positive definite"
         )
-    pad = 64.0 * np.finfo(float).eps * max(gersh, 1.0)
-    lambda_lo = max(t_lo - r_lo - pad, LAMBDA_LO_FLOOR * gersh)
-    return SpectralBounds(lambda_lo, gersh)
+    estimate = t_lo - r_lo - 64.0 * np.finfo(float).eps * max(gersh, 1.0)
+    floor = LAMBDA_LO_FLOOR * gersh
+    if estimate > floor:
+        return SpectralBounds(estimate, gersh, "estimated")
+    return SpectralBounds(floor, gersh, "floored")

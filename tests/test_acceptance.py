@@ -89,8 +89,10 @@ def test_criterion_1_full_grid_error(grid_setup):
                     expected = ("solve",) if cell in UNCERTIFIED_CELLS else ()
                     if result.certificate.failing != expected:
                         failures.append(f"{cell}: failing {result.certificate.failing}")
+                    if result.certificate.interval.method != "estimated":
+                        failures.append(f"{cell}: interval {result.certificate.interval.method}")
     ok = not failures
-    report(1, "36-cell grid, error <= eps, failing terms as known", ok)
+    report(1, "36-cell grid, error <= eps, failing terms as known, interval estimated", ok)
     assert ok, failures
 
 

@@ -23,7 +23,13 @@ from fracpow.errors import QuadratureConstructionError, ToleranceFloorError
 from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
 from fracpow.shifted_cg import ShiftedSolveRequest, shifted_cg_solve
-from fracpow.sparse import SpectralBounds, build_diagonal, build_laplacian_1d, build_laplacian_2d
+from fracpow.sparse import (
+    SpectralBounds,
+    build_diagonal,
+    build_laplacian_1d,
+    build_laplacian_2d,
+    estimate_spectral_bounds,
+)
 
 
 class TestErrorBudget:
@@ -308,12 +314,12 @@ class TestCertificate:
         budget = ErrorBudget(1e-7)
         plan = plan_action(A, b, 0.3, budget, "gj2")
         _, report = shifted_cg_solve(A, b, ShiftedSolveRequest(plan.rule.shifts, plan.thresholds))
-        assert certify(plan, report, budget, bounds_given=False).failing == ()
+        assert certify(plan, report, budget).failing == ()
         # One node's residual just over its threshold, the rest far below theirs.
         residuals = report.final_residual_norms.copy()
         residuals[0] = 2.0 * plan.thresholds[0]
         stalled = dataclasses.replace(report, final_residual_norms=residuals)
-        certificate = certify(plan, stalled, budget, bounds_given=False)
+        certificate = certify(plan, stalled, budget)
         assert certificate.failing == ("solve",)
         assert not certificate.certified
         assert certificate.solve.method == "per-node"
@@ -342,6 +348,14 @@ class TestCertificate:
         assert certificate.interval.method == "given"
         assert certificate.assumptions == ("interval:given", "quadrature:probes", "rounding:uncounted")
 
+    def test_estimated_bounds_keep_their_method_when_passed(self):
+        A = build_laplacian_1d(40)
+        certificate = fracpow_action(
+            A, np.ones(A.n), 0.5, ErrorBudget(1e-8), "gj2", bounds=estimate_spectral_bounds(A)
+        ).certificate
+        assert certificate.interval.method == "estimated"
+        assert "interval:estimated" in certificate.assumptions
+
 
 class TestPlanAction:
     @pytest.mark.parametrize("family", ["gj1", "gj2", "de"])
@@ -364,6 +378,16 @@ class TestPlanAction:
             (plan.thresholds, result.report.thresholds),
         ]:
             assert planned.tobytes() == used.tobytes()
+
+    @pytest.mark.parametrize("call", [plan_action, fracpow_action])
+    def test_rejects_unknown_family_before_any_product(self, call, monkeypatch):
+        A = build_laplacian_1d(1000)
+        products = []
+        matvec = type(A).matvec
+        monkeypatch.setattr(type(A), "matvec", lambda self, x: products.append(1) or matvec(self, x))
+        with pytest.raises(ValueError, match="unknown family 'gj3'"):
+            call(A, np.ones(A.n), 0.5, ErrorBudget(1e-6), "gj3")
+        assert len(products) == 0
 
     @pytest.mark.parametrize("call", [plan_action, fracpow_action])
     def test_checks_alpha_before_rhs(self, call):

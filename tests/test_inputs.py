@@ -1,8 +1,9 @@
 """Every public entry point applies the one check of each input it takes.
 
-The right-hand side, the power alpha, the shifts and the quadrature weights
-each have one rule, written once in ``fracpow.errors``; each entry point
-below must reject every bad value with that rule's message.
+The right-hand side, the power alpha, the shifts, the quadrature weights and
+the solvers' iteration cap each have one rule, written once in
+``fracpow.errors``; each entry point below must reject every bad value with
+that rule's message.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ _FINITE_RHS = "right-hand side must be finite"
 _SHIFTS = "shifts must be finite and non-negative"
 _ALPHA = r"alpha must lie in \(0, 1\)"
 _WEIGHTS = "weights must be positive and finite"
+_CAP = "max_iterations must be None or an integer >= 1"
 
 # Per rule: the bad values with the message each raises, and every entry
 # point taking the input, as a function of it.
@@ -83,6 +85,13 @@ RULES = {
         {
             "node_error_bound": lambda w: node_error_bound(1.0, 1.0, 4.0, w),
             "ShiftedQuadratureRule": lambda w: ShiftedQuadratureRule(0.5, "gj1", [1.0], [w]),
+        },
+    ),
+    "iteration-cap": (
+        {"zero": (0, _CAP), "negative": (-5, _CAP), "fraction": (2.5, _CAP), "inf": (np.inf, _CAP)},
+        {
+            "ShiftedSolveRequest": lambda i: ShiftedSolveRequest([1.0], 1e-8, i),
+            "single_shift_cg": lambda i: single_shift_cg(A, np.ones(A.n), 1.0, tol=1e-10, max_iterations=i),
         },
     ),
 }

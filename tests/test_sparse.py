@@ -10,6 +10,7 @@ import scipy.sparse
 from fracpow.error_control import ErrorBudget, fracpow_action
 from fracpow.errors import MatrixFormatError, SpectralBoundsError
 from fracpow.sparse import (
+    LAMBDA_LO_FLOOR,
     HermitianSparseMatrix,
     SpectralBounds,
     build_diagonal,
@@ -551,6 +552,13 @@ class TestSpectralBounds:
             SpectralBounds(2.0, 1.0)
         with pytest.raises(ValueError):
             SpectralBounds(1.0, np.inf)
+        with pytest.raises(ValueError, match="unknown interval method 'guessed'"):
+            SpectralBounds(1.0, 2.0, "guessed")
+
+    def test_kappa_1e13_diagonal_is_floored(self):
+        bounds = estimate_spectral_bounds(build_diagonal(np.geomspace(1e-13, 1.0, 300)))
+        assert bounds.method == "floored"
+        assert bounds.lambda_lo == LAMBDA_LO_FLOOR * bounds.lambda_hi
 
     def test_diagonal_spectrum_enclosed(self):
         A = build_diagonal([0.5, 1.0, 2.0, 4.0])
@@ -576,6 +584,7 @@ class TestSpectralBounds:
         A = build_laplacian_1d(1000)
         ev_min = lap1d_eigenvalues(1000).min()
         bounds = estimate_spectral_bounds(A)
+        assert bounds.method == "estimated"
         assert bounds.lambda_lo <= ev_min * (1 + 1e-12)
         assert bounds.lambda_lo >= ev_min * 0.3
 
