@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FracpowError, check_alpha, check_rhs, check_shifts
-from .error_control import ErrorBudget, error_coefficient, fracpow_action, plan_action
+from .error_control import ErrorBudget, error_coefficient, fracpow_action, plan_action, residual_rounding
 from .oracle import absolute_error, hpd_eigendecomposition
 from .quadrature import FAMILIES, _family_name
 from .shifted_cg import single_shift_cg
@@ -170,20 +170,26 @@ def cmd_bound_trace(args: argparse.Namespace) -> int:
 
     For each shift, every row records the measured error
     ``||A (sigma I + A)^(-1) b - A x_i||_2`` (against a dense reference
-    solve) next to the certified bound ``||r_i|| / (1 + sigma/lambda_hi)``,
-    with ``lambda_hi`` the Gershgorin bound.  Requires an oracle-sized matrix.
+    solve) next to the certified bound: the explicit residual
+    ``||b - sigma x_i - A x_i||`` plus its rounding allowance
+    (:func:`~fracpow.error_control.residual_rounding`), over ``1 +
+    sigma/lambda_hi``, with ``lambda_hi`` the Gershgorin bound.  One product
+    ``A x_i`` serves both columns.  Requires an oracle-sized matrix.
     """
     A, b = _load_problem(args)
     w, Q = hpd_eigendecomposition(A)
     lambda_hi = gershgorin_bound(A)
+    row_nnz = int(np.diff(A.row_offsets).max())
+    bnorm = float(np.linalg.norm(b))
     records: list[tuple[int, float, float, float]] = []
     for sigma in args.shifts:
         # A (sigma I + A)^{-1} b via the transfer w/(w+sigma) in (0, 1]; this
         # avoids forming the 1/lambda_min-amplified intermediate solve.
         target = Q @ ((w / (w + sigma)) * (Q.conj().T @ b))
         coefficient = error_coefficient(sigma, lambda_hi)
+        allowance = residual_rounding(bnorm, sigma, 0.0, lambda_hi, row_nnz)
         records.append(
-            (0, sigma, float(np.linalg.norm(target)), coefficient * float(np.linalg.norm(b)))
+            (0, sigma, float(np.linalg.norm(target)), coefficient * (bnorm + allowance))
         )
 
         def trace(
@@ -195,8 +201,11 @@ def cmd_bound_trace(args: argparse.Namespace) -> int:
             target: np.ndarray = target,
             coefficient: float = coefficient,
         ) -> None:
-            measured = float(np.linalg.norm(target - A.matvec(x)))
-            records.append((iteration, sigma, measured, coefficient * float(np.linalg.norm(r))))
+            Ax = A.matvec(x)
+            residual = float(np.linalg.norm(b - sigma * x - Ax))
+            allowance = residual_rounding(bnorm, sigma, float(np.linalg.norm(x)), lambda_hi, row_nnz)
+            measured = float(np.linalg.norm(target - Ax))
+            records.append((iteration, sigma, measured, coefficient * (residual + allowance)))
 
         single_shift_cg(A, b, sigma, tol=args.eps, callback=trace)
     header = ["iteration", "shift", "measured_error", "error_bound"]

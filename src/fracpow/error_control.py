@@ -137,6 +137,23 @@ def node_error_bound(residual_norm, sigma, lambda_max: float, omega):
     return float(bound) if bound.ndim == 0 else bound
 
 
+def residual_rounding(
+    b_norm: float, sigma: float, x_norm: float, gershgorin: float, row_nnz: int
+) -> float:
+    """Rounding allowance of a computed explicit residual ``b - sigma x - A x``.
+
+    Each entry of the computed residual is within ``gamma_{r+2}`` times
+    ``|b| + sigma |x| + |A| |x|`` of the exact one, with ``r = row_nnz`` the
+    most stored entries in a row and ``gamma_j = j u / (1 - j u)``, ``u =
+    2^-53`` (Higham, 2002, ch. 3).  With ``gershgorin >= || |A| ||_2`` the
+    exact residual norm is thus at most the computed one plus
+    ``gamma_{r+2} (||b|| + sigma ||x|| + gershgorin ||x||)``.
+    """
+    j = row_nnz + 2
+    gamma = j * 2.0**-53 / (1.0 - j * 2.0**-53)
+    return gamma * (b_norm + (sigma + gershgorin) * x_norm)
+
+
 class Term(NamedTuple):
     """One term of a :class:`Certificate`: how it was obtained, its value
     against its budget, and whether it holds."""
@@ -209,6 +226,7 @@ class ActionResult:
 
     def to_json_dict(self) -> dict:
         """Diagnostic summary as plain JSON-ready types (solution excluded)."""
+        converged = self.report.converged
         return {
             "alpha": self.rule.alpha,
             "epsilon": self.budget.epsilon,
@@ -222,7 +240,7 @@ class ActionResult:
                     "threshold": float(self.report.thresholds[k]),
                     "residual": float(self.report.final_residual_norms[k]),
                     "iterations": int(self.report.iterations_used[k]),
-                    "converged": bool(self.report.converged[k]),
+                    "converged": bool(converged[k]),
                 }
                 for k in range(self.rule.m)
             ],
@@ -277,9 +295,10 @@ def plan_action(
 def certify(plan: ActionPlan, report: ShiftedSolveReport, budget: ErrorBudget) -> Certificate:
     """The :class:`Certificate` of a solve run against ``plan``.
 
-    The interval term is the method the plan's bounds carry.
+    The interval term is the method the plan's bounds carry; the solve term
+    holds when the report reads every node converged.
     """
-    bounds, probe, rule, thresholds = plan
+    bounds, probe, rule, _ = plan
     quad_err = probe_error(rule, probe.probe_values)
     node_bounds = node_error_bound(
         report.final_residual_norms, rule.shifts, bounds.lambda_hi, rule.weights
@@ -291,7 +310,7 @@ def certify(plan: ActionPlan, report: ShiftedSolveReport, budget: ErrorBudget) -
             "per-node",
             float(node_bounds.sum()),
             budget.solve_share * budget.epsilon,
-            bool(np.all(report.final_residual_norms <= thresholds)),
+            report.all_converged,
         ),
         rounding=Term("uncounted"),
         node_bounds=node_bounds,

@@ -20,8 +20,8 @@ smaller gap leaves the shift iterating, re-checked at a trigger half as high
 each time.  The cap is the third stop reason: at the last allowed iteration
 every active shift is checked once and stops, converged if its explicit
 residual passes and unconverged otherwise.  All three stop in one place, and
-converged flags are always backed by an explicit residual, never by the
-collinearity estimate alone.
+a shift's converged flag is its final explicit residual against its
+threshold, never the collinearity estimate.
 
 Every per-shift array is indexed by the shift's request index.  The seed
 and collinearity recurrences never read the iterates, so the iterates and
@@ -105,26 +105,32 @@ class ShiftedSolveReport:
     """Per-shift convergence record for one multi-shift solve.
 
     ``final_residual_norms`` are explicitly recomputed residuals (except for
-    the zero iterate, whose residual is exactly ``||b||``), so
-    ``converged[k]`` implies ``final_residual_norms[k] <= thresholds[k]``.
+    the zero iterate, whose residual is exactly ``||b||``), and
+    ``converged[k]`` is ``final_residual_norms[k] <= thresholds[k]``.
     A shift that stops unconverged with an explicit residual above ``||b||``
     returns the zero iterate instead, with residual ``||b||``; its
     ``iterations_used`` is still the iteration at which it stopped.
-    ``total_matvecs`` counts joint iterations (one product each); explicit
-    verification products are tallied separately in ``verification_matvecs``.
+    ``total_matvecs``, the most joint iterations any shift used, counts one
+    product each; explicit verification products are in ``verification_matvecs``.
     """
 
     shifts: np.ndarray
     thresholds: np.ndarray
     iterations_used: np.ndarray
     final_residual_norms: np.ndarray
-    converged: np.ndarray
-    total_matvecs: int
     verification_matvecs: int
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.final_residual_norms <= self.thresholds
 
     @property
     def all_converged(self) -> bool:
         return bool(np.all(self.converged))
+
+    @property
+    def total_matvecs(self) -> int:
+        return int(self.iterations_used.max(initial=0))
 
 
 def _available_memory() -> int:
@@ -245,11 +251,9 @@ def shifted_cg_solve(
     bnorm = float(np.linalg.norm(b))
     final_res = np.full(m, bnorm)
     iterations_used = np.zeros(m, dtype=np.int64)
-    converged = np.zeros(m, dtype=bool)
     verification_matvecs = 0
     # Zero iterate already qualifies: residual is exactly b, no product needed.
     active = bnorm > thresholds
-    converged[~active] = True
     rows, index = _active_rows(active)
 
     delta = shifts - sigma_seed
@@ -325,11 +329,9 @@ def shifted_cg_solve(
             res = b - shifts[k] * x - A.matvec(x)
             explicit = float(np.linalg.norm(res))
             verification_matvecs += 1
-            if explicit <= threshold:
-                converged[k] = True
-            elif capped:
+            if explicit > threshold and capped:
                 logger.debug("shift %d capped: explicit %.3e vs threshold %.3e", k, explicit, threshold)
-            else:
+            elif explicit > threshold:
                 # The explicit residual tends to the gap once the recursive
                 # one vanishes; a gap at the threshold cannot pass later.
                 gap = float(np.linalg.norm(res - znext[j] * r))
@@ -360,13 +362,7 @@ def shifted_cg_solve(
         alpha_prev, beta_prev, rr = alpha, beta, rr_next
 
     report = ShiftedSolveReport(
-        shifts=shifts.copy(),
-        thresholds=thresholds.copy(),
-        iterations_used=iterations_used,
-        final_residual_norms=final_res,
-        converged=converged,
-        total_matvecs=int(iterations_used.max(initial=0)),
-        verification_matvecs=verification_matvecs,
+        shifts.copy(), thresholds.copy(), iterations_used, final_res, verification_matvecs
     )
     return X, report
 

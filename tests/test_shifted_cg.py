@@ -764,13 +764,27 @@ class TestSingleShiftCG:
             single_shift_cg(A, b, 1.0, tol=1e-8)
 
     def test_report_shapes(self):
+        # converged, all_converged and total_matvecs follow from what the
+        # solve measured.
+        rep = ShiftedSolveReport(
+            shifts=np.array([1.0, 2.0]),
+            thresholds=np.array([1e-8, 1e-8]),
+            iterations_used=np.array([3, 5]),
+            final_residual_norms=np.array([1e-9, 1e-8]),
+            verification_matvecs=2,
+        )
+        assert rep.converged.tolist() == [True, True]
+        assert rep.all_converged
+        assert rep.total_matvecs == 5
+
+    @pytest.mark.parametrize("residual", [2e-8, np.nan], ids=["above", "nan"])
+    def test_report_residual_not_at_threshold_is_unconverged(self, residual):
         rep = ShiftedSolveReport(
             shifts=np.array([1.0]),
             thresholds=np.array([1e-8]),
-            iterations_used=np.array([3]),
-            final_residual_norms=np.array([1e-9]),
-            converged=np.array([True]),
-            total_matvecs=3,
+            iterations_used=np.array([4]),
+            final_residual_norms=np.array([residual]),
             verification_matvecs=1,
         )
-        assert rep.all_converged
+        assert rep.converged.tolist() == [False]
+        assert not rep.all_converged

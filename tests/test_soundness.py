@@ -1,16 +1,20 @@
 """Soundness bank: ``certified=True`` must mean an oracle error of at most epsilon.
 
 The matrices are the three known counterexamples of ROADMAP.md (items 1
-and 2, and item 1's diagonal with kappa = 1e13) and one random sparse
-complex Hermitian matrix, with its bottom and then its top eigenvector as
-the right-hand side.  Each cell runs the whole pipeline, spectral bounds
+and 2, and item 1's diagonal with kappa = 1e13); one random sparse complex
+Hermitian matrix, with its bottom and then its top eigenvector as the
+right-hand side; the 30 x 30 Laplacian with its rows and columns flipped in
+sign by a seeded +-1 diagonal, whose bottom eigenvector has mixed signs,
+with that eigenvector and then the eigenvector at the largest scalar error
+of the cell's rule as the right-hand side; and the kappa = 1e8 diagonal
+with ``b = e_0``.  Each cell runs the whole pipeline, spectral bounds
 included, and asserts that a certified result is within epsilon of the
 dense oracle; an uncertified result or a typed failure passes.  Each cell
-also checks the interval its certificate reports: ``floored`` on the kappa =
-1e13 diagonal, whose ``lambda_lo`` sits at the floor, ``estimated`` elsewhere.  Cells that
-certify an error above epsilon today are strict expected failures that
-name the ROADMAP item whose fix removes the mark, so such a fix turns the
-suite red until the mark goes.
+also checks the interval its certificate reports: ``floored`` on the two
+diagonals, whose ``lambda_lo`` sits at the floor, ``estimated`` elsewhere.
+Cells that certify an error above epsilon today are strict expected
+failures that name the ROADMAP item whose fix removes the mark, so such a
+fix turns the suite red until the mark goes.
 """
 
 import functools
@@ -19,10 +23,16 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from fracpow.error_control import ErrorBudget, fracpow_action
+from fracpow.error_control import ErrorBudget, fracpow_action, plan_action
 from fracpow.errors import FracpowError
-from fracpow.oracle import absolute_error, dense_fracpow_action
-from fracpow.sparse import HermitianSparseMatrix, build_diagonal, lanczos_start_vector
+from fracpow.oracle import absolute_error, hpd_eigendecomposition
+from fracpow.quadrature import scalar_apply
+from fracpow.sparse import (
+    HermitianSparseMatrix,
+    build_diagonal,
+    build_laplacian_2d,
+    lanczos_start_vector,
+)
 
 
 @functools.cache
@@ -92,13 +102,55 @@ def complex_hermitian_with(column: int):
     return A, V[:, column]
 
 
+@functools.cache
+def sign_flipped_laplacian():
+    """``S L S`` for the 30 x 30 Laplacian ``L`` and a seeded +-1 diagonal ``S``,
+    and its bottom eigenvector, the right-hand side.  It keeps ``L``'s
+    spectrum and five diagonals (so the DIA product), and its bottom
+    eigenvector has mixed signs."""
+    L = build_laplacian_2d(30, 30)
+    signs = np.random.default_rng(13).choice([-1.0, 1.0], size=L.n)
+    rows = np.repeat(np.arange(L.n), np.diff(L.row_offsets))
+    values = signs[rows] * L.values * signs[L.col_indices]
+    A = HermitianSparseMatrix(L.n, L.row_offsets, L.col_indices, values)
+    assert A._product_operator.format == "dia"
+    return A, np.linalg.eigh(A.to_dense())[1][:, 0]
+
+
+@functools.cache
+def kappa_1e8_diagonal():
+    """The diagonal geomspace(1e-8, 1, 500), whose lambda_lo sits at the floor
+    below lambda_min, and b = e_0, the bottom eigenvector."""
+    n = 500
+    return build_diagonal(np.geomspace(1e-8, 1.0, n)), np.eye(n)[0]
+
+
 MATRICES = {
     "item1": hidden_bottom_eigenvector,
     "item2": random_sparse_spd,
     "item1-kappa1e13": floor_above_lambda_min,
     "complex-bottom": functools.partial(complex_hermitian_with, 0),
     "complex-top": functools.partial(complex_hermitian_with, -1),
+    "sls-bottom": sign_flipped_laplacian,
+    "sls-worst": sign_flipped_laplacian,
+    "diag-kappa1e8": kappa_1e8_diagonal,
 }
+FLOORED = ("item1-kappa1e13", "diag-kappa1e8")
+
+
+@functools.cache
+def eigendecomposition(build):
+    """The dense oracle's eigendecomposition of ``build()``'s matrix, once per matrix."""
+    return hpd_eigendecomposition(build()[0])
+
+
+def eigenvector_at_worst_error(matrix: str, family: str, alpha: float, epsilon: float):
+    """The eigenvector of ``matrix`` at the largest scalar error, on its
+    spectrum, of the rule that the cell selects for a unit right-hand side."""
+    A, unit = MATRICES[matrix]()
+    w, Q = eigendecomposition(MATRICES[matrix])
+    rule = plan_action(A, unit, alpha, ErrorBudget(epsilon), family).rule
+    return Q[:, np.argmax(np.abs(w**alpha - scalar_apply(rule, w)))]
 
 
 def unsound(item: str, note: str):
@@ -126,6 +178,18 @@ CELLS = [
         for matrix in ("complex-bottom", "complex-top")
         for family in ("gj1", "gj2", "de")
     ),
+    *(
+        pytest.param(matrix, family, alpha, 1e-6)
+        for matrix in ("sls-bottom", "sls-worst")
+        for family in ("gj1", "gj2", "de")
+        for alpha in (0.2, 0.5, 0.8)
+    ),
+    # gj2 is left out: it selects m = 3661-3801 here, over a second a cell.
+    *(
+        pytest.param("diag-kappa1e8", family, alpha, 1e-6)
+        for family in ("gj1", "de")
+        for alpha in (0.2, 0.5, 0.8)
+    ),
 ]
 
 
@@ -133,10 +197,14 @@ CELLS = [
 def test_certified_means_within_epsilon(matrix, family, alpha, epsilon):
     A, b = MATRICES[matrix]()
     try:
+        if matrix == "sls-worst":
+            b = eigenvector_at_worst_error(matrix, family, alpha, epsilon)
         result = fracpow_action(A, b, alpha, ErrorBudget(epsilon), family)
     except FracpowError:
         return
-    floored = matrix == "item1-kappa1e13"
+    floored = matrix in FLOORED
     assert result.certificate.interval.method == ("floored" if floored else "estimated")
     if result.certified:
-        assert absolute_error(result.y, dense_fracpow_action(A, b, alpha)) <= epsilon
+        # The dense oracle's reference Q diag(w^alpha) Q^H b.
+        w, Q = eigendecomposition(MATRICES[matrix])
+        assert absolute_error(result.y, Q @ (w**alpha * (Q.conj().T @ b))) <= epsilon
