@@ -52,12 +52,17 @@ class SolverMemoryError(FracpowError):
 
 
 def check_rhs(b, n: int) -> np.ndarray:
-    """``b`` as an array; :class:`ValueError` unless it has shape ``(n,)`` and is finite."""
+    """``b`` as an array; :class:`ValueError` unless it has shape ``(n,)`` and is
+    finite, with a finite ``b^H b`` (the CG recurrence's first quantity)."""
     b = np.asarray(b)
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
+    wide = b.astype(np.promote_types(b.dtype, np.float64), copy=False)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.vdot(wide, wide)):
+            raise ValueError("right-hand side is too large: its squared norm overflows")
     return b
 
 

@@ -1,9 +1,11 @@
 """Conjugate gradients for families of shifted Hermitian positive definite systems.
 
 One Krylov sequence serves every system ``(sigma_k I + A) x_k = b`` because
-shifting leaves Krylov spaces unchanged.  The seed recurrence runs on the
-smallest shift (re-basing the others to ``delta_k = sigma_k - sigma_seed >=
-0``), and each shifted residual stays collinear with the seed residual:
+shifting leaves Krylov spaces unchanged.  The seed recurrence is
+:func:`fracpow.sparse._cg_steps`, the CG run whose coefficients also give the
+spectral bounds' Lanczos tridiagonal.  It runs on the smallest shift
+(re-basing the others to ``delta_k = sigma_k - sigma_seed >= 0``), and each
+shifted residual stays collinear with the seed residual:
 ``r_k^(i) = zeta_k^(i) * r_seed^(i)`` with a scalar ``zeta`` obeying a
 three-term recurrence in the seed step/direction coefficients.  Tracking
 ``zeta_k * ||r_seed||`` therefore prices every system's residual at the cost
@@ -52,11 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverBreakdownError, SolverMemoryError, check_iteration_cap, check_rhs, check_shifts
-from .sparse import HermitianSparseMatrix
+from .sparse import HermitianSparseMatrix, _cg_steps
 
 logger = logging.getLogger(__name__)
-
-BREAKDOWN_FLOOR = 1e-300
 
 # Joint iterations per window of the deferred update.
 _BLOCK = 16
@@ -269,43 +269,25 @@ def shifted_cg_solve(
     R = np.zeros(shapes["R"], dtype=dtype)
     work = np.empty(shapes["work"], dtype=dtype)
     t = 0
-    r = b
-    p = b.copy()
-    tmp = np.empty(n, dtype=dtype)
-    rr = float(np.vdot(r, r).real)
     alpha_prev = 1.0
     beta_prev = 0.0
-    iterations = 0
 
-    while rows.size:
-        i = iterations
-        q = A.matvec(p)
-        q += np.multiply(sigma_seed, p, out=tmp)
-        pq = float(np.vdot(p, q).real)
-        if pq < BREAKDOWN_FLOOR:
-            raise SolverBreakdownError(
-                f"curvature term {pq:.3e} at iteration {i} is not safely positive; "
-                "the operator is numerically singular or indefinite on the Krylov space"
-            )
-        alpha = rr / pq
-
+    steps = _cg_steps(A, b, sigma_seed) if rows.size else ()
+    for iterations, (alpha, beta, _, r, rnorm) in enumerate(steps, 1):
         za = zeta[index]
         zpa = zeta_prev[index]
         denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[index] * alpha)
         if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
             raise SolverBreakdownError(
-                f"collinearity recurrence produced a non-positive denominator at iteration {i}"
+                "collinearity recurrence produced a non-positive denominator "
+                f"at iteration {iterations - 1}"
             )
         znext = za * zpa * alpha_prev / denom
         ratio = znext / za
         zeta_prev[index] = za
         zeta[index] = znext
 
-        r = np.subtract(r, np.multiply(alpha, q, out=tmp), out=R[t, :n])
-        rr_next = float(np.vdot(r, r).real)
-        rnorm = np.sqrt(rr_next)
-        iterations = i + 1
-        beta = rr_next / rr
+        R[t, :n] = r
         # x += cx p, then p = cp p + znext r, on the window coefficients.
         cx = alpha * ratio
         cp = beta * ratio**2
@@ -357,9 +339,7 @@ def shifted_cg_solve(
         if t == s:
             _flush(X, P, a, c, D, E, R, rows[0], rows[-1] + 1, work)
             t = 0
-        p *= beta
-        p += r
-        alpha_prev, beta_prev, rr = alpha, beta, rr_next
+        alpha_prev, beta_prev = alpha, beta
 
     report = ShiftedSolveReport(
         shifts.copy(), thresholds.copy(), iterations_used, final_res, verification_matvecs
@@ -378,39 +358,28 @@ def single_shift_cg(
 ) -> tuple[np.ndarray, int, float]:
     """Plain conjugate gradients on ``(sigma I + A) x = b``.
 
-    Kept deliberately independent of the multi-shift recurrences so it can
-    serve as a reference path.  Stops when the recurrence residual norm drops
-    to ``tol`` (absolute).  ``callback(iteration, x, r)`` sees each iterate
-    through live views (copy to retain).  Returns
-    ``(x, iterations, final_residual_norm)``.
+    The reference path of the tests.  It shares the ``p``/``r`` recurrence,
+    :func:`fracpow.sparse._cg_steps`, with :func:`shifted_cg_solve` and the
+    spectral bounds, and keeps its iterate independently: ``x += alpha p``
+    on each step, with none of the solver's collinearity factors, windows or
+    explicit checks.  Stops when the recurrence residual norm drops to
+    ``tol`` (absolute).  ``callback(iteration, x, r)`` sees each iterate
+    through live views (copy to retain).  Returns ``(x, iterations,
+    final_residual_norm)``.
     """
     b = check_rhs(b, A.n)
     check_shifts(sigma)
     check_iteration_cap(max_iterations)
     max_iterations = 10 * A.n if max_iterations is None else int(max_iterations)
-    x = np.zeros_like(b, dtype=np.promote_types(b.dtype, A.values.dtype))
-    r = b.astype(x.dtype, copy=True)
-    p = r.copy()
-    rr = float(np.vdot(r, r).real)
-    rnorm = np.sqrt(rr)
+    b = b.astype(np.promote_types(b.dtype, A.values.dtype), copy=False)
+    x = np.zeros_like(b)
+    rnorm = np.sqrt(float(np.vdot(b, b).real))
     iterations = 0
-    while rnorm > tol and iterations < max_iterations:
-        q = A.matvec(p) + sigma * p
-        pq = float(np.vdot(p, q).real)
-        if pq <= 0.0:
-            raise SolverBreakdownError(
-                f"curvature term {pq:.3e} is not positive; operator is not positive definite"
-            )
-        alpha = rr / pq
+    steps = _cg_steps(A, b, sigma) if rnorm > tol else ()
+    for iterations, (alpha, _, p, r, rnorm) in enumerate(steps, 1):
         x += alpha * p
-        r -= alpha * q
-        rr_next = float(np.vdot(r, r).real)
-        rnorm = np.sqrt(rr_next)
-        iterations += 1
         if callback is not None:
             callback(iterations, x, r)
-        if rnorm <= tol:
+        if rnorm <= tol or iterations == max_iterations:
             break
-        p = r + (rr_next / rr) * p
-        rr = rr_next
     return x, iterations, float(rnorm)

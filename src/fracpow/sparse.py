@@ -10,16 +10,18 @@ Laplacians used throughout the test-suite, and
 :func:`estimate_spectral_bounds` produces an interval ``[lambda_lo,
 lambda_hi]`` for the spectrum of a Hermitian positive definite matrix.  The
 upper end is the Gershgorin bound, which is guaranteed; the lower end is the
-bottom Ritz value of a basis-free Lanczos recurrence, started from a fixed
-seed-0 random vector plus the all-ones vector, minus its residual.  That is an
-estimate, since it bounds the distance to *some* eigenvalue, not to the
-smallest one.
+bottom Ritz value of the Lanczos tridiagonal read off the coefficients of a
+CG run, started from a fixed seed-0 random vector plus the all-ones vector,
+minus its residual.  That is an estimate, since it bounds the distance to
+*some* eigenvalue, not to the smallest one.  That CG recurrence,
+:func:`_cg_steps`, is also the one both solvers run on.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ import scipy.io
 import scipy.sparse
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import MatrixFormatError, SpectralBoundsError
+from .errors import MatrixFormatError, SolverBreakdownError, SpectralBoundsError
 
 logger = logging.getLogger(__name__)
 
@@ -42,12 +44,11 @@ HERMITIAN_RTOL = 1e-13
 # steps.
 LANCZOS_INITIAL_STEPS = 50
 
+# A CG step whose curvature ``p^H (sigma I + A) p`` is below this is a breakdown.
+BREAKDOWN_FLOOR = 1e-300
+
 # Estimated ``lambda_lo`` never falls below this fraction of ``lambda_hi``.
 LAMBDA_LO_FLOOR = 1e-12
-
-
-def _is_complex(values: np.ndarray) -> bool:
-    return np.issubdtype(values.dtype, np.complexfloating)
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,41 @@ class HermitianSparseMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
+
+
+def _cg_steps(A: HermitianSparseMatrix, b: np.ndarray, sigma: float):
+    """Conjugate gradient steps on ``(sigma I + A) x = b`` from ``x = 0``, one product each.
+
+    Each step yields ``(alpha, beta, p, r, rnorm)``: the iterate moves by
+    ``alpha p``, ``r`` is the new residual, and the next direction is ``r +
+    beta p``.  ``p`` and ``r`` are live arrays that the next step overwrites.
+    The coefficients give the Lanczos tridiagonal of ``(sigma I + A, b)``:
+    ``T_jj = 1/alpha_j + beta_(j-1)/alpha_(j-1)``, ``T_(j,j+1) =
+    sqrt(beta_j)/alpha_j`` (Saad, *Iterative Methods for Sparse Linear
+    Systems*, 2003, section 6.7.3).  A curvature ``p^H (sigma I + A) p``
+    below ``BREAKDOWN_FLOOR`` raises :class:`SolverBreakdownError`.
+    """
+    r = b.astype(np.promote_types(b.dtype, A.values.dtype), copy=True)
+    p = r.copy()
+    tmp = np.empty_like(r)
+    rr = float(np.vdot(r, r).real)
+    for i in itertools.count():
+        q = A.matvec(p)
+        q += np.multiply(sigma, p, out=tmp)
+        pq = float(np.vdot(p, q).real)
+        if pq < BREAKDOWN_FLOOR:
+            raise SolverBreakdownError(
+                f"curvature term {pq:.3e} at iteration {i} is not safely positive; "
+                "the operator is numerically singular or indefinite on the Krylov space"
+            )
+        alpha = rr / pq
+        r -= np.multiply(alpha, q, out=tmp)
+        rr_next = float(np.vdot(r, r).real)
+        beta = rr_next / rr
+        yield alpha, beta, p, r, np.sqrt(rr_next)
+        p *= beta
+        p += r
+        rr = rr_next
 
 
 @dataclass(frozen=True)
@@ -365,7 +401,7 @@ def write_matrix_market(A: HermitianSparseMatrix, dest) -> None:
     """
     lower = scipy.sparse.tril(A._csr)
     r, c, v = lower.row, lower.col, lower.data
-    is_c = _is_complex(v)
+    is_c = np.iscomplexobj(v)
     lines = [
         "%%MatrixMarket matrix coordinate "
         + ("complex hermitian" if is_c else "real symmetric"),
@@ -414,52 +450,6 @@ def lanczos_start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos_bottom(A: HermitianSparseMatrix, scale: float) -> tuple[float, float]:
-    """Bottom Ritz value and its residual from a plain three-term Lanczos recurrence.
-
-    The recurrence starts from :func:`lanczos_start_vector`.  No basis is
-    stored and nothing is re-orthogonalized, so memory is O(n) whatever the
-    step count.  Lost orthogonality only adds ghost copies of
-    converged Ritz values; the extreme ones still converge (Paige, 1980;
-    Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
-
-    The bottom Ritz pair is checked after ``LANCZOS_INITIAL_STEPS * 2^i``
-    steps, capped at ``n``.  The recurrence stops at the first check where
-    its relative residual is at most 0.05, at ``n`` steps, or once the
-    Krylov space is invariant (a new direction below ``1e-12 * scale``).
-    """
-    n = A.n
-    dtype = np.complex128 if _is_complex(A.values) else np.float64
-    v = lanczos_start_vector(n).astype(dtype)
-    v_prev = np.zeros(n, dtype=dtype)
-    tmp = np.empty(n, dtype=dtype)
-    alphas, betas = [], []
-    beta_prev = 0.0
-    check = min(LANCZOS_INITIAL_STEPS, n)
-    for j in range(n):
-        w = A.matvec(v)
-        w -= np.multiply(beta_prev, v_prev, out=tmp)
-        a = np.vdot(v, w).real
-        w -= np.multiply(a, v, out=tmp)
-        b = float(np.linalg.norm(w))
-        invariant = b <= 1e-12 * scale
-        alphas.append(a)
-        betas.append(0.0 if invariant else b)
-        if invariant or j + 1 == check:
-            theta, Y = eigh_tridiagonal(
-                np.array(alphas), np.array(betas[:-1]), select="i", select_range=(0, 0)
-            )
-            t_lo, r_lo = theta[0], betas[-1] * abs(Y[-1, 0])
-            if invariant or j + 1 == n or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
-                msg = "Lanczos stopped after %d steps (one product each), bottom Ritz residual %.3e"
-                logger.debug(msg, j + 1, r_lo)
-                return t_lo, r_lo
-            check = min(2 * check, n)
-            msg = "bottom Ritz residual %.3e, extending Lanczos to %d steps"
-            logger.debug(msg, r_lo, check)
-        v_prev, v, beta_prev = v, np.divide(w, b, out=v_prev), b
-
-
 def gershgorin_bound(A: HermitianSparseMatrix) -> float:
     """Largest absolute row sum of ``A``, an upper bound on its spectrum.
 
@@ -476,25 +466,29 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     the spectrum that costs no product.  Overestimating ``lambda_hi`` only
     tightens downstream stopping thresholds, so this direction is safe.
 
-    ``lambda_lo`` is the bottom Ritz value of :func:`_lanczos_bottom` minus
-    its residual (method ``estimated``), or ``LAMBDA_LO_FLOOR * lambda_hi``
-    where that is no larger (method ``floored``).  A Ritz value minus its
-    residual bounds the distance to *some* eigenvalue, not to the smallest
-    one, so ``lambda_lo`` is an estimate of the bottom of the spectrum, not
-    a guaranteed lower bound, whatever the start vector.  Underestimating it
-    only widens the probing interval.  The start is
-    :func:`lanczos_start_vector`, a fixed seed-0 Gaussian draw plus the
-    all-ones vector, so the interval is a function of ``A`` alone; the
-    all-ones part halves the recurrence on the Laplacians, whose bottom
-    eigenvector is positive.  The recurrence is extended from
-    ``LANCZOS_INITIAL_STEPS`` steps while the relative residual is large: on
-    matrices with a tiny relative gap at the low end (the 1-D Laplacian at
-    n = 1000, say) a fixed 50-step run overestimates ``lambda_lo`` by orders
-    of magnitude, and the node-count needed to cover the resulting
-    fictitious interval becomes infeasible.
+    ``lambda_lo`` is the bottom Ritz value of the Lanczos tridiagonal read
+    off the coefficients of a CG run on ``A`` (:func:`_cg_steps` at shift
+    0), minus its residual (method ``estimated``), or ``LAMBDA_LO_FLOOR *
+    lambda_hi`` where that is no larger (method ``floored``).  A Ritz value
+    minus its residual bounds the distance to *some* eigenvalue, not to the
+    smallest one, so ``lambda_lo`` is an estimate, not a guaranteed lower
+    bound, whatever the start vector.  Underestimating it only widens the
+    probing interval.  The start is :func:`lanczos_start_vector`, so the
+    interval is a function of ``A`` alone.  No basis is stored, so memory is
+    O(n); lost orthogonality only adds ghost copies of converged Ritz values,
+    and the extreme ones still converge (Paige, 1980; Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 13).
+
+    The bottom Ritz pair is checked after ``LANCZOS_INITIAL_STEPS * 2^i``
+    steps, capped at ``n``: a fixed 50-step run overestimates ``lambda_lo``
+    by orders of magnitude where the low end's relative gap is tiny (the 1-D
+    Laplacian at n = 1000, say).  The run stops at the first check where the
+    relative residual is at most 0.05, at ``n`` steps, or once the Krylov
+    space is invariant (a next off-diagonal at most ``1e-12 * lambda_hi``).
 
     A diagonal entry ``a_ii = e_i^* A e_i <= 0`` rules out positive
-    definiteness before any product is spent.
+    definiteness before any product is spent, and a CG breakdown (a
+    curvature ``p^H A p`` that is not safely positive) on the way.
     """
     diag = A.diagonal().real
     bad = np.flatnonzero(diag <= 0.0)
@@ -504,12 +498,33 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
             f"matrix is not positive definite: diagonal entry {k} is {diag[k]:.6e}"
         )
     gersh = gershgorin_bound(A)
-    t_lo, r_lo = _lanczos_bottom(A, gersh)
-    if t_lo <= 0.0:
+    n = A.n
+    diagonal, off_diagonal = [], []
+    carry = 0.0  # beta_(j-1) / alpha_(j-1), zero at the first step
+    check = min(LANCZOS_INITIAL_STEPS, n)
+    steps = enumerate(_cg_steps(A, lanczos_start_vector(n), 0.0), 1)
+    try:
+        for j, (alpha, beta, *_) in steps:
+            diagonal.append(1.0 / alpha + carry)
+            carry = beta / alpha
+            off = np.sqrt(beta) / alpha
+            invariant = off <= 1e-12 * gersh
+            off_diagonal.append(0.0 if invariant else off)
+            if invariant or j == check:
+                theta, Y = eigh_tridiagonal(
+                    diagonal, off_diagonal[:-1], select="i", select_range=(0, 0)
+                )
+                t_lo, r_lo = theta[0], off_diagonal[-1] * abs(Y[-1, 0])
+                if invariant or j == n or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
+                    break
+                check = min(2 * check, n)
+                logger.debug("bottom Ritz residual %.3e, extending Lanczos to %d steps", r_lo, check)
+    except SolverBreakdownError as exc:
         raise SpectralBoundsError(
-            f"Lanczos found a non-positive Rayleigh quotient ({t_lo:.3e}): "
-            "matrix is not positive definite"
-        )
+            f"matrix is not positive definite: CG found a non-positive Rayleigh quotient ({exc})"
+        ) from exc
+    msg = "Lanczos stopped after %d steps (one product each), bottom Ritz residual %.3e"
+    logger.debug(msg, j, r_lo)
     estimate = t_lo - r_lo - 64.0 * np.finfo(float).eps * max(gersh, 1.0)
     floor = LAMBDA_LO_FLOOR * gersh
     if estimate > floor:

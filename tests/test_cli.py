@@ -352,6 +352,22 @@ class TestNonFiniteRhs:
         assert not out.exists()
 
 
+class TestOverflowingRhs:
+    def test_compute_exits_1_before_any_product(self, tmp_path, capsys):
+        # ||b||^2 overflows above about 1.3e154, so b is rejected as input,
+        # with no overflow warning and no tolerance floor of inf.
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1e200\n" * 5)
+        out = tmp_path / "out.json"
+        code = run_cli(["compute", "--matrix", "lap1d:5", "--alpha", "0.5", "--eps", "1e-8",
+                        "--rhs", str(rhs), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{str(rhs)!r}: right-hand side is too large: its squared norm overflows" in err
+        assert "overflow encountered" not in err
+        assert not out.exists()
+
+
 class TestEmptyRhs:
     @pytest.mark.parametrize("text", ["", "\n\n", "# no data\n"], ids=["empty", "blank", "comment"])
     @pytest.mark.parametrize(
@@ -653,11 +669,11 @@ GOLDEN = {
         ["thresholds", "--matrix", "diag:1,2,3", "--alpha", "0.5", "--eps", "1e-6", "--family", "gj2"],
         """\
 k,sigma,omega,tau
-1,0.04344958732266023,0.26981771198541432,3.7598836203498025e-07
-2,0.44966842060521417,0.3315496251277828,3.4682273372859084e-07
-3,1.7320508075688408,0.52642960518099147,2.9963175582560667e-07
-4,6.6715825762506009,1.2770761068318253,2.5244077792262245e-07
-5,69.04553494885063,10.755867080398795,2.232751496162328e-07
+1,0.043449587322660209,0.26981771198541427,3.7598836203498035e-07
+2,0.449668420605214,0.33154962512778274,3.4682273372859089e-07
+3,1.7320508075688401,0.52642960518099136,2.9963175582560667e-07
+4,6.6715825762505983,1.277076106831825,2.5244077792262239e-07
+5,69.045534948850602,10.755867080398794,2.2327514961623278e-07
 """,
         "",
         "",
@@ -668,51 +684,51 @@ k,sigma,omega,tau
 [
   {
     "k": 1,
-    "sigma": 0.0014862313344541581,
-    "omega": 0.04940233653055319,
-    "tau": 0.12655924143574254
+    "sigma": 0.0014862313344541447,
+    "omega": 0.04940233653055296,
+    "tau": 0.12655924143574315
   },
   {
     "k": 2,
-    "sigma": 0.014098349249720402,
-    "omega": 0.05342999979902561,
-    "tau": 0.11738777268004164
+    "sigma": 0.014098349249720274,
+    "omega": 0.053429999799025366,
+    "tau": 0.11738777268004218
   },
   {
     "k": 3,
-    "sigma": 0.04377269414688748,
-    "omega": 0.0629064628135073,
-    "tau": 0.10044110814712386
+    "sigma": 0.04377269414688709,
+    "omega": 0.06290646281350701,
+    "tau": 0.10044110814712433
   },
   {
     "k": 4,
-    "sigma": 0.10318966013610911,
-    "omega": 0.0818811927555095,
-    "tau": 0.07829922389022943
+    "sigma": 0.10318966013610817,
+    "omega": 0.08188119275550912,
+    "tau": 0.07829922389022978
   },
   {
     "k": 5,
-    "sigma": 0.2274800643677606,
-    "omega": 0.12157316987708931,
-    "tau": 0.05433302107079001
+    "sigma": 0.22748006436775856,
+    "omega": 0.12157316987708877,
+    "tau": 0.054333021070790216
   },
   {
     "k": 6,
-    "sigma": 0.5362610409832077,
-    "omega": 0.22018196864289363,
-    "tau": 0.03219113681389561
+    "sigma": 0.5362610409832028,
+    "omega": 0.22018196864289263,
+    "tau": 0.032191136813895724
   },
   {
     "k": 7,
-    "sigma": 1.664988582284906,
-    "omega": 0.5806396244273541,
-    "tau": 0.015244472280977809
+    "sigma": 1.6649885822848909,
+    "omega": 0.5806396244273514,
+    "tau": 0.01524447228097784
   },
   {
     "k": 8,
-    "sigma": 15.794035548625065,
-    "omega": 5.092732190257841,
-    "tau": 0.006073003525276831
+    "sigma": 15.79403554862492,
+    "omega": 5.092732190257818,
+    "tau": 0.006073003525276814
   }
 ]
 """,

@@ -31,6 +31,7 @@ def _rhs_with(value: float) -> np.ndarray:
 
 
 _FINITE_RHS = "right-hand side must be finite"
+_OVERFLOW_RHS = "right-hand side is too large: its squared norm overflows"
 _SHIFTS = "shifts must be finite and non-negative"
 _ALPHA = r"alpha must lie in \(0, 1\)"
 _WEIGHTS = "weights must be positive and finite"
@@ -44,6 +45,7 @@ RULES = {
             "shape": (np.ones(A.n + 1), r"right-hand side has shape \(9,\), expected \(8,\)"),
             "nan": (_rhs_with(np.nan), _FINITE_RHS),
             "inf": (_rhs_with(np.inf), _FINITE_RHS),
+            "overflow": (_rhs_with(1e200), _OVERFLOW_RHS),
         },
         {
             "fracpow_action": lambda b: fracpow_action(A, b, 0.5, ErrorBudget(1e-6)),

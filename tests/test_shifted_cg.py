@@ -2,6 +2,7 @@ import dataclasses
 import io
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import fracpow.error_control
 import fracpow.shifted_cg
+import fracpow.sparse
 from fracpow.error_control import ErrorBudget, fracpow_action, plan_action
 from fracpow.errors import SolverBreakdownError, SolverMemoryError
 from fracpow.oracle import absolute_error, dense_fracpow_action
@@ -25,6 +27,7 @@ from fracpow.sparse import (
     build_diagonal,
     build_laplacian_1d,
     build_laplacian_2d,
+    estimate_spectral_bounds,
 )
 
 from conftest import random_hermitian
@@ -703,16 +706,18 @@ class TestMemoryGuard:
 
 class TestBreakdown:
     def test_indefinite_matrix_raises(self):
-        A = build_diagonal(np.array([1.0, 1.0]))
-        # Shift the operator below zero: sigma I + A stays PD for sigma >= 0,
-        # so make the matrix itself indefinite instead.
-        dense = np.diag([-1.0, 1.0])
-        B = HermitianSparseMatrix.from_dense(dense)
-        with pytest.raises(SolverBreakdownError):
-            shifted_cg_solve(B, np.array([1.0, 1.0]), ShiftedSolveRequest([0.0], 1e-10))
-        with pytest.raises(SolverBreakdownError):
-            single_shift_cg(B, np.array([1.0, 1.0]), 0.0, tol=1e-10)
-        del A
+        # sigma I + A stays positive definite for sigma >= 0 when A is, so the
+        # matrices themselves are indefinite.  The second has a positive
+        # diagonal, and its curvature at step 0 is b^T A b = -2.
+        for dense, b in [
+            ([[-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([[1.0, 2.0], [2.0, 1.0]], [1.0, -1.0]),
+        ]:
+            B = HermitianSparseMatrix.from_dense(np.array(dense))
+            with pytest.raises(SolverBreakdownError, match="at iteration 0"):
+                shifted_cg_solve(B, np.array(b), ShiftedSolveRequest([0.0], 1e-10))
+            with pytest.raises(SolverBreakdownError, match="at iteration 0"):
+                single_shift_cg(B, np.array(b), 0.0, tol=1e-10)
 
     def test_exact_zero_seed_residual_freezes_every_shift(self):
         # On A = 2I the seed residual is exactly 0 after one iteration, so every
@@ -738,6 +743,54 @@ class TestBreakdown:
         for k, sigma in enumerate(shifts):
             x_ref = np.linalg.solve(dense + sigma * np.eye(12), b)
             np.testing.assert_allclose(X[k], x_ref, rtol=1e-8, atol=1e-12)
+
+
+class TestOneRecurrence:
+    """Every Krylov step in the package is a step of ``fracpow.sparse._cg_steps``."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Generators started, steps taken and products made, counted."""
+        counts = {"calls": 0, "steps": 0, "products": 0}
+        cg_steps = fracpow.sparse._cg_steps
+        product = HermitianSparseMatrix.matvec
+
+        def counted_steps(*args):
+            counts["calls"] += 1
+            for step in cg_steps(*args):
+                counts["steps"] += 1
+                yield step
+
+        def counted_product(self, x):
+            counts["products"] += 1
+            return product(self, x)
+
+        binders = [
+            module for name, module in sys.modules.items()
+            if name.startswith("fracpow") and getattr(module, "_cg_steps", None) is cg_steps
+        ]
+        assert {fracpow.sparse, fracpow.shifted_cg} <= set(binders)
+        for module in binders:
+            monkeypatch.setattr(module, "_cg_steps", counted_steps)
+        monkeypatch.setattr(HermitianSparseMatrix, "matvec", counted_product)
+        return counts
+
+    def test_spectral_bounds(self, counts):
+        estimate_spectral_bounds(build_laplacian_2d(32, 32))
+        assert counts == {"calls": 1, "steps": 50, "products": 50}
+
+    def test_single_shift_cg(self, counts):
+        _, iterations, _ = single_shift_cg(build_laplacian_2d(16, 16), np.ones(256), 0.5, tol=1e-10)
+        assert iterations > 0
+        assert counts == {"calls": 1, "steps": iterations, "products": iterations}
+
+    def test_shifted_cg_solve(self, counts):
+        request = ShiftedSolveRequest([1e-3, 0.1, 1.0, 10.0], 1e-9)
+        _, report = shifted_cg_solve(build_laplacian_2d(16, 16), np.ones(256), request)
+        assert report.verification_matvecs > 0
+        assert counts["calls"] == 1
+        assert counts["steps"] == report.total_matvecs
+        assert counts["products"] == counts["steps"] + report.verification_matvecs
 
 
 class TestSingleShiftCG:

@@ -544,6 +544,17 @@ class TestMatrixMarket:
             read_matrix_market(tmp_path / "missing.mtx")
 
 
+def sparse_complex_hpd() -> HermitianSparseMatrix:
+    """Complex Hermitian positive definite matrix of order 300 on the CSR path:
+    a random Hermitian matrix with its entries below 2 in modulus cut, plus
+    11.5 I (smallest eigenvalue about 0.4994, largest about 22.76)."""
+    dense = random_hermitian(np.random.default_rng(1), 300, complex_valued=True)
+    dense[np.abs(dense) < 2.0] = 0.0
+    A = HermitianSparseMatrix.from_dense(dense + 11.5 * np.eye(300))
+    assert A._product_operator.format == "csr"
+    return A
+
+
 class TestSpectralBounds:
     def test_bounds_type_validation(self):
         with pytest.raises(ValueError):
@@ -600,7 +611,7 @@ class TestSpectralBounds:
             estimate_spectral_bounds(A)
 
     def test_positive_diagonal_indefinite_matrix_rejected(self):
-        # Eigenvalues 3 and -1: the diagonal passes, the Lanczos bottom does not.
+        # Eigenvalues 3 and -1: the diagonal passes, the CG run breaks down.
         A = HermitianSparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SpectralBoundsError, match="non-positive Rayleigh quotient"):
             estimate_spectral_bounds(A)
@@ -646,8 +657,11 @@ class TestSpectralBounds:
              8.0 * np.sin(32 * np.pi / 66) ** 2),
             (lambda: build_laplacian_1d(50), 50, 0.0037933425258559663, 4.0,
              4.0 * np.sin(50 * np.pi / 102) ** 2),
+            (lambda: build_laplacian_2d(150, 150), 200, 0.0008347277288398337, 8.0,
+             8.0 * np.sin(150 * np.pi / 302) ** 2),
+            (sparse_complex_hpd, 50, 0.4993486978760706, 42.35845555823093, 22.757082686954384),
         ],
-        ids=["lap1d:1000", "lap2d:32x32", "lap1d:50"],
+        ids=["lap1d:1000", "lap2d:32x32", "lap1d:50", "lap2d:150x150", "complex-csr"],
     )
     def test_one_sweep(self, make, products, lambda_lo, gershgorin, lambda_max):
         # One recurrence checked at 50, 100, 200, ... steps, not re-run from
