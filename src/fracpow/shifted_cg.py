@@ -272,7 +272,7 @@ def shifted_cg_solve(
     alpha_prev = 1.0
     beta_prev = 0.0
 
-    steps = _cg_steps(A, b, sigma_seed) if rows.size else ()
+    steps = _cg_steps(A, b, sigma_seed, R[:, :n]) if rows.size else ()
     for iterations, (alpha, beta, _, r, rnorm) in enumerate(steps, 1):
         za = zeta[index]
         zpa = zeta_prev[index]
@@ -287,7 +287,6 @@ def shifted_cg_solve(
         zeta_prev[index] = za
         zeta[index] = znext
 
-        R[t, :n] = r
         # x += cx p, then p = cp p + znext r, on the window coefficients.
         cx = alpha * ratio
         cp = beta * ratio**2

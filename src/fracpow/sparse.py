@@ -44,7 +44,8 @@ HERMITIAN_RTOL = 1e-13
 # steps.
 LANCZOS_INITIAL_STEPS = 50
 
-# A CG step whose curvature ``p^H (sigma I + A) p`` is below this is a breakdown.
+# A CG step whose curvature ``p^H (sigma I + A) p`` is at most this times ``r^H r``
+# is a breakdown.
 BREAKDOWN_FLOOR = 1e-300
 
 # Estimated ``lambda_lo`` never falls below this fraction of ``lambda_hi``.
@@ -190,33 +191,35 @@ class HermitianSparseMatrix:
         return self._csr.diagonal()
 
 
-def _cg_steps(A: HermitianSparseMatrix, b: np.ndarray, sigma: float):
+def _cg_steps(A: HermitianSparseMatrix, b: np.ndarray, sigma: float, window=None):
     """Conjugate gradient steps on ``(sigma I + A) x = b`` from ``x = 0``, one product each.
 
     Each step yields ``(alpha, beta, p, r, rnorm)``: the iterate moves by
     ``alpha p``, ``r`` is the new residual, and the next direction is ``r +
-    beta p``.  ``p`` and ``r`` are live arrays that the next step overwrites.
+    beta p``.  ``p`` and ``r`` are live arrays that the next step overwrites;
+    given a k x n ``window``, step ``i`` writes ``r`` into its row ``i mod k``.
     The coefficients give the Lanczos tridiagonal of ``(sigma I + A, b)``:
     ``T_jj = 1/alpha_j + beta_(j-1)/alpha_(j-1)``, ``T_(j,j+1) =
     sqrt(beta_j)/alpha_j`` (Saad, *Iterative Methods for Sparse Linear
-    Systems*, 2003, section 6.7.3).  A curvature ``p^H (sigma I + A) p``
-    below ``BREAKDOWN_FLOOR`` raises :class:`SolverBreakdownError`.
+    Systems*, 2003, section 6.7.3).  A curvature ``p^H (sigma I + A) p`` not
+    above ``BREAKDOWN_FLOOR * r^H r`` raises :class:`SolverBreakdownError`;
+    being relative, the test lets a residual shrink towards underflow.
     """
     r = b.astype(np.promote_types(b.dtype, A.values.dtype), copy=True)
     p = r.copy()
     tmp = np.empty_like(r)
     rr = float(np.vdot(r, r).real)
-    for i in itertools.count():
+    for i, out in enumerate(itertools.repeat(r) if window is None else itertools.cycle(window)):
         q = A.matvec(p)
         q += np.multiply(sigma, p, out=tmp)
         pq = float(np.vdot(p, q).real)
-        if pq < BREAKDOWN_FLOOR:
+        if not pq > BREAKDOWN_FLOOR * rr:
             raise SolverBreakdownError(
                 f"curvature term {pq:.3e} at iteration {i} is not safely positive; "
                 "the operator is numerically singular or indefinite on the Krylov space"
             )
         alpha = rr / pq
-        r -= np.multiply(alpha, q, out=tmp)
+        r = np.subtract(r, np.multiply(alpha, q, out=tmp), out=out)
         rr_next = float(np.vdot(r, r).real)
         beta = rr_next / rr
         yield alpha, beta, p, r, np.sqrt(rr_next)
@@ -483,8 +486,9 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     steps, capped at ``n``: a fixed 50-step run overestimates ``lambda_lo``
     by orders of magnitude where the low end's relative gap is tiny (the 1-D
     Laplacian at n = 1000, say).  The run stops at the first check where the
-    relative residual is at most 0.05, at ``n`` steps, or once the Krylov
-    space is invariant (a next off-diagonal at most ``1e-12 * lambda_hi``).
+    relative residual is at most 0.05, at ``n`` steps, once the Krylov
+    space is invariant (a next off-diagonal at most ``1e-12 * lambda_hi``),
+    or once the residual has run out, as on a clustered spectrum.
 
     A diagonal entry ``a_ii = e_i^* A e_i <= 0`` rules out positive
     definiteness before any product is spent, and a CG breakdown (a
@@ -504,18 +508,22 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
     check = min(LANCZOS_INITIAL_STEPS, n)
     steps = enumerate(_cg_steps(A, lanczos_start_vector(n), 0.0), 1)
     try:
-        for j, (alpha, beta, *_) in steps:
+        for j, (alpha, beta, _, _, rnorm) in steps:
             diagonal.append(1.0 / alpha + carry)
             carry = beta / alpha
             off = np.sqrt(beta) / alpha
             invariant = off <= 1e-12 * gersh
+            # The next curvature is at least lambda_min * rnorm^2: stop before
+            # it can leave the normal range for a lambda_min above the floor.
+            exhausted = rnorm**2 * LAMBDA_LO_FLOOR * gersh < np.finfo(float).tiny
             off_diagonal.append(0.0 if invariant else off)
-            if invariant or j == check:
+            last = invariant or exhausted or j == n
+            if last or j == check:
                 theta, Y = eigh_tridiagonal(
                     diagonal, off_diagonal[:-1], select="i", select_range=(0, 0)
                 )
                 t_lo, r_lo = theta[0], off_diagonal[-1] * abs(Y[-1, 0])
-                if invariant or j == n or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
+                if last or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
                     break
                 check = min(2 * check, n)
                 logger.debug("bottom Ritz residual %.3e, extending Lanczos to %d steps", r_lo, check)

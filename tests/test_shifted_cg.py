@@ -719,6 +719,23 @@ class TestBreakdown:
             with pytest.raises(SolverBreakdownError, match="at iteration 0"):
                 single_shift_cg(B, np.array(b), 0.0, tol=1e-10)
 
+    def test_underflowing_residual_is_not_a_breakdown(self):
+        # At tol 1e-300 the residual on lap1d:50 shrinks until its curvature
+        # p^H (sigma I + A) p falls under 1e-300 (at iteration 353 for sigma
+        # = 0.1).  Against the squared residual it stays near lambda, so
+        # neither solver takes that for an indefinite operator.
+        A = build_laplacian_1d(50)
+        b = np.ones(50)
+        shifts = np.array([0.1, 1.0, 10.0, 100.0])
+        X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest(shifts, 1e-300))
+        assert rep.iterations_used.max() > 353
+        for k, sigma in enumerate(shifts):
+            x_ref = np.linalg.solve(A.to_dense() + sigma * np.eye(50), b)
+            x, iterations, _ = single_shift_cg(A, b, sigma, tol=1e-300)
+            assert iterations <= 500
+            np.testing.assert_allclose(x, x_ref, rtol=1e-12)
+            np.testing.assert_allclose(X[k], x_ref, rtol=1e-12)
+
     def test_exact_zero_seed_residual_freezes_every_shift(self):
         # On A = 2I the seed residual is exactly 0 after one iteration, so every
         # tracked residual is 0 and every shift is verified in that iteration:
@@ -774,6 +791,35 @@ class TestOneRecurrence:
             monkeypatch.setattr(module, "_cg_steps", counted_steps)
         monkeypatch.setattr(HermitianSparseMatrix, "matvec", counted_product)
         return counts
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_coefficients_give_the_lanczos_tridiagonal(self, rng, sigma):
+        # Checked against a dense Lanczos run with full reorthogonalization,
+        # so a fault in the shared p/r recurrence shows here and not only
+        # identically in both solvers.
+        n, k = 12, 8
+        B = random_hermitian(rng, n, complex_valued=True)
+        dense = B @ B.conj().T + 0.5 * np.eye(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        M = dense + sigma * np.eye(n)
+        Q = np.zeros((n, k + 1), dtype=complex)
+        Q[:, 0] = b / np.linalg.norm(b)
+        diagonal, off_diagonal = [], []
+        for j in range(k):
+            w = M @ Q[:, j]
+            for _ in range(2):
+                w -= Q[:, : j + 1] @ (Q[:, : j + 1].conj().T @ w)
+            diagonal.append((Q[:, j].conj() @ M @ Q[:, j]).real)
+            off_diagonal.append(np.linalg.norm(w))
+            Q[:, j + 1] = w / off_diagonal[-1]
+        steps = fracpow.sparse._cg_steps(HermitianSparseMatrix.from_dense(dense), b, sigma)
+        carry, T_diagonal, T_off = 0.0, [], []
+        for (alpha, beta, *_), _ in zip(steps, range(k)):
+            T_diagonal.append(1.0 / alpha + carry)
+            T_off.append(np.sqrt(beta) / alpha)
+            carry = beta / alpha
+        np.testing.assert_allclose(T_diagonal, diagonal, rtol=1e-10)
+        np.testing.assert_allclose(T_off, off_diagonal, rtol=1e-10)
 
     def test_spectral_bounds(self, counts):
         estimate_spectral_bounds(build_laplacian_2d(32, 32))

@@ -660,13 +660,21 @@ class TestSpectralBounds:
             (lambda: build_laplacian_2d(150, 150), 200, 0.0008347277288398337, 8.0,
              8.0 * np.sin(150 * np.pi / 302) ** 2),
             (sparse_complex_hpd, 50, 0.4993486978760706, 42.35845555823093, 22.757082686954384),
+            (lambda: build_diagonal(np.linspace(1.0, 1.001, 200)), 42, 0.9999993163127334,
+             1.001, 1.001),
+            (lambda: HermitianSparseMatrix._from_csr(
+                scipy.sparse.csr_array(scipy.sparse.eye(400) + 1e-4 * build_laplacian_1d(400)._csr)
+             ), 37, 0.999999769461102, 1.0004, 1.0 + 4e-4 * np.sin(400 * np.pi / 802) ** 2),
         ],
-        ids=["lap1d:1000", "lap2d:32x32", "lap1d:50", "lap2d:150x150", "complex-csr"],
+        ids=["lap1d:1000", "lap2d:32x32", "lap1d:50", "lap2d:150x150", "complex-csr",
+             "linspace(1,1.001)", "I+1e-4*lap1d:400"],
     )
     def test_one_sweep(self, make, products, lambda_lo, gershgorin, lambda_max):
         # One recurrence checked at 50, 100, 200, ... steps, not re-run from
         # scratch at each; lambda_hi is the Gershgorin bound and costs no
-        # product.
+        # product.  On the two clustered spectra each step divides the squared
+        # residual by ~1e7: the run stops before it underflows, below lambda_min,
+        # instead of taking the vanishing curvature for an indefinite matrix.
         L = make()
         A = CountingMatrix(L.n, L.row_offsets, L.col_indices, L.values)
         bounds = estimate_spectral_bounds(A)
