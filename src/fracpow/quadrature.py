@@ -306,7 +306,12 @@ def _cayley_table(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _gj_scale(family: str, bounds: SpectralBounds | None) -> float:
     """The scale ``c`` of ``A / c``: ``sqrt(lambda_lo lambda_hi)`` for ``gj2``, 1 for ``gj1``."""
-    return 1.0 if family == "gj1" else math.sqrt(bounds.lambda_lo * bounds.lambda_hi)
+    if family == "gj1":
+        return 1.0
+    # lo hi = ml mh 2^k with ml mh in [1/4, 1), which neither overflows nor underflows.
+    (ml, el), (mh, eh) = math.frexp(bounds.lambda_lo), math.frexp(bounds.lambda_hi)
+    k = el + eh
+    return math.ldexp(math.sqrt(math.ldexp(ml * mh, k % 2)), k // 2)
 
 
 def build_rule(

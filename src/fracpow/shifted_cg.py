@@ -1,47 +1,46 @@
 """Conjugate gradients for families of shifted Hermitian positive definite systems.
 
 One Krylov sequence serves every system ``(sigma_k I + A) x_k = b`` because
-shifting leaves Krylov spaces unchanged.  The seed recurrence is
-:func:`fracpow.sparse._cg_steps`, the CG run whose coefficients also give the
-spectral bounds' Lanczos tridiagonal.  It runs on the smallest shift
-(re-basing the others to ``delta_k = sigma_k - sigma_seed >= 0``), and each
-shifted residual stays collinear with the seed residual:
-``r_k^(i) = zeta_k^(i) * r_seed^(i)`` with a scalar ``zeta`` obeying a
-three-term recurrence in the seed step/direction coefficients.  Tracking
-``zeta_k * ||r_seed||`` therefore prices every system's residual at the cost
-of one matrix-vector product per joint iteration.
+shifting leaves Krylov spaces unchanged.  The seed is plain CG on ``A``,
+:func:`fracpow.sparse._cg_steps` at shift 0, whose coefficients are the
+Lanczos tridiagonal of ``(A, b)``, and each shifted residual stays collinear
+with the seed residual: ``r_k^(i) = zeta_k^(i) * r^(i)`` with a scalar
+``zeta`` obeying a three-term recurrence in ``sigma_k`` and the seed
+coefficients (Jegerlehner, hep-lat/9612014).  Tracking ``zeta_k * ||r||``
+prices every system's residual at one matrix-vector product per joint
+iteration.
 
-A shift whose tracked residual first dips under its threshold is verified by
-one explicit residual evaluation before it is frozen.  If the explicit value
-fails, the check also measures the residual gap ``||res - zeta_k r||``
-between the explicit residual ``res`` and the recursive one ``zeta_k r``
-(Greenbaum, SIMAX 1997).  As the recursive part goes to zero, the explicit
-residual tends to that gap, so a gap at or over the threshold means further
-iterations cannot pass: the shift is frozen unconverged as stagnated.  A
-smaller gap leaves the shift iterating, re-checked at a trigger half as high
-each time.  The cap is the third stop reason: at the last allowed iteration
-every active shift is checked once and stops, converged if its explicit
-residual passes and unconverged otherwise.  All three stop in one place, and
-a shift's converged flag is its final explicit residual against its
-threshold, never the collinearity estimate.
+A shift whose tracked residual first dips under its trigger (at first its
+threshold) is verified by one explicit residual evaluation before it is
+frozen.  If the explicit value fails, the check also measures the residual
+gap ``||res - zeta_k r||`` between the explicit residual ``res`` and the
+recursive one ``zeta_k r`` (Greenbaum, SIMAX 1997).  As the recursive part
+goes to zero, the explicit residual tends to that gap, so a gap at or over
+the threshold means further iterations cannot pass: the shift is frozen
+unconverged as stagnated.  A smaller gap halves its trigger.  The cap is
+the third stop reason: at the last allowed iteration every active shift is
+checked once and stops, converged if its explicit residual passes and
+unconverged otherwise.  All three stop in one place, and a shift's
+converged flag is its final explicit residual against its threshold, never
+the collinearity estimate.  A seed residual of exactly 0 makes every active
+shift pass or stagnate, so the loop ends before the seed breaks down.
 
 Every per-shift array is indexed by the shift's request index.  The seed
 and collinearity recurrences never read the iterates, so the iterates and
 search directions are updated lazily over a window of ``_BLOCK`` joint
-iterations.  Inside a window that starts at ``X0``, ``P0``, every active row
-is ``x = x0 + a p0 + D R`` and ``p = c p0 + E R``, where the rows of ``R``
-are the window's seed residuals and ``a``, ``c``, ``D``, ``E`` are per-shift
-scalars and ``_BLOCK``-vectors updated by scalar work on the active rows.
-At the end of a window ``D R`` and ``E R`` are applied as block products
-over fixed-size tiles to the span of rows from the first active shift to
-the last, so the solve holds two m x n arrays, ``R`` (``_BLOCK`` x n) and
-one tile.  A shift that stops keeps its checked iterate in ``X`` and the
-identity coefficients ``a = 0``, ``c = 1``, ``D = E = 0``, so a flush whose
-span covers it leaves its row as it is.  Rows are formed only by a flush
-and, alone from its coefficients, for a shift checked between flushes.
-The solutions are returned in ``X``; each row is the iterate whose residual
-was checked when its shift stopped, or the zero iterate where that residual
-is larger than ``||b||``.
+iterations.  Inside a window that starts at ``X``, ``P``, row ``k`` is
+``x = X[k] + D[k, 0] P[k] + D[k, 1:] R`` and ``p = E[k, 0] P[k] + E[k, 1:]
+R``, where the rows of ``R`` are the window's seed residuals and the
+coefficient rows are updated by scalar work on the active rows.  At the end
+of a window they are applied as block products over fixed-size tiles to the
+span of rows from the first active shift to the last, so the solve holds two
+m x n arrays, ``R`` (``_BLOCK`` x n) and one tile.  A shift that stops keeps
+its checked iterate in ``X`` and the identity rows ``D[k] = 0``, ``E[k] =
+(1, 0, ..., 0)``, so a flush whose span covers it leaves its row as it is.
+Rows are formed only by a flush and, alone from their coefficients, for a
+shift checked between flushes.  The solutions are returned in ``X``; each
+row is the iterate whose residual was checked when its shift stopped, or the
+zero iterate where that residual is larger than ``||b||``.
 """
 
 from __future__ import annotations
@@ -155,15 +154,15 @@ def _active_rows(active: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
     return rows, slice(lo, hi) if hi - lo == rows.size else rows
 
 
-def _flush(X, P, a, c, D, E, R, lo, hi, work) -> None:
-    """Close a window: ``X += a P + D R`` then ``P = c P + E R`` on rows ``[lo, hi)``.
+def _flush(X, P, D, E, R, lo, hi, work) -> None:
+    """Close a window: ``X += D[:, 0] P + D[:, 1:] R``, then ``P = E[:, 0] P + E[:, 1:] R``.
 
-    It only closes whole windows, so every row of ``R`` is a seed residual.
-    ``work`` is ``kb x cb``; ``D`` and ``E`` hold whole ``kb``-row blocks
-    from any row and ``R`` whole ``cb``-column blocks, so every product has
-    the workspace's shape.  Block rows at or past ``hi`` are computed and
-    dropped.  Then ``a``, ``c`` and ``D`` restart; ``E``'s columns are set
-    before use.
+    It updates rows ``[lo, hi)`` and only closes whole windows, so every row
+    of ``R`` is a seed residual.  ``work`` is ``kb x cb``; ``D`` and ``E``
+    hold whole ``kb``-row blocks from any row and ``R`` whole ``cb``-column
+    blocks, so every product has the workspace's shape.  Block rows at or
+    past ``hi`` are computed and dropped.  Then ``D`` and ``E[:, 0]``
+    restart; ``E``'s other columns are set before use.
     """
     kb, cb = work.shape
     n = X.shape[1]
@@ -175,16 +174,15 @@ def _flush(X, P, a, c, D, E, R, lo, hi, work) -> None:
             rows = slice(i0, min(i0 + kb, hi))
             Xt, Pt = X[rows, cols], P[rows, cols]
             w = work[: Pt.shape[0], : Pt.shape[1]]
-            np.multiply(a[rows, None], Pt, out=w)
+            np.multiply(D[rows, 0, None], Pt, out=w)
             Xt += w
-            np.matmul(D[block], Rt, out=work)
+            np.matmul(D[block, 1:], Rt, out=work)
             Xt += w
-            np.multiply(c[rows, None], Pt, out=Pt)
-            np.matmul(E[block], Rt, out=work)
+            np.multiply(E[rows, 0, None], Pt, out=Pt)
+            np.matmul(E[block, 1:], Rt, out=work)
             Pt += w
-    a.fill(0.0)
-    c.fill(1.0)
     D.fill(0.0)
+    E[:, 0] = 1.0
 
 
 def shifted_cg_solve(
@@ -201,16 +199,15 @@ def shifted_cg_solve(
     seed residuals, applied as two block products over cache-sized tiles
     once per window to the rows from the first active shift to the last.
     Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
-    residual window ``R``, the m x ``_BLOCK`` coefficients ``D`` and ``E``
-    and one tile; ``solutions`` is ``X``.  Where their sum would exceed the
-    available memory, :class:`SolverMemoryError` is raised before any
+    residual window ``R``, the m x (``_BLOCK`` + 1) coefficients ``D`` and
+    ``E`` and one tile; ``solutions`` is ``X``.  Where their sum would exceed
+    the available memory, :class:`SolverMemoryError` is raised before any
     product.  A shift stops when its explicit residual ``res`` passes, when
     it fails with a gap ``||res - zeta_k r||`` at least its threshold
-    (stagnation; a smaller gap re-checks it at half the trigger), or at
-    ``max_iterations``, where every active shift is checked once; it keeps
-    the iterate whose residual was checked, or the zero iterate if that
-    residual exceeds ``||b||``, and identity coefficients keep a later flush
-    from moving it.  A solve capped at ``max_iterations = i`` thus returns
+    (stagnation; a smaller gap halves its trigger), or at ``max_iterations``,
+    where every active shift is checked once; it keeps the iterate whose
+    residual was checked, or the zero iterate if that residual exceeds
+    ``||b||``, and identity coefficients keep a later flush from moving it.  A solve capped at ``max_iterations = i`` thus returns
     every shift still active at ``i`` as its iterate ``i``, unless that
     iterate's residual exceeds ``||b||``.
     """
@@ -221,14 +218,14 @@ def shifted_cg_solve(
     n = A.n
     max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
-    # Window: row k is x = X[k] + a[k] P[k] + D[k, :t] R[:t] and
-    # p = c[k] P[k] + E[k, :t] R[:t].  OpenBLAS rounds the ragged column edge
-    # of a product differently by row position, and a one-row (vector)
-    # product differently from a block one.  So flush products are whole
-    # tiles of at least two rows and a multiple of 16 columns (D, E and R
-    # are zero-padded to them, D and E so that a tile may start at any row),
-    # and each row's bits do not depend on its position, on the tile size or
-    # on which shifts are still active.
+    # Window: row k is x = X[k] + D[k, 0] P[k] + D[k, 1:t+1] R[:t] and
+    # p = E[k, 0] P[k] + E[k, 1:t+1] R[:t].  OpenBLAS rounds the ragged
+    # column edge of a product differently by row position, and a one-row
+    # (vector) product differently from a block one.  So flush products are
+    # whole tiles of at least two rows and a multiple of 16 columns (D, E and
+    # R are zero-padded to them, D and E so that a tile may start at any
+    # row), and each row's bits do not depend on its position, on the tile
+    # size or on which shifts are still active.
     s = _BLOCK
     chunks = -(-n // _COLS)
     cb = 16 * -(-n // (16 * chunks))
@@ -236,7 +233,7 @@ def shifted_cg_solve(
     kb = max(2, -(-m // nblocks))
     shapes = {
         "X": (m, n), "P": (m, n), "R": (s, -(-n // cb) * cb),
-        "D": (m + kb - 1, s), "E": (m + kb - 1, s), "work": (kb, cb),
+        "D": (m + kb - 1, s + 1), "E": (m + kb - 1, s + 1), "work": (kb, cb),
     }
     needed = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
     available = _available_memory()
@@ -247,7 +244,6 @@ def shifted_cg_solve(
         )
     b = b.astype(dtype, copy=False)
 
-    sigma_seed = float(shifts.min())
     bnorm = float(np.linalg.norm(b))
     final_res = np.full(m, bnorm)
     iterations_used = np.zeros(m, dtype=np.int64)
@@ -256,27 +252,25 @@ def shifted_cg_solve(
     active = bnorm > thresholds
     rows, index = _active_rows(active)
 
-    delta = shifts - sigma_seed
-    check_scale = np.ones(m)
+    trigger = thresholds.copy()
     zeta_prev = np.ones(m)
     zeta = np.ones(m)
     X = np.zeros(shapes["X"], dtype=dtype)
     P = np.tile(b, (m, 1))
-    a = np.zeros(m, dtype=dtype)
-    c = np.ones(m, dtype=dtype)
     D = np.zeros(shapes["D"], dtype=dtype)
     E = np.zeros(shapes["E"], dtype=dtype)
+    E[:, 0] = 1.0
     R = np.zeros(shapes["R"], dtype=dtype)
     work = np.empty(shapes["work"], dtype=dtype)
     t = 0
     alpha_prev = 1.0
     beta_prev = 0.0
 
-    steps = _cg_steps(A, b, sigma_seed, R[:, :n]) if rows.size else ()
+    steps = _cg_steps(A, b, 0.0, R[:, :n]) if rows.size else ()
     for iterations, (alpha, beta, _, r, rnorm) in enumerate(steps, 1):
         za = zeta[index]
         zpa = zeta_prev[index]
-        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + delta[index] * alpha)
+        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + shifts[index] * alpha)
         if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
             raise SolverBreakdownError(
                 "collinearity recurrence produced a non-positive denominator "
@@ -290,23 +284,21 @@ def shifted_cg_solve(
         # x += cx p, then p = cp p + znext r, on the window coefficients.
         cx = alpha * ratio
         cp = beta * ratio**2
-        a[index] += cx * c[index]
-        D[index, :t] += cx[:, None] * E[index, :t]
-        c[index] *= cp
-        E[index, :t] *= cp[:, None]
-        E[index, t] = znext
+        D[index, : t + 1] += cx[:, None] * E[index, : t + 1]
+        E[index, : t + 1] *= cp[:, None]
         t += 1
+        E[index, t] = znext
 
         tracked = znext * rnorm
         capped = iterations == max_iterations
         # At the cap every active shift is a candidate and stops; ~(>) keeps a
         # NaN estimate a candidate.
-        candidates = np.flatnonzero(capped | ~(tracked > thresholds[index] * check_scale[index]))
+        candidates = np.flatnonzero(capped | ~(tracked > trigger[index]))
         for j in candidates:
             k = rows[j]
             threshold = thresholds[k]
-            x = X[k] + a[k] * P[k]
-            x += D[k, :t] @ R[:t, :n]
+            x = X[k] + D[k, 0] * P[k]
+            x += D[k, 1 : t + 1] @ R[:t, :n]
             res = b - shifts[k] * x - A.matvec(x)
             explicit = float(np.linalg.norm(res))
             verification_matvecs += 1
@@ -317,7 +309,7 @@ def shifted_cg_solve(
                 # one vanishes; a gap at the threshold cannot pass later.
                 gap = float(np.linalg.norm(res - znext[j] * r))
                 if gap < threshold:
-                    check_scale[k] *= 0.5
+                    trigger[k] *= 0.5
                     continue
                 logger.debug(
                     "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
@@ -326,7 +318,7 @@ def shifted_cg_solve(
             if explicit > bnorm:  # the zero iterate's residual b is smaller
                 x, explicit = 0.0, bnorm
             X[k] = x
-            a[k], c[k], D[k], E[k] = 0.0, 1.0, 0.0, 0.0
+            D[k], E[k], E[k, 0] = 0.0, 0.0, 1.0
             final_res[k] = explicit
             iterations_used[k] = iterations
             active[k] = False
@@ -336,7 +328,7 @@ def shifted_cg_solve(
         if not rows.size:
             break
         if t == s:
-            _flush(X, P, a, c, D, E, R, rows[0], rows[-1] + 1, work)
+            _flush(X, P, D, E, R, rows[0], rows[-1] + 1, work)
             t = 0
         alpha_prev, beta_prev = alpha, beta
 

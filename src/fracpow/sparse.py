@@ -198,6 +198,7 @@ def _cg_steps(A: HermitianSparseMatrix, b: np.ndarray, sigma: float, window=None
     ``alpha p``, ``r`` is the new residual, and the next direction is ``r +
     beta p``.  ``p`` and ``r`` are live arrays that the next step overwrites;
     given a k x n ``window``, step ``i`` writes ``r`` into its row ``i mod k``.
+    At ``sigma = 0`` a step makes no ``sigma p`` pass.
     The coefficients give the Lanczos tridiagonal of ``(sigma I + A, b)``:
     ``T_jj = 1/alpha_j + beta_(j-1)/alpha_(j-1)``, ``T_(j,j+1) =
     sqrt(beta_j)/alpha_j`` (Saad, *Iterative Methods for Sparse Linear
@@ -211,7 +212,8 @@ def _cg_steps(A: HermitianSparseMatrix, b: np.ndarray, sigma: float, window=None
     rr = float(np.vdot(r, r).real)
     for i, out in enumerate(itertools.repeat(r) if window is None else itertools.cycle(window)):
         q = A.matvec(p)
-        q += np.multiply(sigma, p, out=tmp)
+        if sigma:
+            q += np.multiply(sigma, p, out=tmp)
         pq = float(np.vdot(p, q).real)
         if not pq > BREAKDOWN_FLOOR * rr:
             raise SolverBreakdownError(
@@ -471,12 +473,14 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
 
     ``lambda_lo`` is the bottom Ritz value of the Lanczos tridiagonal read
     off the coefficients of a CG run on ``A`` (:func:`_cg_steps` at shift
-    0), minus its residual (method ``estimated``), or ``LAMBDA_LO_FLOOR *
-    lambda_hi`` where that is no larger (method ``floored``).  A Ritz value
-    minus its residual bounds the distance to *some* eigenvalue, not to the
-    smallest one, so ``lambda_lo`` is an estimate, not a guaranteed lower
-    bound, whatever the start vector.  Underestimating it only widens the
-    probing interval.  The start is :func:`lanczos_start_vector`, so the
+    0), minus its residual and ``64 eps lambda_hi`` (method ``estimated``),
+    or ``LAMBDA_LO_FLOOR * lambda_hi`` where that is no larger (method
+    ``floored``).  LAPACK sees the tridiagonal scaled by a power of two
+    towards 1, so the interval of ``2^e A`` is ``2^e`` times that of ``A``.
+    A Ritz value minus its residual bounds the distance to *some* eigenvalue,
+    not to the smallest one, so ``lambda_lo`` is an estimate, not a
+    guaranteed lower bound, whatever the start vector.  Underestimating it
+    only widens the probing interval.  The start is :func:`lanczos_start_vector`, so the
     interval is a function of ``A`` alone.  No basis is stored, so memory is
     O(n); lost orthogonality only adds ghost copies of converged Ritz values,
     and the extreme ones still converge (Paige, 1980; Parlett, *The
@@ -502,6 +506,7 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
             f"matrix is not positive definite: diagonal entry {k} is {diag[k]:.6e}"
         )
     gersh = gershgorin_bound(A)
+    e = np.frexp(gersh)[1]  # gersh / 2^e lies in [1/2, 1)
     n = A.n
     diagonal, off_diagonal = [], []
     carry = 0.0  # beta_(j-1) / alpha_(j-1), zero at the first step
@@ -519,10 +524,9 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
             off_diagonal.append(0.0 if invariant else off)
             last = invariant or exhausted or j == n
             if last or j == check:
-                theta, Y = eigh_tridiagonal(
-                    diagonal, off_diagonal[:-1], select="i", select_range=(0, 0)
-                )
-                t_lo, r_lo = theta[0], off_diagonal[-1] * abs(Y[-1, 0])
+                T = np.ldexp(diagonal, -e), np.ldexp(off_diagonal[:-1], -e)
+                theta, Y = eigh_tridiagonal(*T, select="i", select_range=(0, 0))
+                t_lo, r_lo = np.ldexp(theta[0], e), off_diagonal[-1] * abs(Y[-1, 0])
                 if last or r_lo <= 0.05 * max(t_lo, np.finfo(float).tiny):
                     break
                 check = min(2 * check, n)
@@ -533,7 +537,7 @@ def estimate_spectral_bounds(A: HermitianSparseMatrix) -> SpectralBounds:
         ) from exc
     msg = "Lanczos stopped after %d steps (one product each), bottom Ritz residual %.3e"
     logger.debug(msg, j, r_lo)
-    estimate = t_lo - r_lo - 64.0 * np.finfo(float).eps * max(gersh, 1.0)
+    estimate = t_lo - r_lo - 64.0 * np.finfo(float).eps * gersh
     floor = LAMBDA_LO_FLOOR * gersh
     if estimate > floor:
         return SpectralBounds(estimate, gersh, "estimated")

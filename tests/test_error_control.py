@@ -24,6 +24,7 @@ from fracpow.oracle import absolute_error, dense_fracpow_action
 from fracpow.quadrature import ShiftedQuadratureRule, build_rule
 from fracpow.shifted_cg import ShiftedSolveRequest, shifted_cg_solve
 from fracpow.sparse import (
+    HermitianSparseMatrix,
     SpectralBounds,
     build_diagonal,
     build_laplacian_1d,
@@ -188,6 +189,16 @@ class TestFracpowAction:
         assert result.certified
         assert result.report.all_converged
         assert result.rule.m == result.report.shifts.size
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_gj2_is_scale_free(self, e):
+        # gj2 applies its rule to A / sqrt(lambda_lo lambda_hi), so on 2^e A
+        # with eps scaled by 2^(e/2) it picks the rule it picks on A.
+        A = build_laplacian_1d(200)
+        scaled = HermitianSparseMatrix(A.n, A.row_offsets, A.col_indices, np.ldexp(A.values, e))
+        result = fracpow_action(scaled, np.ones(A.n), 0.5, ErrorBudget(np.ldexp(1e-6, e // 2)), "gj2")
+        assert result.rule.m == 53
+        assert result.certified
 
     @pytest.mark.parametrize("family", ["gj1", "gj2", "de"])
     def test_zero_rhs(self, family):

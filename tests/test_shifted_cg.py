@@ -628,7 +628,7 @@ class TestMemoryGuard:
     problems one column tile spans ``n`` rounded up to a multiple of 16
     (``cb``) and one row tile holds all ``m`` rows, so the solve allocates
     ``X`` and ``P`` (m x n), the residual window ``R`` (``_BLOCK`` x cb),
-    ``D`` and ``E`` ((2 m - 1) x ``_BLOCK``) and the ``work`` tile (m x cb).
+    ``D`` and ``E`` ((2 m - 1) x (``_BLOCK`` + 1)) and the ``work`` tile (m x cb).
     """
 
     @staticmethod
@@ -636,7 +636,7 @@ class TestMemoryGuard:
         cb = 16 * -(-n // 16)
         assert m <= fracpow.shifted_cg._TILE // cb
         s = fracpow.shifted_cg._BLOCK
-        return 2 * m * n + s * cb + 2 * (2 * m - 1) * s + m * cb
+        return 2 * m * n + s * cb + 2 * (2 * m - 1) * (s + 1) + m * cb
 
     def test_action_raises_before_any_product(self, monkeypatch):
         A = build_laplacian_1d(200)
@@ -719,16 +719,18 @@ class TestBreakdown:
             with pytest.raises(SolverBreakdownError, match="at iteration 0"):
                 single_shift_cg(B, np.array(b), 0.0, tol=1e-10)
 
-    def test_underflowing_residual_is_not_a_breakdown(self):
-        # At tol 1e-300 the residual on lap1d:50 shrinks until its curvature
-        # p^H (sigma I + A) p falls under 1e-300 (at iteration 353 for sigma
-        # = 0.1).  Against the squared residual it stays near lambda, so
-        # neither solver takes that for an indefinite operator.
+    def test_underflowing_residual_is_not_a_breakdown(self, rng):
+        # At tol 1e-300 the residuals on lap1d:50 shrink towards underflow:
+        # plain CG's curvature p^H (sigma I + A) p falls under 1e-300 for
+        # every sigma >= 0.1 (from step 368 at 0.1), and the multi-shift
+        # seed's reaches 6e-298 at the 500-step cap.  Against the squared
+        # residual it stays near lambda, so neither solver takes that for an
+        # indefinite operator.
         A = build_laplacian_1d(50)
-        b = np.ones(50)
-        shifts = np.array([0.1, 1.0, 10.0, 100.0])
+        b = rng.standard_normal(50)
+        shifts = np.array([0.0, 0.1, 1.0, 10.0, 100.0])
         X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest(shifts, 1e-300))
-        assert rep.iterations_used.max() > 353
+        assert rep.iterations_used.max() == 500
         for k, sigma in enumerate(shifts):
             x_ref = np.linalg.solve(A.to_dense() + sigma * np.eye(50), b)
             x, iterations, _ = single_shift_cg(A, b, sigma, tol=1e-300)
@@ -748,6 +750,16 @@ class TestBreakdown:
         assert rep.converged.tolist() == [True, False, False]
         assert rep.verification_matvecs == 3
         np.testing.assert_array_equal(X[0], b / 2.0)
+        # CG on lap1d:50 from the symmetric b = ones is exact after 25 steps,
+        # where the seed residual is 0; every shift stops there.
+        A = build_laplacian_1d(50)
+        b = np.ones(50)
+        shifts = np.array([0.1, 1.0, 10.0, 100.0])
+        X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest(shifts, 1e-300))
+        assert rep.iterations_used.tolist() == [25, 25, 25, 25]
+        for k, sigma in enumerate(shifts):
+            x_ref = np.linalg.solve(A.to_dense() + sigma * np.eye(50), b)
+            np.testing.assert_allclose(X[k], x_ref, rtol=1e-12)
 
     def test_complex_hermitian_system(self, rng):
         dense = random_hermitian(rng, 12, complex_valued=True)
@@ -767,13 +779,14 @@ class TestOneRecurrence:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Generators started, steps taken and products made, counted."""
-        counts = {"calls": 0, "steps": 0, "products": 0}
+        """Generators started, their shifts, steps taken and products made, counted."""
+        counts = {"calls": 0, "sigmas": [], "steps": 0, "products": 0}
         cg_steps = fracpow.sparse._cg_steps
         product = HermitianSparseMatrix.matvec
 
         def counted_steps(*args):
             counts["calls"] += 1
+            counts["sigmas"].append(args[2])
             for step in cg_steps(*args):
                 counts["steps"] += 1
                 yield step
@@ -823,18 +836,20 @@ class TestOneRecurrence:
 
     def test_spectral_bounds(self, counts):
         estimate_spectral_bounds(build_laplacian_2d(32, 32))
-        assert counts == {"calls": 1, "steps": 50, "products": 50}
+        assert counts == {"calls": 1, "sigmas": [0.0], "steps": 50, "products": 50}
 
     def test_single_shift_cg(self, counts):
         _, iterations, _ = single_shift_cg(build_laplacian_2d(16, 16), np.ones(256), 0.5, tol=1e-10)
         assert iterations > 0
-        assert counts == {"calls": 1, "steps": iterations, "products": iterations}
+        assert counts == {"calls": 1, "sigmas": [0.5], "steps": iterations, "products": iterations}
 
     def test_shifted_cg_solve(self, counts):
         request = ShiftedSolveRequest([1e-3, 0.1, 1.0, 10.0], 1e-9)
         _, report = shifted_cg_solve(build_laplacian_2d(16, 16), np.ones(256), request)
         assert report.verification_matvecs > 0
+        # The seed is CG on A itself, below every shift of the request.
         assert counts["calls"] == 1
+        assert counts["sigmas"] == [0.0]
         assert counts["steps"] == report.total_matvecs
         assert counts["products"] == counts["steps"] + report.verification_matvecs
 

@@ -599,6 +599,20 @@ class TestSpectralBounds:
         assert bounds.lambda_lo <= ev_min * (1 + 1e-12)
         assert bounds.lambda_lo >= ev_min * 0.3
 
+    @pytest.mark.parametrize("e", [-600, -60, 60, 600])
+    @pytest.mark.parametrize("build", [lambda: build_laplacian_1d(200), lambda: build_laplacian_2d(32, 32)],
+                             ids=["lap1d:200", "lap2d:32x32"])
+    def test_interval_scales_with_the_matrix(self, build, e):
+        # CG on 2^e A runs the same residuals with every coefficient scaled by
+        # a power of two, so the interval scales bit for bit: the tridiagonal
+        # never reaches LAPACK far from 1, and the pad is relative.
+        A = build()
+        scaled = HermitianSparseMatrix(A.n, A.row_offsets, A.col_indices, np.ldexp(A.values, e))
+        bounds, unscaled = estimate_spectral_bounds(scaled), estimate_spectral_bounds(A)
+        assert bounds.method == unscaled.method == "estimated"
+        assert bounds.lambda_lo == np.ldexp(unscaled.lambda_lo, e)
+        assert bounds.lambda_hi == np.ldexp(unscaled.lambda_hi, e)
+
     def test_identity_invariant_subspace(self):
         A = build_diagonal(np.ones(8))
         bounds = estimate_spectral_bounds(A)
