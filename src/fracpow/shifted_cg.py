@@ -27,20 +27,29 @@ shift pass or stagnate, so the loop ends before the seed breaks down.
 
 Every per-shift array is indexed by the shift's request index.  The seed
 and collinearity recurrences never read the iterates, so the iterates and
-search directions are updated lazily over a window of ``_BLOCK`` joint
+search directions are updated lazily over a window of ``_BLOCK`` (32) joint
 iterations.  Inside a window that starts at ``X``, ``P``, row ``k`` is
-``x = X[k] + D[k, 0] P[k] + D[k, 1:] R`` and ``p = E[k, 0] P[k] + E[k, 1:]
+``x = X[k] + D[0, k] P[k] + D[1:, k] R`` and ``p = E[0, k] P[k] + E[1:, k]
 R``, where the rows of ``R`` are the window's seed residuals and the
-coefficient rows are updated by scalar work on the active rows.  At the end
-of a window they are applied as block products over fixed-size tiles to the
-span of rows from the first active shift to the last, so the solve holds two
-m x n arrays, ``R`` (``_BLOCK`` x n) and one tile.  A shift that stops keeps
-its checked iterate in ``X`` and the identity rows ``D[k] = 0``, ``E[k] =
-(1, 0, ..., 0)``, so a flush whose span covers it leaves its row as it is.
-Rows are formed only by a flush and, alone from their coefficients, for a
-shift checked between flushes.  The solutions are returned in ``X``; each
-row is the iterate whose residual was checked when its shift stopped, or the
-zero iterate where that residual is larger than ``||b||``.
+coefficient columns are updated by scalar work on the active shifts.  At
+the end of a window they are applied as block products over fixed-size
+tiles to the span of rows from the first active shift to the last.  A shift
+that stops keeps its checked iterate in ``X`` and the identity column
+``D[:, k] = 0``, ``E[:, k] = (1, 0, ..., 0)``, so a flush whose span covers
+it leaves its row as it is.  Between flushes rows are formed only for the
+shifts checked in an iteration: together, ``g`` at a time, by one block
+product into the gather rows ``G``, with their residuals in ``T``.
+
+Rows are zero-padded to ``width`` columns, ``n`` rounded up to a multiple of
+16 in each column tile, so every tile is whole, and contiguous where one
+tile spans a row.  The solve holds ``X`` and ``P`` (m x width), ``R``
+(``_BLOCK`` x width), ``D`` and ``E`` ((``_BLOCK`` + 1) x about m) and one
+scratch that serves as the flush tile of about ``_TILE`` entries and as
+``G`` and ``T`` (g x width each, ``g = max(2, min(m, _TILE // width))``):
+``2 m n + s n + 2 m (s + 1) + max(tile, gather)`` entries, up to the
+padding.  The solutions are ``X[:, :n]``; each row is the iterate whose
+residual was checked when its shift stopped, or the zero iterate where that
+residual is larger than ``||b||``.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from .sparse import HermitianSparseMatrix, _cg_steps
 logger = logging.getLogger(__name__)
 
 # Joint iterations per window of the deferred update.
-_BLOCK = 16
+_BLOCK = 32
 
 # Elements per tile of a window flush (512 KiB of doubles), so that a tile of
 # X, the same tile of P and the workspace fit in a 2 MiB L2 cache together.
@@ -155,34 +164,74 @@ def _active_rows(active: np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
 
 
 def _flush(X, P, D, E, R, lo, hi, work) -> None:
-    """Close a window: ``X += D[:, 0] P + D[:, 1:] R``, then ``P = E[:, 0] P + E[:, 1:] R``.
+    """Close a window: ``X += D[0] P + D[1:] R``, then ``P = E[0] P + E[1:] R``, per row.
 
     It updates rows ``[lo, hi)`` and only closes whole windows, so every row
     of ``R`` is a seed residual.  ``work`` is ``kb x cb``; ``D`` and ``E``
-    hold whole ``kb``-row blocks from any row and ``R`` whole ``cb``-column
-    blocks, so every product has the workspace's shape.  Block rows at or
-    past ``hi`` are computed and dropped.  Then ``D`` and ``E[:, 0]``
-    restart; ``E``'s other columns are set before use.
+    hold whole ``kb``-column blocks from any shift and ``X``, ``P`` and
+    ``R`` whole ``cb``-column tiles, so every product has the workspace's
+    shape.  Block rows at or past ``hi`` are computed and dropped.  Then
+    ``D`` and ``E[0]`` restart; ``E``'s other rows are set before use.
     """
     kb, cb = work.shape
-    n = X.shape[1]
-    for j0 in range(0, n, cb):
-        cols = slice(j0, min(j0 + cb, n))
-        Rt = R[:, j0 : j0 + cb]
+    for j0 in range(0, X.shape[1], cb):
+        cols = slice(j0, j0 + cb)
+        Rt = R[:, cols]
         for i0 in range(lo, hi, kb):
             block = slice(i0, i0 + kb)
             rows = slice(i0, min(i0 + kb, hi))
             Xt, Pt = X[rows, cols], P[rows, cols]
-            w = work[: Pt.shape[0], : Pt.shape[1]]
-            np.multiply(D[rows, 0, None], Pt, out=w)
+            w = work[: Pt.shape[0]]
+            np.multiply(D[0, rows, None], Pt, out=w)
             Xt += w
-            np.matmul(D[block, 1:], Rt, out=work)
+            np.matmul(D[1:, block].T, Rt, out=work)
             Xt += w
-            np.multiply(E[rows, 0, None], Pt, out=Pt)
-            np.matmul(E[block, 1:], Rt, out=work)
+            np.multiply(E[0, rows, None], Pt, out=Pt)
+            np.matmul(E[1:, block].T, Rt, out=work)
             Pt += w
     D.fill(0.0)
-    E[:, 0] = 1.0
+    E[0] = 1.0
+
+
+def _rows(Y, rows, out):
+    """``Y[rows]``: a view for a slice, and gathered into ``out`` for an index array.
+
+    ``mode="clip"`` lets ``np.take`` write ``out`` directly; the default
+    ``"raise"`` goes through a temporary.
+    """
+    return Y[rows] if isinstance(rows, slice) else np.take(Y, rows, axis=0, out=out, mode="clip")
+
+
+def _check(A, b, X, P, D, R, ks, sigma, t, G, T) -> np.ndarray:
+    """Form rows ``ks`` at window step ``t`` and return their explicit residual norms.
+
+    The iterates ``x = D[1:t+1, k] R[:t] + D[0, k] P[k] + X[k]`` land in
+    ``G[:c]`` and the residuals ``b - sigma x - A x`` in ``T[:c]``, where
+    ``c`` is the number of rows and ``b`` is padded like them; one product
+    per row goes through ``A.matvec``.  Ascending ``ks`` that are contiguous
+    are read as views, others are gathered into ``T``.  The coefficients
+    multiply ``R`` in one block product of at least two rows, since OpenBLAS
+    rounds a one-row (vector) product differently, so a row's bits do not
+    depend on the rows checked with it.
+    """
+    c = ks.size
+    n = A.n
+    lo = int(ks[0])
+    if int(ks[-1]) - lo + 1 == c:
+        rows, block = slice(lo, lo + c), slice(lo, lo + max(c, 2))
+    else:
+        rows = block = ks
+    x, res = G[:c], T[:c]
+    np.matmul(D[1 : t + 1, block].T, R[:t], out=G[: max(c, 2)])
+    x += np.multiply(_rows(P, rows, res), D[0, rows, None], out=res)
+    x += _rows(X, rows, res)
+    np.multiply(x, sigma[:, None], out=res)
+    np.subtract(b, res, out=res)
+    norms = np.empty(c)
+    for i in range(c):
+        res[i, :n] -= A.matvec(x[i, :n])
+        norms[i] = np.linalg.norm(res[i, :n])
+    return norms
 
 
 def shifted_cg_solve(
@@ -196,20 +245,18 @@ def shifted_cg_solve(
     shift ``k``; every per-shift array, the solutions and the report use
     request order throughout.  The iteration carries the iterates and search
     directions of the active shifts as coefficients on the last ``_BLOCK``
-    seed residuals, applied as two block products over cache-sized tiles
-    once per window to the rows from the first active shift to the last.
-    Memory is the two m x n arrays ``X`` and ``P``, the ``_BLOCK`` x n
-    residual window ``R``, the m x (``_BLOCK`` + 1) coefficients ``D`` and
-    ``E`` and one tile; ``solutions`` is ``X``.  Where their sum would exceed
-    the available memory, :class:`SolverMemoryError` is raised before any
-    product.  A shift stops when its explicit residual ``res`` passes, when
-    it fails with a gap ``||res - zeta_k r||`` at least its threshold
-    (stagnation; a smaller gap halves its trigger), or at ``max_iterations``,
-    where every active shift is checked once; it keeps the iterate whose
-    residual was checked, or the zero iterate if that residual exceeds
-    ``||b||``, and identity coefficients keep a later flush from moving it.  A solve capped at ``max_iterations = i`` thus returns
-    every shift still active at ``i`` as its iterate ``i``, unless that
-    iterate's residual exceeds ``||b||``.
+    seed residuals, applied once per window; the shifts checked in one
+    iteration are formed together.  Where the arrays the module docstring
+    lists would exceed the available memory, :class:`SolverMemoryError` is
+    raised before any product.  A shift
+    stops when its explicit residual ``res`` passes, when it fails with a gap
+    ``||res - zeta_k r||`` at least its threshold (stagnation; a smaller gap
+    halves its trigger), or at ``max_iterations``, where every active shift
+    is checked once; it keeps the iterate whose residual was checked, or the
+    zero iterate if that residual exceeds ``||b||``, and identity
+    coefficients keep a later flush from moving it.  A solve capped at
+    ``max_iterations = i`` thus returns every shift still active at ``i`` as
+    its iterate ``i``, unless that iterate's residual exceeds ``||b||``.
     """
     b = check_rhs(b, A.n)
     shifts = request.shifts
@@ -218,22 +265,28 @@ def shifted_cg_solve(
     n = A.n
     max_iterations = 10 * n if request.max_iterations is None else int(request.max_iterations)
     dtype = np.promote_types(b.dtype, A.values.dtype)
-    # Window: row k is x = X[k] + D[k, 0] P[k] + D[k, 1:t+1] R[:t] and
-    # p = E[k, 0] P[k] + E[k, 1:t+1] R[:t].  OpenBLAS rounds the ragged
+    # Window: row k is x = X[k] + D[0, k] P[k] + D[1:t+1, k] R[:t] and
+    # p = E[0, k] P[k] + E[1:t+1, k] R[:t].  OpenBLAS rounds the ragged
     # column edge of a product differently by row position, and a one-row
-    # (vector) product differently from a block one.  So flush products are
-    # whole tiles of at least two rows and a multiple of 16 columns (D, E and
-    # R are zero-padded to them, D and E so that a tile may start at any
-    # row), and each row's bits do not depend on its position, on the tile
-    # size or on which shifts are still active.
+    # (vector) product differently from a block one.  So products are of at
+    # least two rows and a multiple of 16 columns (rows are zero-padded to
+    # them, and D and E to whole blocks so that a flush tile may start at
+    # any row), and each row's bits do not depend on its position, on the
+    # tile size, on the rows checked with it or on which shifts are still
+    # active.
     s = _BLOCK
     chunks = -(-n // _COLS)
     cb = 16 * -(-n // (16 * chunks))
+    width = chunks * cb
     nblocks = -(-m // max(2, _TILE // cb))
     kb = max(2, -(-m // nblocks))
+    # The shifts checked in one iteration are formed g rows at a time, in
+    # the gather rows G and T.  They share one scratch with the flush tile,
+    # which is never in use at the same time.
+    g = max(2, min(m, _TILE // width))
     shapes = {
-        "X": (m, n), "P": (m, n), "R": (s, -(-n // cb) * cb),
-        "D": (m + kb - 1, s + 1), "E": (m + kb - 1, s + 1), "work": (kb, cb),
+        "X": (m, width), "P": (m, width), "R": (s, width),
+        "D, E": (2, s + 1, m + kb - 1), "work, G and T": (max(kb * cb, 2 * g * width),),
     }
     needed = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
     available = _available_memory()
@@ -242,88 +295,115 @@ def shifted_cg_solve(
             f"the solve needs {needed} bytes for its {m} x {n} iterates and directions "
             f"and its workspace, more than the {available} bytes of available memory"
         )
-    b = b.astype(dtype, copy=False)
+    # Rows are zero-padded to ``width`` columns.
+    b = np.pad(b.astype(dtype, copy=False), (0, width - n))
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(b[:n]))
     final_res = np.full(m, bnorm)
     iterations_used = np.zeros(m, dtype=np.int64)
     verification_matvecs = 0
     # Zero iterate already qualifies: residual is exactly b, no product needed.
     active = bnorm > thresholds
     rows, index = _active_rows(active)
+    # The active shifts' scalars, in the order of ``rows``: shift, collinearity
+    # factor zeta and its previous value, and check trigger (at first the
+    # threshold).
+    sigma = shifts[rows]
+    zeta = np.ones(rows.size)
+    zeta_prev = np.ones(rows.size)
+    trigger = thresholds[rows]
 
-    trigger = thresholds.copy()
-    zeta_prev = np.ones(m)
-    zeta = np.ones(m)
     X = np.zeros(shapes["X"], dtype=dtype)
     P = np.tile(b, (m, 1))
-    D = np.zeros(shapes["D"], dtype=dtype)
-    E = np.zeros(shapes["E"], dtype=dtype)
-    E[:, 0] = 1.0
+    # A stopped shift keeps the identity coefficients D = 0, E = (1, 0, ..., 0).
+    identity = np.zeros((2, s + 1, 1), dtype=dtype)
+    identity[1, 0] = 1.0
+    coef = np.tile(identity, shapes["D, E"][2])
+    D, E = coef
     R = np.zeros(shapes["R"], dtype=dtype)
-    work = np.empty(shapes["work"], dtype=dtype)
+    scratch = np.empty(shapes["work, G and T"], dtype=dtype)
+    work = scratch[: kb * cb].reshape(kb, cb)
+    G, T = scratch[: 2 * g * width].reshape(2, g, width)
     t = 0
     alpha_prev = 1.0
     beta_prev = 0.0
 
-    steps = _cg_steps(A, b, 0.0, R[:, :n]) if rows.size else ()
+    steps = _cg_steps(A, b[:n], 0.0, R[:, :n]) if rows.size else ()
     for iterations, (alpha, beta, _, r, rnorm) in enumerate(steps, 1):
-        za = zeta[index]
-        zpa = zeta_prev[index]
-        denom = alpha * beta_prev * (zpa - za) + zpa * alpha_prev * (1.0 + shifts[index] * alpha)
-        if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
+        # zeta_next = zeta * ratio, ratio = zeta_prev alpha_prev / denom with
+        # denom = alpha beta_prev (zeta_prev - zeta) + zeta_prev alpha_prev (1 + sigma alpha).
+        ratio = zeta_prev * alpha_prev
+        denom = zeta_prev - zeta
+        denom *= alpha * beta_prev
+        scaled = sigma * alpha
+        scaled += 1.0
+        scaled *= ratio
+        denom += scaled
+        if not (denom.min() > 0.0 and denom.max() < math.inf):
             raise SolverBreakdownError(
                 "collinearity recurrence produced a non-positive denominator "
                 f"at iteration {iterations - 1}"
             )
-        znext = za * zpa * alpha_prev / denom
-        ratio = znext / za
-        zeta_prev[index] = za
-        zeta[index] = znext
+        ratio /= denom
+        zeta_prev = zeta
+        zeta = zeta_prev * ratio
 
-        # x += cx p, then p = cp p + znext r, on the window coefficients.
-        cx = alpha * ratio
-        cp = beta * ratio**2
-        D[index, : t + 1] += cx[:, None] * E[index, : t + 1]
-        E[index, : t + 1] *= cp[:, None]
+        # x += cx p, then p = cp p + zeta r, on the window coefficients.
+        cx = ratio * alpha
+        ratio *= ratio
+        ratio *= beta
+        D[: t + 1, index] += cx * E[: t + 1, index]
+        E[: t + 1, index] *= ratio
         t += 1
-        E[index, t] = znext
+        E[t, index] = zeta
 
-        tracked = znext * rnorm
+        # At the cap every active shift is a candidate and stops; a NaN
+        # estimate fails the comparison and is a candidate too.
         capped = iterations == max_iterations
-        # At the cap every active shift is a candidate and stops; ~(>) keeps a
-        # NaN estimate a candidate.
-        candidates = np.flatnonzero(capped | ~(tracked > trigger[index]))
-        for j in candidates:
-            k = rows[j]
-            threshold = thresholds[k]
-            x = X[k] + D[k, 0] * P[k]
-            x += D[k, 1 : t + 1] @ R[:t, :n]
-            res = b - shifts[k] * x - A.matvec(x)
-            explicit = float(np.linalg.norm(res))
-            verification_matvecs += 1
-            if explicit > threshold and capped:
-                logger.debug("shift %d capped: explicit %.3e vs threshold %.3e", k, explicit, threshold)
-            elif explicit > threshold:
-                # The explicit residual tends to the gap once the recursive
-                # one vanishes; a gap at the threshold cannot pass later.
-                gap = float(np.linalg.norm(res - znext[j] * r))
-                if gap < threshold:
-                    trigger[k] *= 0.5
-                    continue
-                logger.debug(
-                    "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
-                    k, explicit, gap, threshold,
-                )
-            if explicit > bnorm:  # the zero iterate's residual b is smaller
-                x, explicit = 0.0, bnorm
-            X[k] = x
-            D[k], E[k], E[k, 0] = 0.0, 0.0, 1.0
-            final_res[k] = explicit
-            iterations_used[k] = iterations
-            active[k] = False
-        if candidates.size:
-            rows, index = _active_rows(active)
+        below = np.greater(zeta * rnorm, trigger)
+        if capped or not below.all():
+            candidates = np.arange(rows.size) if capped else np.flatnonzero(~below)
+            for c0 in range(0, candidates.size, g):
+                j = candidates[c0 : c0 + g]
+                ks = rows[j]
+                explicit = _check(A, b, X, P, D, R, ks, sigma[j], t, G, T)
+                verification_matvecs += ks.size
+                again = []
+                for i in np.flatnonzero(explicit > thresholds[ks]):
+                    k, threshold = ks[i], thresholds[ks[i]]
+                    if capped:
+                        logger.debug(
+                            "shift %d capped: explicit %.3e vs threshold %.3e", k, explicit[i], threshold
+                        )
+                    else:
+                        # The explicit residual tends to the gap once the
+                        # recursive one vanishes; a gap at the threshold
+                        # cannot pass later.
+                        gap = float(np.linalg.norm(T[i, :n] - zeta[j[i]] * r))
+                        if gap < threshold:
+                            again.append(i)
+                            continue
+                        logger.debug(
+                            "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
+                            k, explicit[i], gap, threshold,
+                        )
+                    if explicit[i] > bnorm:  # the zero iterate's residual b is smaller
+                        G[i] = 0.0
+                        explicit[i] = bnorm
+                x = G[: ks.size]
+                if again:
+                    trigger[j[again]] *= 0.5
+                    ks, x, explicit = (np.delete(a, again, axis=0) for a in (ks, x, explicit))
+                X[ks] = x
+                coef[:, :, ks] = identity
+                final_res[ks] = explicit
+                iterations_used[ks] = iterations
+                active[ks] = False
+            keep = active[rows]
+            if not keep.all():
+                rows, index = _active_rows(active)
+                sigma, trigger = sigma[keep], trigger[keep]
+                zeta, zeta_prev = zeta[keep], zeta_prev[keep]
 
         if not rows.size:
             break
@@ -335,7 +415,7 @@ def shifted_cg_solve(
     report = ShiftedSolveReport(
         shifts.copy(), thresholds.copy(), iterations_used, final_res, verification_matvecs
     )
-    return X, report
+    return X[:, :n], report
 
 
 def single_shift_cg(

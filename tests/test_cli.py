@@ -801,7 +801,7 @@ iteration,shift,measured_error,error_bound
         """\
 matrix,alpha,eps,family,m,error,pass,certified,failing
 "diag:1,2,3",0.5,9.9999999999999995e-07,gj1,7,3.4066341530656859e-08,true,true,
-lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464599906056e-07,true,true,
+lap1d:40,0.5,9.9999999999999995e-07,gj1,48,3.5151464573051601e-07,true,true,
 """,
         """\
 diag:1,2,3   alpha=0.5  eps=1e-06  gj1  m=7      error=3.407e-08 PASS certified=yes
@@ -837,9 +837,9 @@ diag:1,2,3   alpha=0.2  eps=0.0001 gj2  m=3      error=1.245e-05 PASS certified=
         ["compute", "--matrix", "diag:1,2,3", "--alpha", "0.5", "--eps", "1e-8", "--format", "csv"],
         """\
 y
-0.99999999960742203
-1.4142135631126389
-1.7320508063396538
+0.99999999960742214
+1.4142135631126393
+1.7320508063396531
 """,
         "",
         """\

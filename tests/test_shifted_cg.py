@@ -11,6 +11,7 @@ import pytest
 import fracpow.error_control
 import fracpow.shifted_cg
 import fracpow.sparse
+from fracpow import cli
 from fracpow.error_control import ErrorBudget, fracpow_action, plan_action
 from fracpow.errors import SolverBreakdownError, SolverMemoryError
 from fracpow.oracle import absolute_error, dense_fracpow_action
@@ -18,6 +19,7 @@ from fracpow.shifted_cg import (
     ShiftedSolveReport,
     ShiftedSolveRequest,
     _active_rows,
+    _flush,
     shifted_cg_solve,
     single_shift_cg,
 )
@@ -359,7 +361,7 @@ class TestWindowEdges:
 
 class TestIterationCap:
     # The cap stops every shift still iterating in the same block as the
-    # other stop reasons: each is checked once on its formed iterate.  Cap 16
+    # other stop reasons: each is checked once on its formed iterate.  Cap 32
     # ends a window, cap 35 falls inside one.
     SHIFTS = np.array([0.0, 0.05, 0.4, 2.0, 9.0])
     THRESHOLDS = np.full(5, 1e-14)
@@ -406,44 +408,72 @@ class TestIterationCap:
 
 class TestFreezeDecisions:
     # Per-node stopping iterations, flags and verification counts of the
-    # solves that fracpow_action makes on lap2d:32x32 with b = ones; a
-    # change to the solver's arithmetic or freeze logic moves them.
+    # solves that fracpow_action makes with b = ones on a fixed interval, so
+    # that a change to the bounds stage does not move them; a change to the
+    # solver's arithmetic or freeze logic does.  Stopping iterations are
+    # runs of (iteration, shifts) in request order.
+    LAP2D = ("lap2d:32x32", (0.01811207274561117, 7.981887715479397))
     CASES = {
-        ("de", 0.5, 1e-6): (
-            [0, 0, 0, 23, 33, 39, 43, 45, 48, 50, 53, 55, 56, 57, 58, 58, 57, 54,
-             48, 39, 27, 18, 12, 8, 6, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0],
+        (*LAP2D, "de", 0.5, 1e-6): (
+            [(0, 3), (23, 1), (33, 1), (39, 1), (43, 1), (45, 1), (48, 1), (50, 1),
+             (53, 1), (55, 1), (56, 1), (57, 1), (58, 2), (57, 1), (54, 1), (48, 1),
+             (39, 1), (27, 1), (18, 1), (12, 1), (8, 1), (6, 1), (4, 1), (3, 2),
+             (2, 3), (1, 8), (0, 2)],
             36,
         ),
-        ("gj2", 0.2, 1e-9): (
-            [70, 69, 68, 67, 66, 65, 63, 62, 60, 58, 57, 54, 51, 49, 46, 43, 41, 38,
-             35, 31, 28, 25, 22, 19, 16, 13, 10, 8, 5],
+        (*LAP2D, "gj2", 0.2, 1e-9): (
+            [(70, 1), (69, 1), (68, 1), (67, 1), (66, 1), (65, 1), (63, 1), (62, 1),
+             (60, 1), (58, 1), (57, 1), (54, 1), (51, 1), (49, 1), (46, 1), (43, 1),
+             (41, 1), (38, 1), (35, 1), (31, 1), (28, 1), (25, 1), (22, 1), (19, 1),
+             (16, 1), (13, 1), (10, 1), (8, 1), (5, 1)],
             29,
+        ),
+        # The seed residual is exactly 0 at step 100, where 53 shifts stop
+        # together, and 362 checks fall in 93 iterations: the batched checks.
+        ("lap1d:200", (0.00024428611863736434, 4.0), "gj1", 0.2, 1e-9): (
+            [(100, 53), (99, 1), (98, 1), (97, 1), (96, 1), (94, 1), (93, 1), (91, 1),
+             (90, 1), (88, 1), (87, 1), (85, 1), (84, 1), (82, 1), (81, 1), (80, 1),
+             (79, 1), (77, 1), (76, 1), (75, 1), (74, 1), (73, 1), (72, 1), (71, 1),
+             (70, 1), (69, 1), (68, 1), (67, 1), (66, 1), (65, 1), (64, 1), (63, 1),
+             (62, 1), (61, 2), (60, 1), (59, 1), (58, 2), (57, 1), (56, 1), (55, 2),
+             (54, 1), (53, 2), (52, 2), (51, 1), (50, 2), (49, 2), (48, 2), (47, 2),
+             (46, 2), (45, 2), (44, 2), (43, 2), (42, 2), (41, 3), (40, 2), (39, 3),
+             (38, 3), (37, 2), (36, 3), (35, 3), (34, 4), (33, 3), (32, 3), (31, 4),
+             (30, 4), (29, 4), (28, 4), (27, 5), (26, 4), (25, 5), (24, 5), (23, 5),
+             (22, 6), (21, 6), (20, 6), (19, 7), (18, 7), (17, 7), (16, 8), (15, 8),
+             (14, 8), (13, 9), (12, 9), (11, 10), (10, 11), (9, 10), (8, 12), (7, 11),
+             (6, 12), (5, 10), (4, 10), (3, 5), (2, 2)],
+            362,
         ),
     }
 
-    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: c[0])
+    IDS = ["de", "gj2", "lap1d:200-gj1"]
+
+    @staticmethod
+    def stops(runs):
+        return np.repeat(*np.array(runs).T)
+
+    @pytest.mark.parametrize("case", list(CASES), ids=IDS)
     def test_pinned(self, case):
-        family, alpha, epsilon = case
-        iterations_used, verification_matvecs = self.CASES[case]
-        A = build_laplacian_2d(32, 32)
-        # A fixed interval, so that a change to the bounds stage does not move
-        # the pinned decisions.
-        bounds = SpectralBounds(0.01811207274561117, 7.981887715479397)
+        spec, interval, family, alpha, epsilon = case
+        runs, verification_matvecs = self.CASES[case]
+        A = cli.build_matrix(spec)
         result = fracpow_action(
-            A, np.ones(A.n), alpha, ErrorBudget(epsilon), family, bounds=bounds
+            A, np.ones(A.n), alpha, ErrorBudget(epsilon), family, bounds=SpectralBounds(*interval)
         )
         rep = result.report
-        assert rep.iterations_used.tolist() == iterations_used
+        np.testing.assert_array_equal(rep.iterations_used, self.stops(runs))
         assert rep.converged.all()
         assert rep.verification_matvecs == verification_matvecs
+        assert result.certified
 
-    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", list(CASES), ids=IDS)
     def test_iterating_shifts_are_contiguous(self, case):
         # The pinned stopping iterations (test_pinned ties them to the solver)
         # rise, then fall: at every iteration the shifts still iterating form
         # one run of request indices, so a flush over the span of active rows
         # touches no stopped row.
-        steps = np.diff(self.CASES[case][0])
+        steps = np.diff(self.stops(self.CASES[case][0]))
         falls = np.flatnonzero(steps < 0)
         assert falls.size and np.all(steps[falls[0] :] <= 0)
 
@@ -454,37 +484,38 @@ class TestStagnation:
     a smaller gap re-checks the shift at half the trigger."""
 
     def test_stuck_nodes_stop_on_their_gap(self, caplog):
-        # The three smallest shifts cannot reach their thresholds; each stops
-        # at its first check, so no joint iteration runs past the converged
-        # nodes and every node is checked once.
+        # The two smallest shifts cannot reach their thresholds; each stops
+        # at its first check on its gap, so no joint iteration runs past the
+        # converged nodes and every node is checked once.  Shift 2 ends its
+        # check 0.3% under its threshold.
         A = build_laplacian_1d(300)
         bounds = SpectralBounds(0.00010893383959318113, 4.0)
         with caplog.at_level("DEBUG", logger="fracpow.shifted_cg"):
             result = fracpow_action(A, np.ones(A.n), 0.2, ErrorBudget(1e-10), "gj2", bounds=bounds)
         rep = result.report
-        assert np.flatnonzero(~rep.converged).tolist() == [0, 1, 2]
+        assert np.flatnonzero(~rep.converged).tolist() == [0, 1]
         assert rep.total_matvecs == rep.iterations_used[rep.converged].max() == 150
         assert rep.verification_matvecs == result.rule.m == 94
         lines = [r.getMessage() for r in caplog.records if "stagnated" in r.getMessage()]
-        assert len(lines) == 3
+        assert len(lines) == 2
         pattern = r"shift (\d+) stagnated: explicit (\S+), gap (\S+) vs threshold (\S+)"
         for line in lines:
             _, explicit, gap, threshold = re.fullmatch(pattern, line).groups()
             assert float(explicit) > float(threshold)
             assert float(gap) >= float(threshold)
 
-    @pytest.mark.parametrize(
-        "nx, alpha, epsilon, lambda_lo, m, checks",
-        [
-            (64, 0.2, 1e-9, 0.004645486034087669, 91, 92),
-            # Shift 0's gap is just under its threshold at its first check and
-            # grows before the next one; it passes only on the re-check at
-            # half the trigger.
-            (100, 0.5, 1e-10, 0.0019328366214641365, 148, 154),
-        ],
-        ids=["lap2d:64x64", "lap2d:100x100"],
-    )
-    def test_small_gap_is_rechecked(self, nx, alpha, epsilon, lambda_lo, m, checks):
+    # Cells where some shift fails a check with its gap under its threshold
+    # and passes on the re-check at half the trigger: every shift converges
+    # and there are more checks than shifts.
+    RECHECKED = {
+        "lap2d:40x40": (40, 0.2, 1e-10, 0.011736462967297249, 62, 63),
+        "lap2d:64x64": (64, 0.2, 1e-9, 0.004645486034087669, 91, 92),
+        "lap2d:100x100": (100, 0.5, 1e-10, 0.0019328366214641365, 148, 150),
+    }
+
+    @pytest.mark.parametrize("cell", list(RECHECKED))
+    def test_small_gap_is_rechecked(self, cell):
+        nx, alpha, epsilon, lambda_lo, m, checks = self.RECHECKED[cell]
         A = build_laplacian_2d(nx, nx)
         bounds = SpectralBounds(lambda_lo, 8.0)
         result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), "gj1", bounds=bounds)
@@ -492,6 +523,30 @@ class TestStagnation:
         assert result.report.verification_matvecs == checks
         assert result.report.converged.all()
         assert result.certified
+
+    def test_failed_check_then_passed_recheck(self, monkeypatch):
+        # The witness of the halving path: one shift fails its first check,
+        # is not frozen, and passes its second.
+        nx, alpha, epsilon, lambda_lo, m, checks = self.RECHECKED["lap2d:40x40"]
+        A = build_laplacian_2d(nx, nx)
+        seen = {}
+        check = fracpow.shifted_cg._check
+
+        def spy(A, b, X, P, D, R, ks, *args):
+            explicit = check(A, b, X, P, D, R, ks, *args)
+            for k, value in zip(ks.tolist(), explicit.tolist()):
+                seen.setdefault(k, []).append(value)
+            return explicit
+
+        monkeypatch.setattr(fracpow.shifted_cg, "_check", spy)
+        bounds = SpectralBounds(lambda_lo, 8.0)
+        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), "gj1", bounds=bounds)
+        thresholds = result.report.thresholds
+        twice = [k for k, values in seen.items() if len(values) > 1]
+        assert len(twice) == checks - m == 1
+        [k] = twice
+        first, second = seen[k]
+        assert first > thresholds[k] >= second == result.report.final_residual_norms[k]
 
 
 class TestZeroIterateFallback:
@@ -620,15 +675,76 @@ class TestFusedUpdate:
         )
 
 
+class TestBatchedChecks:
+    # The shifts checked in one iteration are formed together, ``g`` rows
+    # at a time (``g = _TILE // width`` here, patched to 2 and 3), and a
+    # lone row is formed as two.  A row comes back bit for bit the same
+    # whichever rows it is checked with, contiguous or not.
+
+    @pytest.mark.parametrize("gather", [None, 2, 3], ids=["default", "g=2", "g=3"])
+    @pytest.mark.parametrize("extra", [1, 4, 9], ids=str)
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "gaps"])
+    def test_row_independent_of_batch_mates(self, rng, monkeypatch, extra, gather, contiguous):
+        A = build_laplacian_1d(200)
+        b = rng.standard_normal(A.n)
+        if gather is not None:
+            monkeypatch.setattr(fracpow.shifted_cg, "_TILE", gather * 208)
+        sigma, threshold = 0.5, 1e-8
+        X, rep = shifted_cg_solve(A, b, ShiftedSolveRequest([sigma], threshold))
+        stop = rep.iterations_used[0]
+        # Large shifts with thresholds they cannot reach iterate until the
+        # cap, the row's own stop iteration, and are checked there with it.
+        # Trivially done shifts (threshold inf) between them leave gaps.
+        large = np.geomspace(10.0, 1e3, extra)
+        k = extra // 2
+        shifts = np.concatenate([large[:k], [sigma], large[k:]])
+        thresholds = np.full(extra + 1, 1e-300)
+        thresholds[k] = threshold
+        if not contiguous:
+            shifts = np.concatenate([shifts, 1e4 + shifts])
+            thresholds = np.stack([thresholds, np.full(extra + 1, np.inf)], axis=1).ravel()
+            shifts = np.stack([shifts[: extra + 1], shifts[extra + 1 :]], axis=1).ravel()
+            k = 2 * k
+        X_b, rep_b = shifted_cg_solve(A, b, ShiftedSolveRequest(shifts, thresholds, stop))
+        iterated = np.isfinite(thresholds)
+        np.testing.assert_array_equal(rep_b.iterations_used[iterated], stop)
+        assert rep_b.verification_matvecs == rep.verification_matvecs + extra
+        np.testing.assert_array_equal(X_b[k], X[0])
+        assert rep_b.final_residual_norms[k] == rep.final_residual_norms[0]
+        assert rep_b.converged[k]
+
+    def test_flush_passes_read_contiguous_tiles(self):
+        # Rows padded to the tile width make every flush operand a whole
+        # contiguous tile, so numpy's ufuncs buffer only the coefficient
+        # column that scales each row (once, at its fixed buffer size), and
+        # not the strided tiles as well.
+        m, s, cb = 40, fracpow.shifted_cg._BLOCK, 608
+        rng = np.random.default_rng(0)
+        X, P = rng.standard_normal((2, m, cb))
+        D, E = rng.standard_normal((2, s + 1, 2 * m - 1))
+        R = rng.standard_normal((s, cb))
+        work = np.empty((m, cb))
+        _flush(X, P, D, E, R, 0, m, work)
+        tracemalloc.start()
+        try:
+            _flush(X, P, D, E, R, 0, m, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= np.getbufsize() * 8 + 4096
+
+
 class TestMemoryGuard:
     """Every array the solve allocates is checked against the available
     memory before any product.
 
     The limit is patched, so nothing large is allocated.  On these small
     problems one column tile spans ``n`` rounded up to a multiple of 16
-    (``cb``) and one row tile holds all ``m`` rows, so the solve allocates
-    ``X`` and ``P`` (m x n), the residual window ``R`` (``_BLOCK`` x cb),
-    ``D`` and ``E`` ((2 m - 1) x (``_BLOCK`` + 1)) and the ``work`` tile (m x cb).
+    (``cb``), every row is padded to it, and one row tile holds all ``m``
+    rows, so the solve allocates ``X`` and ``P`` (m x cb), the residual
+    window ``R`` (``_BLOCK`` x cb), ``D`` and ``E`` ((2 m - 1) x (``_BLOCK``
+    + 1)) and one scratch for the ``work`` tile (m x cb) or the gather's
+    ``G`` and ``T`` (max(2, m) x cb each), the larger.
     """
 
     @staticmethod
@@ -636,7 +752,8 @@ class TestMemoryGuard:
         cb = 16 * -(-n // 16)
         assert m <= fracpow.shifted_cg._TILE // cb
         s = fracpow.shifted_cg._BLOCK
-        return 2 * m * n + s * cb + 2 * (2 * m - 1) * (s + 1) + m * cb
+        scratch = max(m * cb, 2 * max(2, m) * cb)
+        return 2 * m * cb + s * cb + 2 * (2 * m - 1) * (s + 1) + scratch
 
     def test_action_raises_before_any_product(self, monkeypatch):
         A = build_laplacian_1d(200)
