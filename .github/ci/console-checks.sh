@@ -7,8 +7,8 @@ cd "$(mktemp -d)"
 
 fracpow --help
 fracpow verify --matrix lap1d:50 --alpha 0.5 --eps 1e-6 --family gj2
-# Up to 362 shifts, 53 of them checked and stopped in one iteration: the
-# batched checks on whichever numpy and OpenBLAS the job installed.
+# Up to 362 shifts, 53 of them checked and stopped in one iteration, each
+# on its own, on whichever numpy and OpenBLAS the job installed.
 fracpow verify --matrix lap1d:200 --family gj1 > verify-lap1d.txt
 grep -q "6/6 cells passed, 6/6 certified" verify-lap1d.txt
 fracpow thresholds --matrix lap1d:50 --alpha 0.5 --eps 1e-6 --family gj2

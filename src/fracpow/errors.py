@@ -87,8 +87,11 @@ def check_weights(weights) -> None:
 
 
 def check_iteration_cap(max_iterations) -> None:
-    """:class:`ValueError` unless the iteration cap is ``None`` or an integer >= 1 (numpy integers too)."""
+    """:class:`ValueError` unless the iteration cap is ``None`` or an integer >= 1 (numpy
+    integers too; a ``bool`` is an ``int`` but not a count)."""
     if max_iterations is not None and not (
-        isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1
+        isinstance(max_iterations, (int, np.integer))
+        and not isinstance(max_iterations, bool)
+        and max_iterations >= 1
     ):
         raise ValueError(f"max_iterations must be None or an integer >= 1, got {max_iterations!r}")

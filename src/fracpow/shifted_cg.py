@@ -36,20 +36,18 @@ the end of a window they are applied as block products over fixed-size
 tiles to the span of rows from the first active shift to the last.  A shift
 that stops keeps its checked iterate in ``X`` and the identity column
 ``D[:, k] = 0``, ``E[:, k] = (1, 0, ..., 0)``, so a flush whose span covers
-it leaves its row as it is.  Between flushes rows are formed only for the
-shifts checked in an iteration: together, ``g`` at a time, by one block
-product into the gather rows ``G``, with their residuals in ``T``.
+it leaves its row as it is.  Between flushes a row is formed only when its
+shift is checked, on its own.
 
 Rows are zero-padded to ``width`` columns, ``n`` rounded up to a multiple of
 16 in each column tile, so every tile is whole, and contiguous where one
 tile spans a row.  The solve holds ``X`` and ``P`` (m x width), ``R``
-(``_BLOCK`` x width), ``D`` and ``E`` ((``_BLOCK`` + 1) x about m) and one
-scratch that serves as the flush tile of about ``_TILE`` entries and as
-``G`` and ``T`` (g x width each, ``g = max(2, min(m, _TILE // width))``):
-``2 m n + s n + 2 m (s + 1) + max(tile, gather)`` entries, up to the
-padding.  The solutions are ``X[:, :n]``; each row is the iterate whose
-residual was checked when its shift stopped, or the zero iterate where that
-residual is larger than ``||b||``.
+(``_BLOCK`` x width), ``D`` and ``E`` ((``_BLOCK`` + 1) x about m) and the
+flush tile of about ``_TILE`` entries: ``2 m n + s n + 2 m (s + 1) + tile``
+entries, up to the padding; a check adds a few n-vectors.  The solutions
+are ``X[:, :n]``; each row is the iterate whose residual was checked when
+its shift stopped, or the zero iterate where that residual is larger than
+``||b||``.
 """
 
 from __future__ import annotations
@@ -193,45 +191,21 @@ def _flush(X, P, D, E, R, lo, hi, work) -> None:
     E[0] = 1.0
 
 
-def _rows(Y, rows, out):
-    """``Y[rows]``: a view for a slice, and gathered into ``out`` for an index array.
+def _check(A, b, X, P, D, R, k, sigma, t):
+    """Row ``k`` at window step ``t``, its residual ``b - sigma x - A x`` and that residual's norm.
 
-    ``mode="clip"`` lets ``np.take`` write ``out`` directly; the default
-    ``"raise"`` goes through a temporary.
+    The row is ``x = D[1:t+1, k] R[:t] + D[0, k] P[k] + X[k]``, padded like
+    ``b``; the residual is over the first ``n`` columns and takes one
+    ``A.matvec``.  The coefficients multiply ``R`` in a two-row product whose
+    second row is dropped (``D`` is padded, so column ``k + 1`` exists),
+    since OpenBLAS rounds a one-row (vector) product differently.
     """
-    return Y[rows] if isinstance(rows, slice) else np.take(Y, rows, axis=0, out=out, mode="clip")
-
-
-def _check(A, b, X, P, D, R, ks, sigma, t, G, T) -> np.ndarray:
-    """Form rows ``ks`` at window step ``t`` and return their explicit residual norms.
-
-    The iterates ``x = D[1:t+1, k] R[:t] + D[0, k] P[k] + X[k]`` land in
-    ``G[:c]`` and the residuals ``b - sigma x - A x`` in ``T[:c]``, where
-    ``c`` is the number of rows and ``b`` is padded like them; one product
-    per row goes through ``A.matvec``.  Ascending ``ks`` that are contiguous
-    are read as views, others are gathered into ``T``.  The coefficients
-    multiply ``R`` in one block product of at least two rows, since OpenBLAS
-    rounds a one-row (vector) product differently, so a row's bits do not
-    depend on the rows checked with it.
-    """
-    c = ks.size
-    n = A.n
-    lo = int(ks[0])
-    if int(ks[-1]) - lo + 1 == c:
-        rows, block = slice(lo, lo + c), slice(lo, lo + max(c, 2))
-    else:
-        rows = block = ks
-    x, res = G[:c], T[:c]
-    np.matmul(D[1 : t + 1, block].T, R[:t], out=G[: max(c, 2)])
-    x += np.multiply(_rows(P, rows, res), D[0, rows, None], out=res)
-    x += _rows(X, rows, res)
-    np.multiply(x, sigma[:, None], out=res)
-    np.subtract(b, res, out=res)
-    norms = np.empty(c)
-    for i in range(c):
-        res[i, :n] -= A.matvec(x[i, :n])
-        norms[i] = np.linalg.norm(res[i, :n])
-    return norms
+    x = (D[1 : t + 1, k : k + 2].T @ R[:t])[0]
+    x += D[0, k] * P[k]
+    x += X[k]
+    res = (b - sigma * x)[: A.n]
+    res -= A.matvec(x[: A.n])
+    return x, res, float(np.linalg.norm(res))
 
 
 def shifted_cg_solve(
@@ -245,18 +219,18 @@ def shifted_cg_solve(
     shift ``k``; every per-shift array, the solutions and the report use
     request order throughout.  The iteration carries the iterates and search
     directions of the active shifts as coefficients on the last ``_BLOCK``
-    seed residuals, applied once per window; the shifts checked in one
-    iteration are formed together.  Where the arrays the module docstring
-    lists would exceed the available memory, :class:`SolverMemoryError` is
-    raised before any product.  A shift
-    stops when its explicit residual ``res`` passes, when it fails with a gap
-    ``||res - zeta_k r||`` at least its threshold (stagnation; a smaller gap
-    halves its trigger), or at ``max_iterations``, where every active shift
-    is checked once; it keeps the iterate whose residual was checked, or the
-    zero iterate if that residual exceeds ``||b||``, and identity
-    coefficients keep a later flush from moving it.  A solve capped at
-    ``max_iterations = i`` thus returns every shift still active at ``i`` as
-    its iterate ``i``, unless that iterate's residual exceeds ``||b||``.
+    seed residuals, applied once per window; a shift's row is formed only
+    when it is checked.  Where the arrays the module docstring lists would
+    exceed the available memory, :class:`SolverMemoryError` is raised before
+    any product.  A shift stops when its explicit residual ``res`` passes,
+    when it fails with a gap ``||res - zeta_k r||`` at least its threshold
+    (stagnation; a smaller gap halves its trigger), or at ``max_iterations``,
+    where every active shift is checked once; it keeps the iterate whose
+    residual was checked, or the zero iterate if that residual exceeds
+    ``||b||``, and identity coefficients keep a later flush from moving it.
+    A solve capped at ``max_iterations = i`` thus returns every shift still
+    active at ``i`` as its iterate ``i``, unless that iterate's residual
+    exceeds ``||b||``.
     """
     b = check_rhs(b, A.n)
     shifts = request.shifts
@@ -272,21 +246,16 @@ def shifted_cg_solve(
     # least two rows and a multiple of 16 columns (rows are zero-padded to
     # them, and D and E to whole blocks so that a flush tile may start at
     # any row), and each row's bits do not depend on its position, on the
-    # tile size, on the rows checked with it or on which shifts are still
-    # active.
+    # tile size or on which shifts are still active.
     s = _BLOCK
     chunks = -(-n // _COLS)
     cb = 16 * -(-n // (16 * chunks))
     width = chunks * cb
     nblocks = -(-m // max(2, _TILE // cb))
     kb = max(2, -(-m // nblocks))
-    # The shifts checked in one iteration are formed g rows at a time, in
-    # the gather rows G and T.  They share one scratch with the flush tile,
-    # which is never in use at the same time.
-    g = max(2, min(m, _TILE // width))
     shapes = {
         "X": (m, width), "P": (m, width), "R": (s, width),
-        "D, E": (2, s + 1, m + kb - 1), "work, G and T": (max(kb * cb, 2 * g * width),),
+        "D, E": (2, s + 1, m + kb - 1), "work": (kb, cb),
     }
     needed = dtype.itemsize * sum(math.prod(shape) for shape in shapes.values())
     available = _available_memory()
@@ -321,9 +290,7 @@ def shifted_cg_solve(
     coef = np.tile(identity, shapes["D, E"][2])
     D, E = coef
     R = np.zeros(shapes["R"], dtype=dtype)
-    scratch = np.empty(shapes["work, G and T"], dtype=dtype)
-    work = scratch[: kb * cb].reshape(kb, cb)
-    G, T = scratch[: 2 * g * width].reshape(2, g, width)
+    work = np.empty(shapes["work"], dtype=dtype)
     t = 0
     alpha_prev = 1.0
     beta_prev = 0.0
@@ -362,43 +329,32 @@ def shifted_cg_solve(
         capped = iterations == max_iterations
         below = np.greater(zeta * rnorm, trigger)
         if capped or not below.all():
-            candidates = np.arange(rows.size) if capped else np.flatnonzero(~below)
-            for c0 in range(0, candidates.size, g):
-                j = candidates[c0 : c0 + g]
-                ks = rows[j]
-                explicit = _check(A, b, X, P, D, R, ks, sigma[j], t, G, T)
-                verification_matvecs += ks.size
-                again = []
-                for i in np.flatnonzero(explicit > thresholds[ks]):
-                    k, threshold = ks[i], thresholds[ks[i]]
+            for j in range(rows.size) if capped else np.flatnonzero(~below):
+                k = rows[j]
+                x, res, explicit = _check(A, b, X, P, D, R, k, sigma[j], t)
+                verification_matvecs += 1
+                threshold = thresholds[k]
+                if explicit > threshold:
                     if capped:
-                        logger.debug(
-                            "shift %d capped: explicit %.3e vs threshold %.3e", k, explicit[i], threshold
-                        )
+                        logger.debug("shift %d capped: explicit %.3e vs threshold %.3e", k, explicit, threshold)
                     else:
-                        # The explicit residual tends to the gap once the
-                        # recursive one vanishes; a gap at the threshold
-                        # cannot pass later.
-                        gap = float(np.linalg.norm(T[i, :n] - zeta[j[i]] * r))
-                        if gap < threshold:
-                            again.append(i)
-                            continue
+                        # The explicit residual tends to the gap once the recursive
+                        # one vanishes; a gap at the threshold cannot pass later.
+                        gap = float(np.linalg.norm(res - zeta[j] * r))
                         logger.debug(
-                            "shift %d stagnated: explicit %.3e, gap %.3e vs threshold %.3e",
-                            k, explicit[i], gap, threshold,
+                            "shift %d %s: explicit %.3e, gap %.3e vs threshold %.3e",
+                            k, "re-checked" if gap < threshold else "stagnated", explicit, gap, threshold,
                         )
-                    if explicit[i] > bnorm:  # the zero iterate's residual b is smaller
-                        G[i] = 0.0
-                        explicit[i] = bnorm
-                x = G[: ks.size]
-                if again:
-                    trigger[j[again]] *= 0.5
-                    ks, x, explicit = (np.delete(a, again, axis=0) for a in (ks, x, explicit))
-                X[ks] = x
-                coef[:, :, ks] = identity
-                final_res[ks] = explicit
-                iterations_used[ks] = iterations
-                active[ks] = False
+                        if gap < threshold:
+                            trigger[j] *= 0.5
+                            continue
+                    if explicit > bnorm:  # the zero iterate's residual b is smaller
+                        x, explicit = 0.0, bnorm
+                X[k] = x
+                coef[:, :, k : k + 1] = identity
+                final_res[k] = explicit
+                iterations_used[k] = iterations
+                active[k] = False
             keep = active[rows]
             if not keep.all():
                 rows, index = _active_rows(active)

@@ -90,7 +90,13 @@ RULES = {
         },
     ),
     "iteration-cap": (
-        {"zero": (0, _CAP), "negative": (-5, _CAP), "fraction": (2.5, _CAP), "inf": (np.inf, _CAP)},
+        {
+            "zero": (0, _CAP),
+            "negative": (-5, _CAP),
+            "fraction": (2.5, _CAP),
+            "inf": (np.inf, _CAP),
+            "bool": (True, _CAP),
+        },
         {
             "ShiftedSolveRequest": lambda i: ShiftedSolveRequest([1.0], 1e-8, i),
             "single_shift_cg": lambda i: single_shift_cg(A, np.ones(A.n), 1.0, tol=1e-10, max_iterations=i),

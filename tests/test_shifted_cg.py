@@ -79,8 +79,10 @@ class TestRequestValidation:
         np.testing.assert_array_equal(req.thresholds, [1e-9, 1e-9, 1e-9])
 
     def test_rejects_bad_iteration_cap(self):
-        with pytest.raises(ValueError):
-            ShiftedSolveRequest([1.0], [1e-8], 0)
+        # ``True`` is an int, but not an iteration count.
+        for cap in (0, True):
+            with pytest.raises(ValueError, match="max_iterations"):
+                ShiftedSolveRequest([1.0], [1e-8], cap)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     def test_rejects_non_finite_rhs(self, value):
@@ -524,29 +526,36 @@ class TestStagnation:
         assert result.report.converged.all()
         assert result.certified
 
-    def test_failed_check_then_passed_recheck(self, monkeypatch):
+    def test_failed_check_then_passed_recheck(self, monkeypatch, caplog):
         # The witness of the halving path: one shift fails its first check,
-        # is not frozen, and passes its second.
+        # is not frozen, and passes its second.  The failed check logs its
+        # gap, under the threshold, in one line.
         nx, alpha, epsilon, lambda_lo, m, checks = self.RECHECKED["lap2d:40x40"]
         A = build_laplacian_2d(nx, nx)
         seen = {}
         check = fracpow.shifted_cg._check
 
-        def spy(A, b, X, P, D, R, ks, *args):
-            explicit = check(A, b, X, P, D, R, ks, *args)
-            for k, value in zip(ks.tolist(), explicit.tolist()):
-                seen.setdefault(k, []).append(value)
-            return explicit
+        def spy(A, b, X, P, D, R, k, *args):
+            x, res, explicit = check(A, b, X, P, D, R, k, *args)
+            seen.setdefault(int(k), []).append(explicit)
+            return x, res, explicit
 
         monkeypatch.setattr(fracpow.shifted_cg, "_check", spy)
         bounds = SpectralBounds(lambda_lo, 8.0)
-        result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), "gj1", bounds=bounds)
+        with caplog.at_level("DEBUG", logger="fracpow.shifted_cg"):
+            result = fracpow_action(A, np.ones(A.n), alpha, ErrorBudget(epsilon), "gj1", bounds=bounds)
         thresholds = result.report.thresholds
         twice = [k for k, values in seen.items() if len(values) > 1]
         assert len(twice) == checks - m == 1
         [k] = twice
         first, second = seen[k]
         assert first > thresholds[k] >= second == result.report.final_residual_norms[k]
+        lines = [r.getMessage() for r in caplog.records if "re-checked" in r.getMessage()]
+        assert len(lines) == 1
+        pattern = r"shift (\d+) re-checked: explicit (\S+), gap (\S+) vs threshold (\S+)"
+        shift, explicit, gap, threshold = re.fullmatch(pattern, lines[0]).groups()
+        assert (int(shift), explicit, threshold) == (k, f"{first:.3e}", f"{thresholds[k]:.3e}")
+        assert float(gap) < thresholds[k]
 
 
 class TestZeroIterateFallback:
@@ -676,12 +685,12 @@ class TestFusedUpdate:
 
 
 class TestBatchedChecks:
-    # The shifts checked in one iteration are formed together, ``g`` rows
-    # at a time (``g = _TILE // width`` here, patched to 2 and 3), and a
-    # lone row is formed as two.  A row comes back bit for bit the same
-    # whichever rows it is checked with, contiguous or not.
+    # Each shift checked in an iteration is formed on its own, as the first
+    # of a two-row product.  A row comes back bit for bit the same whichever
+    # shifts are checked in the same iteration, contiguous or not, and
+    # whether the flush tiles hold all rows or 2 or 3 (``_TILE`` patched).
 
-    @pytest.mark.parametrize("gather", [None, 2, 3], ids=["default", "g=2", "g=3"])
+    @pytest.mark.parametrize("gather", [None, 2, 3], ids=["default", "tile=2", "tile=3"])
     @pytest.mark.parametrize("extra", [1, 4, 9], ids=str)
     @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "gaps"])
     def test_row_independent_of_batch_mates(self, rng, monkeypatch, extra, gather, contiguous):
@@ -743,8 +752,7 @@ class TestMemoryGuard:
     (``cb``), every row is padded to it, and one row tile holds all ``m``
     rows, so the solve allocates ``X`` and ``P`` (m x cb), the residual
     window ``R`` (``_BLOCK`` x cb), ``D`` and ``E`` ((2 m - 1) x (``_BLOCK``
-    + 1)) and one scratch for the ``work`` tile (m x cb) or the gather's
-    ``G`` and ``T`` (max(2, m) x cb each), the larger.
+    + 1)) and the flush tile (``kb x cb``, here max(2, m) x cb).
     """
 
     @staticmethod
@@ -752,7 +760,7 @@ class TestMemoryGuard:
         cb = 16 * -(-n // 16)
         assert m <= fracpow.shifted_cg._TILE // cb
         s = fracpow.shifted_cg._BLOCK
-        scratch = max(m * cb, 2 * max(2, m) * cb)
+        scratch = max(2, m) * cb
         return 2 * m * cb + s * cb + 2 * (2 * m - 1) * (s + 1) + scratch
 
     def test_action_raises_before_any_product(self, monkeypatch):
